@@ -1,11 +1,9 @@
 """Streaming anomaly detection with conformal p-values, adaptive real/synthetic
 calibration, and online control of a decaying-memory false discovery rate."""
 
-from .conformal import (AcquisitionOutcome, CalibrationBatch, EPS_GAMMA,
-                        GAMMA_MAX, acquisition_probability, active_pvalue,
-                        conformal_pvalue, draw_acquisition)
-from .core import (DecayedSum, Decision, Observation, decayed_update, decide,
-                   observation)
+from .conformal import (EPS_GAMMA, GAMMA_MAX, acquisition_probability,
+                        active_pvalue, conformal_pvalue, draw_acquisition)
+from .core import Observation, observation
 from .fdr import DetectorState, StepRecord, ZetaSequence, next_threshold, step, zeta
 from .harness import (MethodVariant, RunConfig, config_from, derive_rng, emit,
                       run_benchmark)

@@ -10,7 +10,6 @@ synthetic data is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,36 +24,12 @@ GAMMA_MAX = 1.0 - EPS_GAMMA
 __all__ = [
     "EPS_GAMMA",
     "GAMMA_MAX",
-    "CalibrationBatch",
-    "AcquisitionOutcome",
     "conformal_pvalue",
     "acquisition_probability",
     "draw_acquisition",
     "active_pvalue",
     "active_outcome",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class CalibrationBatch:
-    """A non-empty batch of finite calibration scores, real or synthetic."""
-
-    scores: np.ndarray
-    kind: str = "real"
-
-    def __post_init__(self) -> None:
-        scores = np.asarray(self.scores, dtype=float)
-        if scores.ndim != 1 or scores.size == 0:
-            raise ValueError("calibration batch must be a non-empty 1-D array")
-        if not np.isfinite(scores).all():
-            raise ValueError("calibration scores must all be finite")
-        if self.kind not in ("real", "synthetic"):
-            raise ValueError(f"unknown batch kind {self.kind!r}")
-        scores.flags.writeable = False
-        object.__setattr__(self, "scores", scores)
-
-    def pvalue(self, test_score: float, plus_one: bool = True) -> float:
-        return conformal_pvalue(self.scores, test_score, plus_one)
 
 
 def conformal_pvalue(cal_scores, test_score: float, plus_one: bool = True) -> float:
@@ -66,8 +41,6 @@ def conformal_pvalue(cal_scores, test_score: float, plus_one: bool = True) -> fl
     loses the low-tail guarantee (kept only for fidelity experiments).
     Ties count through >=.
     """
-    if isinstance(cal_scores, CalibrationBatch):
-        cal_scores = cal_scores.scores
     scores = np.asarray(cal_scores, dtype=float)
     if scores.size == 0:
         raise ValueError("calibration batch must be non-empty")
@@ -116,31 +89,15 @@ def active_pvalue(q: float, u: int, p: float | None, gamma: float) -> float:
     return clamp_pvalue(p / (1.0 - gamma))
 
 
-@dataclass(frozen=True)
-class AcquisitionOutcome:
-    """Full record of one acquisition round: (U, Q, P, Z, gamma)."""
-
-    u: int
-    q: float
-    p: float | None
-    z: float
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if self.u not in (0, 1):
-            raise ValueError("u must be 0 or 1")
-        if (self.u == 1) != (self.p is not None):
-            raise ValueError("p must be present iff u == 1")
-
-
 def active_outcome(q: float, gamma: float, rng: np.random.Generator,
-                   real_pvalue: Callable[[], float]) -> AcquisitionOutcome:
-    """Run one acquisition round.
+                   real_pvalue: Callable[[], float]
+                   ) -> tuple[int, float | None, float]:
+    """Run one acquisition round and return (u, p, z).
 
     ``real_pvalue`` is called only when the Bernoulli draw asks for real
-    data, so callers pay for a real batch only when one is used.
+    data, so callers pay for a real batch only when one is used; ``p`` is
+    None when it was not called.
     """
     u = draw_acquisition(q, gamma, rng)
     p = float(real_pvalue()) if u else None
-    z = active_pvalue(q, u, p, gamma)
-    return AcquisitionOutcome(u=u, q=float(q), p=p, z=z, gamma=float(gamma))
+    return u, p, active_pvalue(q, u, p, gamma)

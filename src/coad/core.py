@@ -1,7 +1,7 @@
-"""Core value types: observations, per-step decisions, and decayed counters.
+"""Core value types: the per-step observation and p-value clamping.
 
-Everything here is an immutable value object, safe to share across threads
-and across independent benchmark runs.
+An Observation is immutable, safe to share across threads and across
+independent benchmark runs.
 """
 
 from __future__ import annotations
@@ -16,12 +16,8 @@ EPS_VAR = 1e-6
 __all__ = [
     "EPS_VAR",
     "Observation",
-    "Decision",
-    "DecayedSum",
     "observation",
     "features_matrix",
-    "decide",
-    "decayed_update",
     "clamp_pvalue",
 ]
 
@@ -92,48 +88,3 @@ def observation(features, context: int = 0, truth: int | None = None,
 def features_matrix(observations) -> np.ndarray:
     """Stack fully observed feature vectors into an (m, d) matrix."""
     return np.stack([obs.observed() for obs in observations])
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Outcome of one test: reject iff statistic <= threshold."""
-
-    reject: bool
-    threshold: float
-    statistic: float
-
-
-def decide(z: float, alpha_t: float) -> Decision:
-    """Flag an anomaly iff the statistic does not exceed the threshold."""
-    if not 0.0 <= alpha_t <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {alpha_t}")
-    if not 0.0 <= z <= 1.0:
-        raise ValueError(f"statistic must lie in [0, 1], got {z}")
-    return Decision(reject=bool(z <= alpha_t), threshold=float(alpha_t),
-                    statistic=float(z))
-
-
-@dataclass(frozen=True)
-class DecayedSum:
-    """Exponentially decayed running sum: value' = delta * value + x.
-
-    After t updates with inputs x_1..x_t the value equals
-    sum_tau delta^(t - tau) * x_tau; with unit inputs it is bounded by
-    1 / (1 - delta).
-    """
-
-    value: float = 0.0
-    delta: float = 0.99
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.value < 0.0:
-            raise ValueError("value must be non-negative")
-
-
-def decayed_update(s: DecayedSum, x: float) -> DecayedSum:
-    """Fold one non-negative increment into the decayed sum."""
-    if x < 0.0:
-        raise ValueError("increments must be non-negative")
-    return DecayedSum(s.delta * s.value + x, s.delta)

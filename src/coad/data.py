@@ -98,8 +98,13 @@ class DatasetSchema:
                     v.strip() for v in value.split("|"))
         if not features:
             raise ValueError(f"{path}: no feature.* entries")
+        if "label" not in raw:
+            raise ValueError(f"{path}: missing required key 'label'")
         bins = tuple(float(v) for v in raw["context.bins"].split(",")) \
             if raw.get("context.bins") else ()
+        if any(b <= a for a, b in zip(bins, bins[1:])):
+            raise ValueError(f"{path}: context.bins must be strictly "
+                             f"increasing, got {raw['context.bins']}")
         missing = frozenset(raw["missing.tokens"].split(",")) \
             if "missing.tokens" in raw else frozenset({"?", ""})
         anomaly = frozenset(v.strip() for v in

@@ -19,7 +19,6 @@ from typing import Callable
 import numpy as np
 
 from .conformal import GAMMA_MAX, active_outcome, conformal_pvalue
-from .core import decide
 
 T_NORM_DEFAULT = 10**6
 
@@ -178,16 +177,14 @@ def step(
     elif acquisition == "active":
         if q is None or real_scores is None:
             raise ValueError("'active' acquisition needs both batch sources")
-        outcome = active_outcome(
+        u, p, z = active_outcome(
             q, gamma, rng,
             lambda: conformal_pvalue(real_scores(), test_score, plus_one))
-        u, p, z = outcome.u, outcome.p, outcome.z
     else:
         raise ValueError(f"unknown acquisition rule {acquisition!r}")
 
     alpha_t = next_threshold(state)
-    outcome = decide(z, alpha_t)
+    rejected = z <= alpha_t  # ties reject
     record = StepRecord(t=state.t, context=context, q=q, u=u, p=p, z=z,
-                        alpha_t=alpha_t, decision=int(outcome.reject),
-                        truth=truth)
-    return record, state.record(outcome.reject)
+                        alpha_t=alpha_t, decision=int(rejected), truth=truth)
+    return record, state.record(rejected)

@@ -67,41 +67,38 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 class MethodVariant(Enum):
-    """The seven benchmark methods, all configurations of one step pipeline."""
+    """The seven benchmark methods, all configurations of one step pipeline.
 
-    FIXED = "FIXED"
-    COAD = "COAD"
-    PP_COAD = "PP_COAD"
-    C_COAD = "C_COAD"
-    PO_COAD = "PO_COAD"
-    C_PO_COAD = "C_PO_COAD"
-    C_PP_COAD = "C_PP_COAD"
+    Each is (context-aware scoring, acquisition rule): "always" queries a
+    real batch, "never" trusts the synthetic batch, "active" queries with
+    probability 1 - gamma * q, and None (FIXED) tests raw scores.
+    """
 
-    @property
-    def context_aware(self) -> bool:
-        return self in (MethodVariant.FIXED, MethodVariant.C_COAD,
-                        MethodVariant.C_PO_COAD, MethodVariant.C_PP_COAD)
+    FIXED = "FIXED", True, None
+    COAD = "COAD", False, "always"
+    PP_COAD = "PP_COAD", False, "active"
+    C_COAD = "C_COAD", True, "always"
+    PO_COAD = "PO_COAD", False, "never"
+    C_PO_COAD = "C_PO_COAD", True, "never"
+    C_PP_COAD = "C_PP_COAD", True, "active"
+
+    def __new__(cls, value: str, context_aware: bool,
+                acquisition: str | None) -> "MethodVariant":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.context_aware = context_aware
+        member.acquisition = acquisition
+        return member
 
     @property
     def uses_twin(self) -> bool:
-        return self in (MethodVariant.PP_COAD, MethodVariant.PO_COAD,
-                        MethodVariant.C_PO_COAD, MethodVariant.C_PP_COAD)
-
-    @property
-    def acquisition(self) -> str | None:
-        if self in (MethodVariant.COAD, MethodVariant.C_COAD):
-            return "always"
-        if self in (MethodVariant.PO_COAD, MethodVariant.C_PO_COAD):
-            return "never"
-        if self in (MethodVariant.PP_COAD, MethodVariant.C_PP_COAD):
-            return "active"
-        return None  # FIXED tests raw scores
+        return self.acquisition in ("never", "active")
 
     @property
     def split_kind(self) -> str:
-        if self in (MethodVariant.PP_COAD, MethodVariant.C_PP_COAD):
+        if self.acquisition == "active":
             return "prediction_powered"
-        if self in (MethodVariant.PO_COAD, MethodVariant.C_PO_COAD):
+        if self.acquisition == "never":
             return "prediction_only"
         return "twinless"  # no generator: calibration gets the extra third
 
@@ -154,8 +151,6 @@ class RunConfig:
     twin_train_size: int = 600
     val_size: int = 500
     synth_pool: int = 500
-    # testing hook: force the acquisition rule of the step pipeline
-    acquisition_override: str | None = None
 
     def validate(self) -> None:
         if not self.methods:
@@ -170,19 +165,24 @@ class RunConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        if self.eta <= 0.0:
+            raise ValueError("eta must be positive")
         if self.lam <= 0.0:
             raise ValueError("lambda must be positive")
         if self.steps < 1 or self.runs < 1:
             raise ValueError("steps and runs must be >= 1")
         if not 0.0 <= self.q_miss < 1.0:
             raise ValueError("q_miss must lie in [0, 1)")
+        if not 0.0 <= self.anomaly_rate < 1.0:
+            raise ValueError("anomaly_rate must lie in [0, 1)")
+        for size in (self.n, self.n_tilde):
+            if size is not None and size < 1:
+                raise ValueError("n and n_tilde must be >= 1 when set")
         if self.gamma_override is not None and \
                 not 0.0 < self.gamma_override <= GAMMA_MAX:
             raise ValueError(f"gamma_override must lie in (0, {GAMMA_MAX}]")
         if self.dataset == "csv" and not (self.csv_path and self.schema_path):
             raise ValueError("csv dataset needs csv_path and schema_path")
-        if self.acquisition_override not in (None, "always", "never", "active"):
-            raise ValueError("unknown acquisition_override")
 
     def resolved(self) -> dict[str, str]:
         """Flat, fully resolved key=value view (the reproducibility contract)."""
@@ -215,34 +215,21 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _opt(parser):
-    def parse(text: str):
-        return None if text.strip().lower() == "none" else parser(text)
-    return parse
-
-
 _KEY_ALIASES = {"method": "methods", "lambda": "lam", "out": "out_dir"}
-_PARSERS: dict[str, Callable] = {
-    "methods": _parse_methods,
-    "score": str.strip,
-    "alpha": float, "delta": float, "eta": float, "lam": float,
-    "gamma_override": _opt(float),
-    "steps": int, "runs": int, "seed": int,
-    "dataset": str.strip,
-    "n": _opt(int), "n_tilde": _opt(int),
-    "q_miss": float, "plus_one": _parse_bool,
-    "gmm_components": int, "kmeans_k": int,
-    "out_dir": str.strip,
-    "csv_path": _opt(str.strip), "schema_path": _opt(str.strip),
-    "oran_samples": int, "oran_anomaly_frac": float,
-    "oran_xapps": int, "oran_params": int, "oran_kpis": int,
-    "contexts": int, "dim": int, "context_spread": float,
-    "anomaly_shift": float, "twin_var_scale": float, "twin_mean_shift": float,
-    "anomaly_rate": float,
-    "score_train_size": int, "twin_train_size": int,
-    "val_size": int, "synth_pool": int,
-    "acquisition_override": _opt(str.strip),
-}
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str.strip}
+# annotation strings such as "int | None" (annotations are postponed)
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+
+
+def _parse_field(name: str, text: str):
+    """Parse a config value by its RunConfig field type; "none" fills an
+    optional field with None."""
+    if name == "methods":
+        return _parse_methods(text)
+    kind, _, optional = _FIELD_TYPES[name].partition(" | ")
+    if optional and text.strip().lower() == "none":
+        return None
+    return _PARSERS[kind](text)
 
 
 def config_from(mapping: dict[str, str] | None = None, **overrides) -> RunConfig:
@@ -250,9 +237,9 @@ def config_from(mapping: dict[str, str] | None = None, **overrides) -> RunConfig
     cfg = RunConfig()
     for key, raw in (mapping or {}).items():
         name = _KEY_ALIASES.get(key, key)
-        if name not in _PARSERS:
+        if name not in _FIELD_TYPES:
             raise ValueError(f"unknown config key {key!r}")
-        setattr(cfg, name, _PARSERS[name](raw))
+        setattr(cfg, name, _parse_field(name, raw))
     for key, value in overrides.items():
         name = _KEY_ALIASES.get(key, key)
         if not hasattr(cfg, name):
@@ -579,7 +566,6 @@ def _detect_run(cfg: RunConfig, method: MethodVariant, run_idx: int,
     gammas, _report = _calibrate_gammas(cfg, method, run_idx, n_eff,
                                         score_model, twin_model, validation)
 
-    acquisition = cfg.acquisition_override or method.acquisition
     state = DetectorState.fresh(cfg.alpha, cfg.delta, cfg.eta)
     tracker = MetricsTracker.fresh(cfg.delta, cfg.eta)
     records: list[StepRecord] = []
@@ -623,7 +609,7 @@ def _detect_run(cfg: RunConfig, method: MethodVariant, run_idx: int,
                 state, test_score, hstep.test.context,
                 rng=derive_rng(cfg.seed, run_idx, _Purpose.ACQUIRE, t),
                 gamma=float(gammas[c_eff]), synthetic_scores=synth_scores,
-                real_scores=real_scores, acquisition=acquisition,
+                real_scores=real_scores, acquisition=method.acquisition,
                 plus_one=cfg.plus_one, truth=hstep.test.truth)
 
         records.append(record)

@@ -1,7 +1,9 @@
 """Decaying-memory evaluation: smoothed FDR, power, and acquisition rate.
 
-Each run owns one tracker; per-timestep ratios are collected into a trace
-and traces are averaged pointwise across Monte Carlo runs.
+Each run owns one tracker of five decayed masses, updated by the plain
+recursion m <- delta * m + x of the decaying-memory FDR; per-timestep ratios
+are collected into a trace and traces are averaged pointwise across Monte
+Carlo runs.
 """
 
 from __future__ import annotations
@@ -10,62 +12,60 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DecayedSum, decayed_update
-
 __all__ = ["MetricsTracker", "RunTrace", "TraceSummary", "aggregate"]
-
-
-def _binary(name: str, value) -> int:
-    if value not in (0, 1):
-        raise ValueError(f"{name} must be 0 or 1, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
 class MetricsTracker:
-    """Decayed masses of false anomalies, detections, hits, anomalies, queries."""
+    """Decayed masses of false anomalies, detections, hits, anomalies, queries.
 
-    false_anomalies: DecayedSum
-    detections: DecayedSum
-    true_detections: DecayedSum
-    anomalies: DecayedSum
-    acquisitions: DecayedSum
+    Each mass follows m <- delta * m + x, so after inputs x_1..x_t it equals
+    sum_tau delta^(t - tau) * x_tau; with 0/1 inputs it stays below
+    1 / (1 - delta).
+    """
+
+    false_anomalies: float
+    detections: float
+    true_detections: float
+    anomalies: float
+    acquisitions: float
+    delta: float
     eta: float = 1.0
 
     @classmethod
     def fresh(cls, delta: float, eta: float = 1.0) -> "MetricsTracker":
+        if not 0.0 < delta < 1.0:
+            raise ValueError("delta must lie in (0, 1)")
         if eta <= 0.0:
             raise ValueError("eta must be positive")
-        zero = DecayedSum(0.0, delta)
-        return cls(zero, zero, zero, zero, zero, eta)
+        return cls(0.0, 0.0, 0.0, 0.0, 0.0, delta, eta)
 
-    def update(self, decision, truth, acquired) -> "MetricsTracker":
-        """Fold one timestep (decision, truth, acquisition flag) in."""
+    def update(self, decision: int, truth: int | None,
+               acquired: int) -> "MetricsTracker":
+        """Fold one timestep (0/1 decision, truth, acquisition flag) in."""
         if truth is None:
             raise ValueError("metrics need ground-truth labels; truth is unknown")
-        a_hat = _binary("decision", decision)
-        a = _binary("truth", truth)
-        u = _binary("acquired", acquired)
+        d = self.delta
         return MetricsTracker(
-            false_anomalies=decayed_update(self.false_anomalies, a_hat * (1 - a)),
-            detections=decayed_update(self.detections, a_hat),
-            true_detections=decayed_update(self.true_detections, a_hat * a),
-            anomalies=decayed_update(self.anomalies, a),
-            acquisitions=decayed_update(self.acquisitions, u),
-            eta=self.eta,
+            false_anomalies=d * self.false_anomalies + decision * (1 - truth),
+            detections=d * self.detections + decision,
+            true_detections=d * self.true_detections + decision * truth,
+            anomalies=d * self.anomalies + truth,
+            acquisitions=d * self.acquisitions + acquired,
+            delta=d, eta=self.eta,
         )
 
     @property
     def sfdr(self) -> float:
-        return self.false_anomalies.value / (self.detections.value + self.eta)
+        return self.false_anomalies / (self.detections + self.eta)
 
     @property
     def power(self) -> float:
-        return self.true_detections.value / (self.anomalies.value + self.eta)
+        return self.true_detections / (self.anomalies + self.eta)
 
     @property
     def cdar(self) -> float:
-        return self.acquisitions.value
+        return self.acquisitions
 
 
 @dataclass(frozen=True, eq=False)

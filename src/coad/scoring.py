@@ -51,10 +51,6 @@ class ScoreModel:
     context_aware: bool
     n_contexts: int
 
-    @property
-    def mode(self) -> str:
-        return "context-aware" if self.context_aware else "context-agnostic"
-
     def _slot(self, context: int) -> int:
         if not self.context_aware:
             return 0
@@ -102,12 +98,6 @@ class DensityScore(ScoreModel):
         mu, var = self.means[slot], self.variances[slot]
         quad = (xs - mu) ** 2 / var
         return 0.5 * (np.log(2.0 * np.pi * var).sum() + quad.sum(axis=1))
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "density", "mode": self.mode,
-                "n_contexts": self.n_contexts,
-                "means": self.means.tolist(),
-                "variances": self.variances.tolist()}
 
 
 def fit_density_score(train, n_contexts: int | None = None,
@@ -192,11 +182,6 @@ class KMeansScore(ScoreModel):
         d2 = ((xs[:, None, :] - centers[None]) ** 2).sum(-1)
         return np.sqrt(d2.min(axis=1))
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "kmeans", "mode": self.mode,
-                "n_contexts": self.n_contexts,
-                "centroids": [c.tolist() for c in self.centroids]}
-
 
 def fit_kmeans_score(train, k: int = 5, rng: np.random.Generator | None = None,
                      n_contexts: int | None = None, context_aware: bool = True,
@@ -236,13 +221,6 @@ class NaiveBayesScore(ScoreModel):
         top = loglik.max(axis=1, keepdims=True)
         probs = np.exp(loglik - top)
         return probs[:, 1] / probs.sum(axis=1)
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "naive_bayes", "mode": self.mode,
-                "n_contexts": self.n_contexts,
-                "class_means": self.class_means.tolist(),
-                "class_vars": self.class_vars.tolist(),
-                "log_priors": self.log_priors.tolist()}
 
 
 def fit_supervised_score(train, n_contexts: int | None = None,

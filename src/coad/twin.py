@@ -52,18 +52,6 @@ class TwinModel:
     def dim(self) -> int:
         return int(self.means[0].shape[1])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "diag_gmm",
-            "n_contexts": self.n_contexts,
-            "contexts": [
-                {"weights": self.weights[c].tolist(),
-                 "means": self.means[c].tolist(),
-                 "variances": self.variances[c].tolist()}
-                for c in range(self.n_contexts)
-            ],
-        }
-
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     top = a.max(axis=axis, keepdims=True)

@@ -17,7 +17,6 @@ import numpy as np
 
 from coad.conformal import (GAMMA_MAX, active_pvalue, conformal_pvalue,
                             draw_acquisition)
-from coad.core import DecayedSum, decayed_update
 from coad.fdr import DetectorState, build_zeta, next_threshold
 from coad.harness import config_from, run_benchmark
 from coad.oran import check_conflicts, generate_oran
@@ -155,10 +154,10 @@ def test_a7_cdar_extremes():
     arts = run_benchmark(cfg)
     delta = cfg.delta
     expected = []
-    acc = DecayedSum(0.0, delta)
+    acc = 0.0
     for _ in range(cfg.steps):
-        acc = decayed_update(acc, 1.0)
-        expected.append(acc.value)
+        acc = delta * acc + 1.0
+        expected.append(acc)
     expected = np.asarray(expected)
     closed_form = (1.0 - delta ** np.arange(1, cfg.steps + 1)) / (1.0 - delta)
     assert np.allclose(expected, closed_form, rtol=1e-12)

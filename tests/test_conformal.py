@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coad.conformal import (AcquisitionOutcome, CalibrationBatch,
-                            acquisition_probability, active_outcome,
+from coad.conformal import (acquisition_probability, active_outcome,
                             active_pvalue, conformal_pvalue, draw_acquisition)
 
 
@@ -31,19 +30,6 @@ class TestConformalPValue:
     def test_nonfinite_test_score(self):
         with pytest.raises(ValueError):
             conformal_pvalue([1.0], float("nan"))
-
-    def test_batch_object(self):
-        batch = CalibrationBatch(np.array([1.0, 2.0]), kind="synthetic")
-        assert batch.pvalue(3.0) == pytest.approx(1 / 3)
-        assert conformal_pvalue(batch, 3.0) == pytest.approx(1 / 3)
-
-    def test_batch_invariants(self):
-        with pytest.raises(ValueError):
-            CalibrationBatch(np.array([]))
-        with pytest.raises(ValueError):
-            CalibrationBatch(np.array([1.0, np.inf]))
-        with pytest.raises(ValueError):
-            CalibrationBatch(np.array([1.0]), kind="imagined")
 
     @given(scores=st.lists(st.floats(-50, 50), min_size=1, max_size=30),
            test=st.floats(-50, 50))
@@ -117,12 +103,6 @@ class TestActivePValue:
         with pytest.raises(ValueError):
             active_pvalue(0.5, 0, 0.1, 0.5)
 
-    def test_outcome_consistency(self):
-        with pytest.raises(ValueError):
-            AcquisitionOutcome(u=1, q=0.5, p=None, z=0.5, gamma=0.5)
-        with pytest.raises(ValueError):
-            AcquisitionOutcome(u=0, q=0.5, p=0.1, z=0.5, gamma=0.5)
-
     def test_active_outcome_lazy(self):
         calls = []
 
@@ -131,9 +111,9 @@ class TestActivePValue:
             return 0.25
 
         rng = np.random.default_rng(0)
-        out = active_outcome(0.0, 0.9, rng, real)  # q=0 forces a query
-        assert out.u == 1 and calls == [1]
-        assert out.z == 1.0  # 0.25 / (1 - 0.9) clamps to 1
+        u, p, z = active_outcome(0.0, 0.9, rng, real)  # q=0 forces a query
+        assert u == 1 and p == 0.25 and calls == [1]
+        assert z == 1.0  # 0.25 / (1 - 0.9) clamps to 1
 
 
 def _superuniform_check(samples, trials, grid):
@@ -175,7 +155,7 @@ def test_active_pvalue_validity_light():
     for i in range(trials):
         test = rng.standard_normal()
         q = conformal_pvalue(0.5 * rng.standard_normal(n), test)
-        zs[i] = active_outcome(
+        _, _, zs[i] = active_outcome(
             q, 0.7, rng,
-            lambda: conformal_pvalue(rng.standard_normal(n), test)).z
+            lambda: conformal_pvalue(rng.standard_normal(n), test))
     _superuniform_check(zs, trials, (0.01, 0.05, 0.1, 0.2, 0.5))

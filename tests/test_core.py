@@ -5,75 +5,102 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coad.core import (DecayedSum, Observation, clamp_pvalue, decayed_update,
-                       decide, features_matrix, observation)
+from coad.core import Observation, clamp_pvalue, features_matrix, observation
+from coad.fdr import DetectorState, step
+from coad.metrics import MetricsTracker
+
+
+def _never_step(test_score, synthetic, alpha=0.5, plus_one=True):
+    """One "never"-rule step at t = 1, where z is the proxy p-value and
+    alpha_t = alpha * max(zeta_1, 1 - 0.5) = alpha / 2."""
+    state = DetectorState.fresh(alpha, 0.5, t_norm=10**4)
+    record, _ = step(state, test_score, 0, rng=np.random.default_rng(0),
+                     synthetic_scores=np.asarray(synthetic, dtype=float),
+                     acquisition="never", plus_one=plus_one)
+    return record
 
 
 class TestDecide:
+    """The decision rule of ``fdr.step``: reject iff z <= alpha_t."""
+
     def test_boundary_zero_rejects(self):
-        assert decide(0.0, 0.0).reject is True
+        record = _never_step(10.0, [1.0, 2.0], alpha=0.0, plus_one=False)
+        assert record.z == 0.0 and record.alpha_t == 0.0
+        assert record.decision == 1
 
     def test_maximal_pvalue_never_rejects(self):
-        assert decide(1.0, 0.1).reject is False
+        record = _never_step(-10.0, [1.0, 2.0])
+        assert record.z == 1.0 and record.decision == 0
 
     def test_equality_rejects(self):
-        assert decide(0.05, 0.05).reject is True
+        record = _never_step(10.0, [1.0, 2.0, 3.0])  # q = 1/4 = alpha_t
+        assert record.z == record.alpha_t == 0.25
+        assert record.decision == 1
 
     def test_fields_echoed(self):
-        d = decide(0.3, 0.5)
-        assert d.statistic == 0.3 and d.threshold == 0.5 and d.reject
+        record = _never_step(1.5, [1.0, 2.0, 3.0])  # q = 3/4
+        assert record.z == record.q == 0.75 and record.alpha_t == 0.25
+        assert record.decision == 0
 
-    @pytest.mark.parametrize("z,alpha", [(-0.1, 0.5), (1.1, 0.5),
-                                         (0.5, -0.1), (0.5, 1.5)])
-    def test_domain_checks(self, z, alpha):
-        with pytest.raises(ValueError):
-            decide(z, alpha)
+    @given(scores=st.lists(st.floats(-5, 5), min_size=1, max_size=20),
+           s1=st.floats(-5, 5), s2=st.floats(-5, 5), alpha=st.floats(0, 1))
+    def test_monotone(self, scores, s1, s2, alpha):
+        lo, hi = sorted((_never_step(s1, scores, alpha),
+                         _never_step(s2, scores, alpha)), key=lambda r: r.z)
+        if hi.decision:
+            assert lo.decision
 
-    @given(z1=st.floats(0, 1), z2=st.floats(0, 1), alpha=st.floats(0, 1))
-    def test_monotone(self, z1, z2, alpha):
-        lo, hi = min(z1, z2), max(z1, z2)
-        if decide(hi, alpha).reject:
-            assert decide(lo, alpha).reject
+
+def _acquisition_mass(xs, delta):
+    tracker = MetricsTracker.fresh(delta)
+    for x in xs:
+        tracker = tracker.update(decision=0, truth=0, acquired=x)
+    return tracker.acquisitions
 
 
 class TestDecayedSum:
+    """The recursion m <- delta * m + x behind every MetricsTracker mass."""
+
     def test_hand_expanded_sum(self):
-        s = DecayedSum(0.0, 0.95)
-        for x in (1.0, 0.0, 1.0):
-            s = decayed_update(s, x)
         # expand sum_tau delta^(t - tau) x_tau by hand: 0.95^2 + 1 = 1.9025
-        assert math.isclose(s.value, 1.9025, rel_tol=1e-12)
+        assert math.isclose(_acquisition_mass([1, 0, 1], 0.95), 1.9025,
+                            rel_tol=1e-12)
 
     def test_all_zero_inputs(self):
-        s = DecayedSum(0.0, 0.5)
-        for _ in range(10):
-            s = decayed_update(s, 0.0)
-        assert s.value == 0.0
+        assert _acquisition_mass([0] * 10, 0.5) == 0.0
 
     def test_geometric_limit(self):
-        s = DecayedSum(0.0, 0.99)
-        for _ in range(5000):
-            s = decayed_update(s, 1.0)
-        assert abs(s.value - 100.0) < 1e-9
-
-    def test_negative_increment_rejected(self):
-        with pytest.raises(ValueError):
-            decayed_update(DecayedSum(0.0, 0.9), -0.1)
+        assert abs(_acquisition_mass([1] * 5000, 0.99) - 100.0) < 1e-9
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, 1.5])
     def test_delta_domain(self, delta):
         with pytest.raises(ValueError):
-            DecayedSum(0.0, delta)
+            MetricsTracker.fresh(delta)
 
-    @given(xs=st.lists(st.floats(0, 1), min_size=1, max_size=60),
+    @given(steps=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1),
+                                    st.integers(0, 1)),
+                          min_size=1, max_size=60),
            delta=st.floats(0.05, 0.99))
-    def test_recurrence_equals_closed_form(self, xs, delta):
-        s = DecayedSum(0.0, delta)
-        for x in xs:
-            s = decayed_update(s, x)
-        t = len(xs)
-        closed = sum(delta ** (t - tau) * x for tau, x in enumerate(xs, start=1))
-        assert math.isclose(s.value, closed, rel_tol=1e-12, abs_tol=1e-12)
+    def test_recurrence_equals_closed_form(self, steps, delta):
+        tracker = MetricsTracker.fresh(delta)
+        for decision, truth, acquired in steps:
+            tracker = tracker.update(decision, truth, acquired)
+        t = len(steps)
+
+        def closed(x):
+            return sum(delta ** (t - tau) * x(*row)
+                       for tau, row in enumerate(steps, start=1))
+
+        expected = {
+            "false_anomalies": closed(lambda d, a, u: d * (1 - a)),
+            "detections": closed(lambda d, a, u: d),
+            "true_detections": closed(lambda d, a, u: d * a),
+            "anomalies": closed(lambda d, a, u: a),
+            "acquisitions": closed(lambda d, a, u: u),
+        }
+        for name, value in expected.items():
+            assert math.isclose(getattr(tracker, name), value,
+                                rel_tol=1e-12, abs_tol=1e-12), name
 
 
 class TestObservation:

@@ -55,6 +55,20 @@ class TestSchema:
         with pytest.raises(ValueError):
             DatasetSchema(features=(("x", "ordinal"),), label="y")
 
+    def test_missing_label_names_file_and_key(self, tmp_path):
+        path = tmp_path / "nolabel.schema"
+        path.write_text(SCHEMA_TEXT.replace("label = class\n", ""))
+        with pytest.raises(ValueError, match=r"nolabel\.schema.*'label'"):
+            DatasetSchema.from_file(path)
+
+    @pytest.mark.parametrize("bins", ["5,1", "1,1"])
+    def test_bins_must_increase(self, tmp_path, bins):
+        path = tmp_path / "bins.schema"
+        path.write_text(SCHEMA_TEXT.replace("context.bins = 50",
+                                            f"context.bins = {bins}"))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            DatasetSchema.from_file(path)
+
 
 class TestLoadCsv:
     def _write(self, tmp_path, body):

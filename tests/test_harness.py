@@ -50,6 +50,8 @@ class TestConfig:
         {"alpha": "0"}, {"delta": "1"}, {"lambda": "-1"}, {"runs": "0"},
         {"method": "SUPER_COAD"}, {"dataset": "parquet"},
         {"q_miss": "1.0"}, {"score": "zero-shot"},
+        {"anomaly_rate": "-0.5"}, {"anomaly_rate": "1.0"},
+        {"anomaly_rate": "1.5"}, {"eta": "0"}, {"n": "0"}, {"n_tilde": "0"},
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -118,13 +120,16 @@ class TestRecordShapes:
 
 
 class TestVariantEquivalence:
-    def test_never_rule_reduces_to_prediction_only(self):
-        active = run_benchmark(_cfg(method="C_PP_COAD",
-                                    acquisition_override="never"))
-        po = run_benchmark(_cfg(method="C_PO_COAD"))
-        a = active.per_method["C_PP_COAD"].records
-        b = po.per_method["C_PO_COAD"].records
-        assert [(i, r) for i, r in a] == [(i, r) for i, r in b]
+    def test_active_and_prediction_only_share_proxy_pvalues(self):
+        # both fit the same twin on the same draws, so they score the same
+        # synthetic batch and see the same q at every (run, t)
+        for q_miss in (0.0, 0.3):
+            active = run_benchmark(_cfg(method="C_PP_COAD", q_miss=q_miss))
+            po = run_benchmark(_cfg(method="C_PO_COAD", q_miss=q_miss))
+            a = active.per_method["C_PP_COAD"].records
+            b = po.per_method["C_PO_COAD"].records
+            assert [(i, r.t, r.q) for i, r in a] == \
+                [(i, r.t, r.q) for i, r in b]
 
     def test_tiny_gamma_tracks_always_real(self):
         pp = run_benchmark(_cfg(method="C_PP_COAD", gamma_override=EPS_GAMMA,

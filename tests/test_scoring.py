@@ -74,11 +74,6 @@ class TestDensityScore:
         with pytest.raises(ValueError, match="context 1"):
             fit_density_score(_obs([0.0, 1.0], context=0), n_contexts=2)
 
-    def test_json_dump(self):
-        model = fit_density_score(_obs([0.0, 2.0]))
-        payload = model.to_json_dict()
-        assert payload["kind"] == "density" and payload["n_contexts"] == 1
-
 
 class TestKMeansScore:
     def test_point_on_centroid(self):

@@ -54,13 +54,6 @@ class TestFitTwin:
         assert all(np.array_equal(x, y)
                    for x, y in zip(a.variances, b.variances))
 
-    def test_json_dump(self):
-        model = fit_twin(_obs([1.0, 2.0, 3.0]), k=1,
-                         rng=np.random.default_rng(0))
-        payload = model.to_json_dict()
-        json.dumps(payload)  # serializable
-        assert payload["n_contexts"] == 1 and payload["kind"] == "diag_gmm"
-
 
 class TestSampleSynthetic:
     def _unit_model(self):
