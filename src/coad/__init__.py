@@ -4,7 +4,7 @@ calibration, and online control of a decaying-memory false discovery rate."""
 from .conformal import (EPS_GAMMA, GAMMA_MAX, acquisition_probability,
                         active_pvalue, conformal_pvalue, draw_acquisition)
 from .core import Observation, observation
-from .fdr import DetectorState, StepRecord, ZetaSequence, next_threshold, step, zeta
+from .fdr import DetectorState, StepRecord, next_threshold, step
 from .harness import (MethodVariant, RunConfig, config_from, derive_rng, emit,
                       run_benchmark)
 from .metrics import MetricsTracker, RunTrace, aggregate

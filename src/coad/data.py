@@ -152,6 +152,8 @@ def _parse_row(row, schema, codebooks) -> Observation:
             mask[i] = True
         elif kind == "continuous":
             values[i] = float(token)
+            if not math.isfinite(values[i]):
+                raise ValueError(f"column {name!r}: non-finite value {token!r}")
         elif name in schema.categories:
             code = codebooks[name].get(token)
             if code is None:

@@ -7,71 +7,67 @@ The threshold at time t is
 
 where rho_j are past detection times (strictly before t, so the threshold
 is measurable before the current statistic is seen) and {zeta_t} is a
-non-increasing sequence normalized to sum to 1 over its horizon.
+non-increasing sequence summing to 1 over t <= 10^6 and zero beyond.  The
+memory term is a convolution with k_l = delta^l * zeta_l, whose tail past
+W(delta) lags sums to less than KERNEL_TAIL, so the state keeps only the
+detections of the last W steps, however long the stream runs.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .conformal import GAMMA_MAX, active_outcome, conformal_pvalue
 
-T_NORM_DEFAULT = 10**6
+KERNEL_TAIL = 1e-17
 
 __all__ = [
-    "T_NORM_DEFAULT",
-    "ZetaSequence",
+    "KERNEL_TAIL",
     "DetectorState",
     "StepRecord",
     "build_zeta",
-    "zeta",
+    "decay_kernel",
     "next_threshold",
     "step",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class ZetaSequence:
-    """Precomputed zeta_1..zeta_T, non-increasing and summing to 1."""
-
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-    def value(self, t: int) -> float:
-        """zeta_t for 1 <= t <= horizon."""
-        if not 1 <= t <= self.values.size:
-            raise ValueError(f"t must lie in [1, {self.values.size}], got {t}")
-        return float(self.values[t - 1])
-
-
-@lru_cache(maxsize=4)
-def build_zeta(t_norm: int = T_NORM_DEFAULT) -> ZetaSequence:
-    """Normalize zeta_t = log(max(t, 2)) / (t * exp(sqrt(log t))) over t_norm terms."""
-    if t_norm < 1:
-        raise ValueError("t_norm must be >= 1")
-    t = np.arange(1, t_norm + 1, dtype=float)
+@cache
+def build_zeta() -> np.ndarray:
+    """Read-only zeta_1..zeta_(10^6): log(max(t, 2)) / (t * exp(sqrt(log t)))
+    normalized to sum to 1."""
+    t = np.arange(1, 10**6 + 1, dtype=float)
     raw = np.log(np.maximum(t, 2.0)) / (t * np.exp(np.sqrt(np.log(t))))
     values = raw / raw.sum()
     values.flags.writeable = False
-    return ZetaSequence(values)
+    return values
 
 
-def zeta(t: int, t_norm: int = T_NORM_DEFAULT) -> float:
-    return build_zeta(t_norm).value(t)
+@lru_cache(maxsize=8)
+def decay_kernel(delta: float) -> np.ndarray:
+    """Read-only k_l = delta^l * zeta_l for lags 1..W, W <= 10^6 the first with
+    delta^W / (1 - delta) <= KERNEL_TAIL, which bounds the dropped tail."""
+    zetas = build_zeta()
+    width = min(zetas.size, math.ceil(
+        math.log(KERNEL_TAIL * (1.0 - delta)) / math.log(delta)))
+    kernel = delta ** np.arange(1, width + 1) * zetas[:width]
+    kernel.flags.writeable = False
+    return kernel
 
 
 @dataclass(frozen=True, eq=False)
 class DetectorState:
-    """Sequential detector state: clock, past detection times, parameters.
+    """Sequential detector state: clock, recent detection times, parameters.
 
     ``t`` is the index of the step about to be tested (1-based);
-    ``detection_times`` holds the strictly increasing rho_j, all < t.
+    ``detection_times`` holds the strictly increasing rho_j < t that lie
+    within the ``decay_kernel(delta)`` window.
     """
 
     t: int
@@ -79,44 +75,37 @@ class DetectorState:
     alpha: float
     delta: float
     eta: float
-    zetas: ZetaSequence
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
-        if self.t < 1:
-            raise ValueError("t starts at 1")
-        times = self.detection_times
-        if any(b <= a for a, b in zip(times, times[1:])) or \
-                any(rho >= self.t for rho in times):
-            raise ValueError("detection times must be strictly increasing and < t")
 
     @classmethod
-    def fresh(cls, alpha: float, delta: float, eta: float = 1.0,
-              t_norm: int = T_NORM_DEFAULT) -> "DetectorState":
-        return cls(t=1, detection_times=(), alpha=alpha, delta=delta,
-                   eta=eta, zetas=build_zeta(t_norm))
+    def fresh(cls, alpha: float, delta: float,
+              eta: float = 1.0) -> "DetectorState":
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError("alpha must lie in [0, 1]")
+        if not 0.0 < delta < 1.0:
+            raise ValueError("delta must lie in (0, 1)")
+        if eta <= 0.0:
+            raise ValueError("eta must be positive")
+        return cls(t=1, detection_times=(), alpha=alpha, delta=delta, eta=eta)
 
     def record(self, rejected: bool) -> "DetectorState":
-        """Advance the clock, appending the current time when rejected."""
+        """Advance the clock, appending the current time when rejected and
+        dropping the detections the kernel no longer reaches."""
         times = self.detection_times + (self.t,) if rejected else self.detection_times
+        oldest = self.t + 1 - decay_kernel(self.delta).size
+        times = times[bisect_left(times, oldest):]
         return DetectorState(t=self.t + 1, detection_times=times,
-                             alpha=self.alpha, delta=self.delta,
-                             eta=self.eta, zetas=self.zetas)
+                             alpha=self.alpha, delta=self.delta, eta=self.eta)
 
 
 def next_threshold(state: DetectorState) -> float:
     """Threshold for the current step, from past detections only."""
-    zeta_t = state.zetas.value(state.t)
+    zetas = build_zeta()
+    zeta_t = float(zetas[state.t - 1]) if state.t <= zetas.size else 0.0
     alpha_t = state.alpha * state.eta * max(zeta_t, 1.0 - state.delta)
     if state.detection_times:
-        lags = state.t - np.asarray(state.detection_times)  # all >= 1
+        lags = state.t - np.asarray(state.detection_times)  # all in [1, W]
         alpha_t += state.alpha * float(
-            np.sum(state.delta ** lags * state.zetas.values[lags - 1]))
+            np.sum(decay_kernel(state.delta)[lags - 1]))
     return min(1.0, alpha_t)
 
 

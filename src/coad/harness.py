@@ -183,6 +183,19 @@ class RunConfig:
             raise ValueError(f"gamma_override must lie in (0, {GAMMA_MAX}]")
         if self.dataset == "csv" and not (self.csv_path and self.schema_path):
             raise ValueError("csv dataset needs csv_path and schema_path")
+        # a real p-value is at least 1/(n+1); once zeta_t < 1 - delta, a
+        # stream with no recent detection has threshold alpha*eta*(1-delta)
+        n = _resolved_n(self) if self.dataset == "gaussian" else self.n
+        uses_real = any(MethodVariant(m).acquisition in ("always", "active")
+                        for m in self.methods)
+        if uses_real and n is not None and \
+                1.0 / (n + 1) > self.alpha * self.eta * (1.0 - self.delta):
+            warnings.warn(
+                f"1/(n+1) > alpha*eta*(1-delta) with n = {n}, alpha = "
+                f"{self.alpha}, eta = {self.eta}, delta = {self.delta}: real "
+                f"p-values never reach the threshold floor, so a detection "
+                f"needs zeta_t > 1 - delta or a recent detection",
+                stacklevel=2)
 
     def resolved(self) -> dict[str, str]:
         """Flat, fully resolved key=value view (the reproducibility contract)."""
@@ -233,21 +246,22 @@ def _parse_field(name: str, text: str):
 
 
 def config_from(mapping: dict[str, str] | None = None, **overrides) -> RunConfig:
-    """Build a config from a key=value mapping plus typed overrides."""
+    """Build a config from a key=value mapping plus overrides; string values
+    are parsed by field type, other overrides are taken as given, and a None
+    override leaves the field as it was."""
     cfg = RunConfig()
-    for key, raw in (mapping or {}).items():
+    for key, value in [*(mapping or {}).items(), *overrides.items()]:
         name = _KEY_ALIASES.get(key, key)
         if name not in _FIELD_TYPES:
             raise ValueError(f"unknown config key {key!r}")
-        setattr(cfg, name, _parse_field(name, raw))
-    for key, value in overrides.items():
-        name = _KEY_ALIASES.get(key, key)
-        if not hasattr(cfg, name):
-            raise ValueError(f"unknown config field {key!r}")
-        if value is not None:
-            if name == "methods" and isinstance(value, str):
-                value = _parse_methods(value)
-            setattr(cfg, name, value)
+        if value is None:
+            continue
+        if isinstance(value, str):
+            try:
+                value = _parse_field(name, value)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from exc
+        setattr(cfg, name, value)
     cfg.validate()
     return cfg
 

@@ -180,16 +180,15 @@ def test_a8_threshold_identities():
                               (0.05, 0.9, 0.5)):
         for t in (1, 2, 3, 7, 20, 60, 199):
             state = DetectorState(t=t, detection_times=(), alpha=alpha,
-                                  delta=delta, eta=eta, zetas=zetas)
-            manual = alpha * eta * max(zetas.value(t), 1.0 - delta)
+                                  delta=delta, eta=eta)
+            manual = alpha * eta * max(zetas[t - 1], 1.0 - delta)
             worst = max(worst, abs(next_threshold(state) - manual))
             for rho in (1, t // 2, t - 1):
                 if not 1 <= rho <= t - 1:
                     continue
                 with_det = DetectorState(t=t, detection_times=(rho,),
-                                         alpha=alpha, delta=delta, eta=eta,
-                                         zetas=zetas)
-                gain = alpha * delta ** (t - rho) * zetas.value(t - rho)
+                                         alpha=alpha, delta=delta, eta=eta)
+                gain = alpha * delta ** (t - rho) * zetas[t - rho - 1]
                 worst = max(worst, abs(next_threshold(with_det)
                                        - (manual + gain)))
     ok = worst <= 1e-12

@@ -13,7 +13,7 @@ from coad.metrics import MetricsTracker
 def _never_step(test_score, synthetic, alpha=0.5, plus_one=True):
     """One "never"-rule step at t = 1, where z is the proxy p-value and
     alpha_t = alpha * max(zeta_1, 1 - 0.5) = alpha / 2."""
-    state = DetectorState.fresh(alpha, 0.5, t_norm=10**4)
+    state = DetectorState.fresh(alpha, 0.5)
     record, _ = step(state, test_score, 0, rng=np.random.default_rng(0),
                      synthetic_scores=np.asarray(synthetic, dtype=float),
                      acquisition="never", plus_one=plus_one)

@@ -97,6 +97,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 3"):
             load_csv(path, schema)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    def test_non_finite_continuous_rejected(self, tmp_path, schema, token):
+        # a NaN fill or score would silently break the conformal ranks
+        path = self._write(tmp_path, f"30,1.0,M,3\n30,{token},M,3\n")
+        with pytest.raises(ValueError, match="row 3: column 'tsh'"):
+            load_csv(path, schema)
+
     def test_missing_context_value(self, tmp_path, schema):
         with pytest.raises(ValueError, match="context"):
             load_csv(self._write(tmp_path, "?,1.0,M,3\n"), schema)

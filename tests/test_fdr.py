@@ -2,75 +2,148 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from coad.fdr import (DetectorState, StepRecord, build_zeta, next_threshold,
-                      step, zeta)
+from coad.fdr import (KERNEL_TAIL, DetectorState, StepRecord, build_zeta,
+                      decay_kernel, next_threshold, step)
 
-T_SMALL = 10**4
+HORIZON = 10**6
+
+
+def reference_threshold(t, detections, alpha, delta, eta=1.0):
+    """The full-history schedule: every past detection, no window."""
+    zetas = build_zeta()
+    alpha_t = alpha * eta * max(float(zetas[t - 1]), 1.0 - delta)
+    if detections:
+        lags = t - np.asarray(detections)
+        alpha_t += alpha * float(np.sum(delta ** lags * zetas[lags - 1]))
+    return min(1.0, alpha_t)
+
+
+def _replay(rejections, delta, alpha=0.1):
+    """Drive ``record`` through a rejection sequence; yield each state with
+    the full detection history the reference needs."""
+    state = DetectorState.fresh(alpha, delta)
+    history = []
+    for rejected in rejections:
+        yield state, tuple(history)
+        if rejected:
+            history.append(state.t)
+        state = state.record(rejected)
+        times = state.detection_times
+        width = decay_kernel(delta).size
+        assert all(a < b for a, b in zip(times, times[1:]))
+        assert all(state.t - width <= rho < state.t for rho in times)
+        assert len(times) <= width
 
 
 class TestZeta:
     def test_first_two_terms_ratio(self):
         # normalization cancels: zeta_1 / zeta_2 = 2 * exp(sqrt(log 2))
         expected = 2.0 * math.exp(math.sqrt(math.log(2.0)))
-        assert zeta(1, T_SMALL) / zeta(2, T_SMALL) == pytest.approx(
-            expected, rel=1e-12)
+        zetas = build_zeta()
+        assert zetas[0] / zetas[1] == pytest.approx(expected, rel=1e-12)
 
     def test_non_increasing(self):
-        values = build_zeta(T_SMALL).values
-        assert np.all(np.diff(values) <= 0)
+        assert np.all(np.diff(build_zeta()) <= 0)
 
     def test_sums_to_one(self):
-        assert abs(build_zeta(T_SMALL).values.sum() - 1.0) <= 1e-9
+        assert abs(build_zeta().sum() - 1.0) <= 1e-9
 
     def test_default_horizon_sums_to_one(self):
-        assert abs(build_zeta().values.sum() - 1.0) <= 1e-9
+        # the one table there is spans the default horizon of 10^6 steps
+        assert build_zeta().size == HORIZON
+        assert abs(build_zeta().sum() - 1.0) <= 1e-9
 
     def test_positive(self):
-        assert np.all(build_zeta(T_SMALL).values > 0)
+        assert np.all(build_zeta() > 0)
 
-    @pytest.mark.parametrize("t", [0, -3, T_SMALL + 1])
-    def test_out_of_range(self, t):
-        with pytest.raises(ValueError):
-            zeta(t, T_SMALL)
+    def test_zero_beyond_horizon(self):
+        # zeta_t = 0 past the table, so the floor 1 - delta takes over
+        alpha, delta, eta = 0.1, 0.99, 0.5
+        state = DetectorState(t=HORIZON + 1, detection_times=(HORIZON,),
+                              alpha=alpha, delta=delta, eta=eta)
+        assert next_threshold(state) == \
+            alpha * eta * (1 - delta) + alpha * decay_kernel(delta)[0]
+        nxt = state.record(False)
+        assert next_threshold(nxt) == \
+            alpha * eta * (1 - delta) + alpha * decay_kernel(delta)[1]
 
     def test_cached(self):
-        assert build_zeta(T_SMALL) is build_zeta(T_SMALL)
+        assert build_zeta() is build_zeta()
+        assert decay_kernel(0.9) is decay_kernel(0.9)
+        assert not build_zeta().flags.writeable
+        assert not decay_kernel(0.9).flags.writeable
+
+    @pytest.mark.parametrize("delta, width", [
+        (0.5, 58), (0.9, 394), (0.99, 4354), (0.999, 46029)])
+    def test_kernel_width(self, delta, width):
+        kernel = decay_kernel(delta)
+        assert kernel.size == width
+        # the first lag whose geometric tail bound drops below KERNEL_TAIL
+        assert delta ** width / (1 - delta) <= KERNEL_TAIL
+        assert delta ** (width - 1) / (1 - delta) > KERNEL_TAIL
+        lags = np.arange(1, width + 1)
+        assert np.array_equal(kernel, delta ** lags * build_zeta()[:width])
 
 
 def _state_at(t, detections=(), alpha=0.1, delta=0.99, eta=1.0):
     return DetectorState(t=t, detection_times=tuple(detections), alpha=alpha,
-                         delta=delta, eta=eta, zetas=build_zeta(T_SMALL))
+                         delta=delta, eta=eta)
 
 
 class TestNextThreshold:
     def test_floor_dominates_without_detections(self):
         # once the sequence falls below 1 - delta the floor takes over
-        t0 = next(t for t in range(1, 200) if zeta(t, T_SMALL) < 0.01)
+        zetas = build_zeta()
+        t0 = next(t for t in range(1, 200) if zetas[t - 1] < 0.01)
         alpha_t = next_threshold(_state_at(t0))
         assert alpha_t == pytest.approx(0.1 * 1.0 * 0.01, abs=1e-12)
 
     def test_early_term_above_floor(self):
-        assert zeta(1, T_SMALL) > 0.01
+        zeta_1 = build_zeta()[0]
+        assert zeta_1 > 0.01
         alpha_1 = next_threshold(_state_at(1))
-        assert alpha_1 == pytest.approx(0.1 * zeta(1, T_SMALL), abs=1e-12)
+        assert alpha_1 == pytest.approx(0.1 * zeta_1, abs=1e-12)
 
     def test_single_detection_one_step_back(self):
         t = 10
         base = next_threshold(_state_at(t))
         with_det = next_threshold(_state_at(t, detections=(t - 1,)))
-        gain = 0.1 * 0.99 * zeta(1, T_SMALL)
+        gain = 0.1 * 0.99 * build_zeta()[0]
         assert with_det - base == pytest.approx(gain, abs=1e-12)
 
     def test_alpha_zero_never_rejects(self):
         for t in (1, 5, 50):
             assert next_threshold(_state_at(t, alpha=0.0)) == 0.0
 
+    @given(delta=st.sampled_from([0.5, 0.9, 0.99]),
+           rejections=st.lists(st.booleans(), max_size=300))
+    def test_matches_full_history_within_window(self, delta, rejections):
+        # no detection has left the window while t <= W: same sum, same order
+        for state, history in _replay(rejections, delta):
+            if state.t > decay_kernel(delta).size:
+                break
+            assert state.detection_times == history
+            assert next_threshold(state) == reference_threshold(
+                state.t, history, 0.1, delta)
+
     def test_detection_time_invariants(self):
-        with pytest.raises(ValueError):
-            _state_at(5, detections=(5,))  # rho must be < t
-        with pytest.raises(ValueError):
-            _state_at(5, detections=(3, 2))  # strictly increasing
+        # past W the dropped tail moves alpha_t by a few ulp at most
+        delta = 0.9
+        width = decay_kernel(delta).size
+        rejections = np.random.default_rng(3).random(3 * width) < 0.2
+        worst_ulp = 0.0
+        for state, history in _replay(rejections, delta):
+            alpha_t = next_threshold(state)
+            expected = reference_threshold(state.t, history, 0.1, delta)
+            if state.t <= width:
+                assert alpha_t == expected
+            worst_ulp = max(worst_ulp,
+                            abs(alpha_t - expected) / np.spacing(expected))
+        assert state.t == 3 * width and len(history) > 3 * width * 0.15
+        assert worst_ulp <= 8
 
     def test_causality(self):
         # the decision taken at time t cannot move alpha_t itself
@@ -93,9 +166,16 @@ class TestNextThreshold:
 
 
 class TestStep:
+    @pytest.mark.parametrize("alpha, delta, eta", [
+        (-0.1, 0.9, 1.0), (1.1, 0.9, 1.0), (0.1, 0.0, 1.0), (0.1, 1.0, 1.0),
+        (0.1, 0.9, 0.0)])
+    def test_fresh_domain(self, alpha, delta, eta):
+        with pytest.raises(ValueError):
+            DetectorState.fresh(alpha, delta, eta)
+
     def test_forced_rejection_path(self):
         # Q = 0 (verbatim), forced query, P = 0 -> statistic 0 <= alpha_t
-        state = DetectorState.fresh(0.1, 0.99, t_norm=T_SMALL)
+        state = DetectorState.fresh(0.1, 0.99)
         rng = np.random.default_rng(0)
         record, nxt = step(
             state, 10.0, context=0, rng=rng, gamma=0.5,
@@ -107,7 +187,7 @@ class TestStep:
         assert nxt.detection_times == (1,)
 
     def test_maximal_statistic_never_rejects(self):
-        state = DetectorState.fresh(0.1, 0.99, t_norm=T_SMALL)
+        state = DetectorState.fresh(0.1, 0.99)
         record, nxt = step(
             state, -10.0, context=0, rng=np.random.default_rng(0),
             synthetic_scores=np.array([1.0, 2.0]), acquisition="never")
@@ -115,21 +195,21 @@ class TestStep:
         assert nxt.detection_times == ()
 
     def test_always_rule(self):
-        state = DetectorState.fresh(0.1, 0.99, t_norm=T_SMALL)
+        state = DetectorState.fresh(0.1, 0.99)
         record, _ = step(
             state, 0.5, context=3, rng=np.random.default_rng(0),
             real_scores=lambda: np.array([0.0, 1.0]), acquisition="always")
         assert record.u == 1 and record.q is None and record.z == record.p
 
     def test_never_rule(self):
-        state = DetectorState.fresh(0.1, 0.99, t_norm=T_SMALL)
+        state = DetectorState.fresh(0.1, 0.99)
         record, _ = step(
             state, 0.5, context=0, rng=np.random.default_rng(0),
             synthetic_scores=np.array([0.0, 1.0]), acquisition="never")
         assert record.u == 0 and record.p is None and record.z == record.q
 
     def test_missing_sources_raise(self):
-        state = DetectorState.fresh(0.1, 0.99, t_norm=T_SMALL)
+        state = DetectorState.fresh(0.1, 0.99)
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             step(state, 0.5, 0, rng=rng, acquisition="always")
@@ -146,7 +226,7 @@ class TestStep:
         def run(seed):
             rng = np.random.default_rng(seed)
             data_rng = np.random.default_rng(99)
-            state = DetectorState.fresh(0.2, 0.95, t_norm=T_SMALL)
+            state = DetectorState.fresh(0.2, 0.95)
             records = []
             for _ in range(50):
                 test = data_rng.standard_normal()
@@ -169,7 +249,7 @@ class TestStep:
             calls.append(1)
             return np.array([1.0])
 
-        state = DetectorState.fresh(0.1, 0.99, t_norm=T_SMALL)
+        state = DetectorState.fresh(0.1, 0.99)
         # q = 1 and gamma near max: the query is almost never made
         rng = np.random.default_rng(1)
         skipped = 0

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,43 @@ class TestConfig:
     def test_unknown_key(self):
         with pytest.raises(ValueError):
             config_from({"mystery": "1"})
+        with pytest.raises(ValueError, match="mystery"):
+            config_from(mystery=1)
+
+    @pytest.mark.parametrize("overrides, name, expected", [
+        ({"runs": "3"}, "runs", 3), ({"alpha": "0.2"}, "alpha", 0.2),
+        ({"n": "none"}, "n", None), ({"plus_one": "false"}, "plus_one", False),
+        ({"method": "COAD, FIXED"}, "methods", ("COAD", "FIXED")),
+        ({"runs": 4}, "runs", 4), ({"seed": None}, "seed", 0),
+    ])
+    def test_overrides_parsed_by_type(self, overrides, name, expected):
+        assert getattr(config_from(**overrides), name) == expected
+
+    @pytest.mark.parametrize("key, text", [
+        ("runs", "abc"), ("alpha", "high"), ("plus_one", "maybe")])
+    def test_parse_error_names_key(self, key, text):
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            config_from({key: text})
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            config_from(**{key: text})
+
+    def test_unreachable_floor_warns_once(self):
+        # 1/61 > 0.1 * 1.0 * (1 - 0.99): the floor is out of reach
+        with pytest.warns(UserWarning, match="n = 60, alpha = 0.1, "
+                          "eta = 1.0, delta = 0.99") as caught:
+            config_from({"method": "all", "alpha": "0.1", "delta": "0.99",
+                         "n": "60"})
+        assert len(caught) == 1
+
+    @pytest.mark.parametrize("mapping", [
+        {"n": "1100"},  # A4: 1/1101 <= 0.1 * (1 - 0.99)
+        {"n": "60", "method": "PO_COAD,C_PO_COAD,FIXED"},  # no real batch
+        {"dataset": "oran"},  # n is set by the split, not the config
+    ])
+    def test_reachable_or_unknown_floor_is_silent(self, mapping):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config_from(dict({"alpha": "0.1", "delta": "0.99"}, **mapping))
 
     @pytest.mark.parametrize("bad", [
         {"alpha": "0"}, {"delta": "1"}, {"lambda": "-1"}, {"runs": "0"},
