@@ -25,11 +25,19 @@ __all__ = [
     "EPS_GAMMA",
     "GAMMA_MAX",
     "conformal_pvalue",
+    "conformal_pvalues",
     "acquisition_probability",
     "draw_acquisition",
     "active_pvalue",
+    "active_pvalues",
     "active_outcome",
 ]
+
+
+def _rank_pvalue(count, n: int, plus_one: bool):
+    """(1 + count) / (n + 1), or count / (n + 1) without the offset; ``count``
+    may be an int or an integer array."""
+    return (count + 1 if plus_one else count) / (n + 1)
 
 
 def conformal_pvalue(cal_scores, test_score: float, plus_one: bool = True) -> float:
@@ -46,22 +54,44 @@ def conformal_pvalue(cal_scores, test_score: float, plus_one: bool = True) -> fl
         raise ValueError("calibration batch must be non-empty")
     if not np.isfinite(test_score):
         raise ValueError(f"test score must be finite, got {test_score}")
-    count = int(np.count_nonzero(scores >= test_score))
-    if plus_one:
-        count += 1
-    return count / (scores.size + 1)
+    return _rank_pvalue(int(np.count_nonzero(scores >= test_score)),
+                        scores.size, plus_one)
 
 
-def _check_gamma(gamma: float) -> None:
-    if not 0.0 < gamma <= GAMMA_MAX:
-        raise ValueError(f"gamma must lie in (0, {GAMMA_MAX}], got {gamma}")
+def conformal_pvalues(cal_scores, test_scores,
+                      plus_one: bool = True) -> np.ndarray:
+    """``conformal_pvalue`` of each test score against its own batch: row i
+    of the (k, n) ``cal_scores`` calibrates entry i of the (k,)
+    ``test_scores``."""
+    cal = np.asarray(cal_scores, dtype=float)
+    tests = np.asarray(test_scores, dtype=float)
+    if cal.shape[-1] == 0:
+        raise ValueError("calibration batch must be non-empty")
+    bad = ~np.isfinite(tests)
+    if bad.any():
+        raise ValueError(f"test score must be finite, got {tests[bad][0]}")
+    return _rank_pvalue(np.count_nonzero(cal >= tests[:, None], axis=1),
+                        cal.shape[-1], plus_one)
 
 
-def acquisition_probability(q: float, gamma: float) -> float:
-    """Probability of buying a real calibration batch: 1 - gamma * q."""
-    _check_gamma(gamma)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"proxy p-value must lie in [0, 1], got {q}")
+def _check_range(name: str, values, low: float, high: float,
+                 open_low: bool = False) -> None:
+    """Raise unless a number, or every entry of an array, lies in
+    [low, high] ((low, high] with ``open_low``)."""
+    smallest, largest = (values.min(), values.max()) \
+        if isinstance(values, np.ndarray) else (values, values)
+    if not ((low < smallest) if open_low else (low <= smallest)) \
+            or not largest <= high:
+        bracket = "(" if open_low else "["
+        raise ValueError(f"{name} must lie in {bracket}{low}, {high}], "
+                         f"got {values}")
+
+
+def acquisition_probability(q, gamma):
+    """Probability of buying a real calibration batch: 1 - gamma * q,
+    elementwise for arrays of per-step values."""
+    _check_range("gamma", gamma, 0.0, GAMMA_MAX, open_low=True)
+    _check_range("proxy p-value", q, 0.0, 1.0)
     return 1.0 - gamma * q
 
 
@@ -70,14 +100,20 @@ def draw_acquisition(q: float, gamma: float, rng: np.random.Generator) -> int:
     return int(rng.random() < acquisition_probability(q, gamma))
 
 
+def _inflate(p, gamma):
+    """The real p-value of the active statistic: p / (1 - gamma), which
+    compensates for only querying when the proxy already looked
+    suspicious; clamped to 1 by the callers."""
+    return p / (1.0 - gamma)
+
+
 def active_pvalue(q: float, u: int, p: float | None, gamma: float) -> float:
     """Combine proxy and (optionally) real p-values into the test statistic.
 
     Z = q when no real data was acquired, and min(1, p / (1 - gamma))
-    otherwise.  The inflation compensates for only querying when the proxy
-    already looked suspicious.
+    otherwise.
     """
-    _check_gamma(gamma)
+    _check_range("gamma", gamma, 0.0, GAMMA_MAX, open_low=True)
     if u not in (0, 1):
         raise ValueError("acquisition indicator must be 0 or 1")
     if u == 0:
@@ -86,7 +122,17 @@ def active_pvalue(q: float, u: int, p: float | None, gamma: float) -> float:
         return clamp_pvalue(q)
     if p is None:
         raise ValueError("acquisition happened but no real p-value given")
-    return clamp_pvalue(p / (1.0 - gamma))
+    return clamp_pvalue(_inflate(p, gamma))
+
+
+def active_pvalues(q, u, p, gamma) -> np.ndarray:
+    """``active_pvalue`` of every step of a chunk: q where u is 0 and
+    min(1, p / (1 - gamma)) where u is 1; ``p`` is read only where u is 1."""
+    _check_range("gamma", gamma, 0.0, GAMMA_MAX, open_low=True)
+    z = np.where(u, _inflate(p, gamma), q)
+    if np.isnan(z).any():
+        raise ValueError("p-value is NaN")
+    return np.minimum(1.0, z)
 
 
 def active_outcome(q: float, gamma: float, rng: np.random.Generator,

@@ -86,5 +86,9 @@ def observation(features, context: int = 0, truth: int | None = None,
 
 
 def features_matrix(observations) -> np.ndarray:
-    """Stack fully observed feature vectors into an (m, d) matrix."""
-    return np.stack([obs.observed() for obs in observations])
+    """Stack fully observed (or already imputed) feature vectors into an
+    (m, d) matrix; masked slots hold NaN, so one check covers every row."""
+    matrix = np.stack([obs.features for obs in observations])
+    if np.isnan(matrix).any():
+        raise ValueError("masked observation read before imputation")
+    return matrix

@@ -309,15 +309,15 @@ def build_stream(splits: Splits, steps: int, rng: np.random.Generator,
 # --- missingness ------------------------------------------------------------
 
 
-def apply_mcar_mask(obs: Observation, q_miss: float,
-                    rng: np.random.Generator) -> Observation:
-    """Mask each feature independently with probability q_miss."""
+def apply_mcar_mask(features: np.ndarray, q_miss: float,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Mask each entry of a feature array independently with probability
+    q_miss, by setting it to NaN; draws one uniform per entry, in order."""
     if not 0.0 <= q_miss < 1.0:
         raise ValueError("q_miss must lie in [0, 1)")
     if q_miss == 0.0:
-        return obs
-    extra = rng.random(obs.dim) < q_miss
-    return Observation(obs.features, obs.mask | extra, obs.context, obs.truth)
+        return features
+    return np.where(rng.random(features.shape) < q_miss, np.nan, features)
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,18 +339,20 @@ class Imputer:
         d = train[0].dim
         if len(kinds) != d:
             raise ValueError("one kind per feature is required")
+        features = np.stack([obs.features for obs in train])
+        observed = ~np.stack([obs.mask for obs in train])
         fill = np.empty(d)
         for i, kind in enumerate(kinds):
-            column = [obs.features[i] for obs in train if not obs.mask[i]]
-            if not column:
+            column = features[observed[:, i], i]  # in row order
+            if not column.size:
                 raise ValueError(f"feature {i} has no observed training values")
             if kind == "continuous":
-                fill[i] = float(np.median(column))
+                fill[i] = np.median(column)
             else:
-                counts: dict[float, int] = {}
-                for v in column:  # ties break by first appearance
-                    counts[v] = counts.get(v, 0) + 1
-                fill[i] = max(counts, key=counts.get)
+                # the mode; a tie goes to the value seen first
+                _, first, counts = np.unique(column, return_index=True,
+                                             return_counts=True)
+                fill[i] = column[first[counts == counts.max()].min()]
         return cls(fill, kinds)
 
 

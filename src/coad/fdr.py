@@ -26,6 +26,7 @@ import numpy as np
 from .conformal import GAMMA_MAX, active_outcome, conformal_pvalue
 
 KERNEL_TAIL = 1e-17
+ZETA_CHUNK = 2**16
 
 __all__ = [
     "KERNEL_TAIL",
@@ -41,10 +42,19 @@ __all__ = [
 @cache
 def build_zeta() -> np.ndarray:
     """Read-only zeta_1..zeta_(10^6): log(max(t, 2)) / (t * exp(sqrt(log t)))
-    normalized to sum to 1."""
-    t = np.arange(1, 10**6 + 1, dtype=float)
-    raw = np.log(np.maximum(t, 2.0)) / (t * np.exp(np.sqrt(np.log(t))))
-    values = raw / raw.sum()
+    normalized to sum to 1.
+
+    The terms are filled in chunks of ZETA_CHUNK, which bounds the
+    temporaries of the elementwise formula; every term is computed as the
+    one-shot formula computes it.
+    """
+    values = np.empty(10**6)
+    for lo in range(0, values.size, ZETA_CHUNK):
+        t = np.arange(lo + 1, min(values.size, lo + ZETA_CHUNK) + 1,
+                      dtype=float)
+        values[lo:lo + t.size] = (np.log(np.maximum(t, 2.0))
+                                  / (t * np.exp(np.sqrt(np.log(t)))))
+    values /= values.sum()
     values.flags.writeable = False
     return values
 

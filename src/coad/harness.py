@@ -2,9 +2,16 @@
 and artifact emission.
 
 Every source of randomness flows through generators derived from one master
-seed via counter-based spawn keys (run index, purpose tag, and -- for
-stream-time draws -- the timestep), so replays are exact and per-step draws
-do not shift when a method skips a query.
+seed via counter-based spawn keys (run index, purpose tag, sub-stream).  A
+stream-time generator yields one kind of draw in step order, so replays are
+exact, a step's draws do not depend on how a run is chunked, and they do not
+shift when a method skips a query.
+
+A run has two phases.  No step's statistic -- proxy p-value, acquisition
+draw, real p-value, test statistic -- reads the detector's past, so the
+statistic phase computes them for a chunk of steps at a time with numpy.
+The decision phase then walks them through the threshold recursion, the
+only sequential part.
 """
 
 from __future__ import annotations
@@ -18,16 +25,20 @@ from typing import Callable
 
 import numpy as np
 
-from .conformal import GAMMA_MAX
-from .core import Observation
-from .data import (DatasetSchema, Imputer, SplitPlan, StreamItem,
-                   apply_mcar_mask, build_stream, impute, load_csv,
-                   make_splits, parse_kv_file)
-from .fdr import DetectorState, StepRecord, step
+from . import fdr
+from .conformal import (GAMMA_MAX, acquisition_probability, active_pvalues,
+                        conformal_pvalues)
+from .core import Observation, features_matrix
+from .data import (DatasetSchema, Imputer, SplitPlan, apply_mcar_mask,
+                   build_stream, impute, load_csv, make_splits, parse_kv_file)
+# The run engine calls next_threshold through ``fdr`` and no longer calls
+# ``step``; the name stays because perfbench/spans.py patches it here.
+from .fdr import DetectorState, StepRecord, step  # noqa: F401
 from .metrics import MetricsTracker, RunTrace, TraceSummary, aggregate
 from .oran import generate_oran, samples_to_observations
-from .scoring import (ScoreModel, fit_density_score, fit_fixed_threshold,
-                      fit_kmeans_score, fit_supervised_score, lower_quantile)
+from .scoring import (QuantileThreshold, ScoreModel, fit_density_score,
+                      fit_fixed_threshold, fit_kmeans_score,
+                      fit_supervised_score, lower_quantile)
 from .twin import (TwinModel, ValidityReport, fit_twin, gamma_of_context,
                    positive_ecdf_gap, proxy_pvalues, sample_synthetic)
 
@@ -93,6 +104,10 @@ class MethodVariant(Enum):
     @property
     def uses_twin(self) -> bool:
         return self.acquisition in ("never", "active")
+
+    @property
+    def uses_real(self) -> bool:
+        return self.acquisition in ("always", "active")
 
     @property
     def split_kind(self) -> str:
@@ -183,19 +198,6 @@ class RunConfig:
             raise ValueError(f"gamma_override must lie in (0, {GAMMA_MAX}]")
         if self.dataset == "csv" and not (self.csv_path and self.schema_path):
             raise ValueError("csv dataset needs csv_path and schema_path")
-        # a real p-value is at least 1/(n+1); once zeta_t < 1 - delta, a
-        # stream with no recent detection has threshold alpha*eta*(1-delta)
-        n = _resolved_n(self) if self.dataset == "gaussian" else self.n
-        uses_real = any(MethodVariant(m).acquisition in ("always", "active")
-                        for m in self.methods)
-        if uses_real and n is not None and \
-                1.0 / (n + 1) > self.alpha * self.eta * (1.0 - self.delta):
-            warnings.warn(
-                f"1/(n+1) > alpha*eta*(1-delta) with n = {n}, alpha = "
-                f"{self.alpha}, eta = {self.eta}, delta = {self.delta}: real "
-                f"p-values never reach the threshold floor, so a detection "
-                f"needs zeta_t > 1 - delta or a recent detection",
-                stacklevel=2)
 
     def resolved(self) -> dict[str, str]:
         """Flat, fully resolved key=value view (the reproducibility contract)."""
@@ -274,17 +276,23 @@ def load_config(path) -> RunConfig:
 
 
 @dataclass(eq=False)
-class HarnessStep:
-    test: Observation
-    real_features: Callable[[], np.ndarray] | None
-
-
-@dataclass(eq=False)
 class RunData:
+    """One run's training sets and its stream, as arrays over the steps.
+
+    ``tests`` holds the test feature vectors, NaN where a value is missing.
+    ``real_batches(lo, hi)`` returns the (hi - lo, n, d) real calibration
+    batches of steps lo..hi-1 (0-based); call it once per chunk, in step
+    order, since the Gaussian oracle draws them as it goes.  It is None when
+    the split serves no real batches.
+    """
+
     score_train: list[Observation]
     twin_train: list[Observation]
     validation: list[Observation]
-    stream: list[HarnessStep]
+    tests: np.ndarray      # (steps, d)
+    contexts: np.ndarray   # (steps,) context of each test point
+    truth: np.ndarray      # (steps,) 0/1 anomaly label of each test point
+    real_batches: Callable[[int, int], np.ndarray] | None
     n_contexts: int
     kinds: tuple[str, ...]
     n: int
@@ -327,65 +335,65 @@ class GaussianOracle:
                 + scale * rng.standard_normal((size, self.means.shape[1])))
 
 
-def _resolved_n(cfg: RunConfig) -> int:
-    return cfg.n if cfg.n is not None else 200
-
-
 def gaussian_synthetic_stream(cfg: RunConfig, method: MethodVariant,
                               run_idx: int) -> RunData:
     """Per-run data from the Gaussian oracle: labeled stream, training sets,
-    and lazily drawn fresh real calibration batches with a known nominal law.
+    and fresh real calibration batches with a known nominal law.
 
-    Stream-time draws are keyed by timestep, so identically seeded runs see
-    identical batches regardless of which steps actually query real data.
+    The test points' contexts, anomaly flags and noise, and the real
+    batches' noise, each come from their own generator of the run, read in
+    step order; every method of a run sees the same draws, whether or not
+    it queries real data at a step.
     """
     oracle = GaussianOracle.from_config(cfg)
     contexts = cfg.contexts
-    n = _resolved_n(cfg)
+    n = cfg.n if cfg.n is not None else 200
     n_tilde = cfg.n_tilde if cfg.n_tilde is not None else n
 
     data_rng = derive_rng(cfg.seed, run_idx, _Purpose.DATA, 0)
+    no_missing = np.zeros(cfg.dim, bool)  # the mask of every row
     score_train: list[Observation] = []
     per_ctx = max(2, cfg.score_train_size // contexts)
     for c in range(contexts):
         k_anom = max(1, round(per_ctx * cfg.anomaly_rate))
         for x in oracle.sample_nominal(c, per_ctx - k_anom, data_rng):
-            score_train.append(Observation(x, np.zeros(cfg.dim, bool), c, 0))
+            score_train.append(Observation(x, no_missing, c, 0))
         for x in oracle.sample_anomaly(c, k_anom, data_rng):
-            score_train.append(Observation(x, np.zeros(cfg.dim, bool), c, 1))
+            score_train.append(Observation(x, no_missing, c, 1))
 
     twin_train: list[Observation] = []
     if method.uses_twin:
         per_ctx_twin = cfg.twin_train_size // contexts
         for c in range(contexts):
             for x in oracle.sample_twin_law(c, per_ctx_twin, data_rng):
-                twin_train.append(Observation(x, np.zeros(cfg.dim, bool), c, 0))
+                twin_train.append(Observation(x, no_missing, c, 0))
 
     validation: list[Observation] = []
     if method.acquisition == "active" and cfg.gamma_override is None:
         for c in range(contexts):
             vrng = derive_rng(cfg.seed, run_idx, _Purpose.VALIDITY, c)
             for x in oracle.sample_nominal(c, cfg.val_size, vrng):
-                validation.append(Observation(x, np.zeros(cfg.dim, bool), c, 0))
+                validation.append(Observation(x, no_missing, c, 0))
 
-    def real_provider(c: int, t: int) -> Callable[[], np.ndarray]:
-        def draw() -> np.ndarray:
-            rng = derive_rng(cfg.seed, run_idx, _Purpose.REAL_CAL, t)
-            return oracle.sample_nominal(c, n, rng)
-        return draw
+    def stream_rng(sub: int) -> np.random.Generator:
+        return derive_rng(cfg.seed, run_idx, _Purpose.TEST_POINT, sub)
 
-    stream: list[HarnessStep] = []
-    for t in range(1, cfg.steps + 1):
-        srng = derive_rng(cfg.seed, run_idx, _Purpose.TEST_POINT, t)
-        c = int(srng.integers(contexts))
-        is_anomaly = bool(srng.random() < cfg.anomaly_rate)
-        x = (oracle.sample_anomaly if is_anomaly else oracle.sample_nominal)(
-            c, 1, srng)[0]
-        test = Observation(x, np.zeros(cfg.dim, bool), c, int(is_anomaly))
-        stream.append(HarnessStep(test=test, real_features=real_provider(c, t)))
+    ctx = stream_rng(0).integers(contexts, size=cfg.steps)
+    truth = (stream_rng(1).random(cfg.steps) < cfg.anomaly_rate).astype(int)
+    tests = (oracle.means[ctx] + oracle.anomaly_shift * truth[:, None]
+             + stream_rng(2).standard_normal((cfg.steps, cfg.dim)))
+
+    real_batches = None
+    if method.uses_real:
+        real_rng = derive_rng(cfg.seed, run_idx, _Purpose.REAL_CAL, 0)
+
+        def real_batches(lo: int, hi: int) -> np.ndarray:
+            return (oracle.means[ctx[lo:hi], None, :]
+                    + real_rng.standard_normal((hi - lo, n, cfg.dim)))
 
     return RunData(score_train=score_train, twin_train=twin_train,
-                   validation=validation, stream=stream,
+                   validation=validation, tests=tests, contexts=ctx,
+                   truth=truth, real_batches=real_batches,
                    n_contexts=contexts, kinds=("continuous",) * cfg.dim,
                    n=n, n_tilde=n_tilde)
 
@@ -419,13 +427,20 @@ def _load_table(cfg: RunConfig) -> _Table:
     return _Table(rows, kinds, 4, activity_weights=weights)
 
 
+def _activity_context(features: np.ndarray, weights, boundaries) -> np.ndarray:
+    """Context of each row of ``features``: the boundaries at or below its
+    activity."""
+    acts = features @ weights
+    return (acts[:, None] >= np.asarray(boundaries)[None, :]).sum(axis=1)
+
+
 def _rebin_by_activity(rows, weights, boundaries) -> list[Observation]:
-    out = []
-    for obs in rows:
-        act = float(obs.features @ weights)
-        context = int(sum(act >= b for b in boundaries))
-        out.append(Observation(obs.features, obs.mask, context, obs.truth))
-    return out
+    if not rows:
+        return []
+    contexts = _activity_context(np.stack([o.features for o in rows]),
+                                 weights, boundaries)
+    return [Observation(o.features, o.mask, int(c), o.truth)
+            for o, c in zip(rows, contexts)]
 
 
 def table_run(cfg: RunConfig, method: MethodVariant, run_idx: int,
@@ -436,6 +451,9 @@ def table_run(cfg: RunConfig, method: MethodVariant, run_idx: int,
     rng = derive_rng(cfg.seed, run_idx, _Purpose.SPLITS, 0)
     splits = make_splits(table.rows, plan, cfg.steps, rng)
     items = build_stream(splits, cfg.steps, rng, cfg.anomaly_rate)
+    tests = np.stack([item.test.features for item in items])
+    contexts = np.array([item.test.context for item in items])
+    truth = np.array([item.test.truth for item in items])
 
     score_train = list(splits.score_train)
     twin_train = list(splits.twin_train)
@@ -452,15 +470,7 @@ def table_run(cfg: RunConfig, method: MethodVariant, run_idx: int,
                                          boundaries)
         twin_train = _rebin_by_activity(twin_train, table.activity_weights,
                                         boundaries)
-        items = [
-            StreamItem(test=_rebin_by_activity([item.test],
-                                               table.activity_weights,
-                                               boundaries)[0],
-                       calibration=tuple(_rebin_by_activity(
-                           item.calibration, table.activity_weights,
-                           boundaries)))
-            for item in items
-        ]
+        contexts = _activity_context(tests, table.activity_weights, boundaries)
 
     validation: list[Observation] = []
     if method.acquisition == "active" and cfg.gamma_override is None:
@@ -476,20 +486,25 @@ def table_run(cfg: RunConfig, method: MethodVariant, run_idx: int,
         # generator-only split: match the batch a generator-backed split
         # would have served (its calibration share is half the twin part)
         n_tilde = max(1, len(twin_train) // 2 // cfg.steps)
-    stream = []
-    for item in items:
-        provider = None
-        if splits.n > 0:
-            batch = np.stack([o.features for o in item.calibration])
-            provider = (lambda b=batch: b)
-        stream.append(HarnessStep(test=item.test, real_features=provider))
+
+    real_batches = None
+    if splits.n > 0 and method.uses_real:
+        # the fresh per-step batches are consecutive slices of the part
+        used = splits.calibration[:cfg.steps * splits.n]
+        batches = np.stack([o.features for o in used]).reshape(
+            cfg.steps, splits.n, tests.shape[1])
+
+        def real_batches(lo: int, hi: int) -> np.ndarray:
+            return batches[lo:hi]
+
     return RunData(score_train=score_train, twin_train=twin_train,
-                   validation=validation, stream=stream,
+                   validation=validation, tests=tests, contexts=contexts,
+                   truth=truth, real_batches=real_batches,
                    n_contexts=n_contexts, kinds=table.kinds,
                    n=splits.n, n_tilde=n_tilde)
 
 
-# --- model fitting and the detector loop -------------------------------------
+# --- model fitting ----------------------------------------------------------
 
 
 def _to_context0(rows) -> list[Observation]:
@@ -533,8 +548,7 @@ def _calibrate_gammas(cfg: RunConfig, method: MethodVariant, run_idx: int,
         srng = derive_rng(cfg.seed, run_idx, _Purpose.VALIDITY, n_eff + c)
         synth = sample_synthetic(twin_model, c, cfg.synth_pool, srng)
         synth_scores = score_model.scores(synth, c)
-        val_scores = score_model.scores(
-            np.stack([o.observed() for o in members]), c)
+        val_scores = score_model.scores(features_matrix(members), c)
         pvals = proxy_pvalues(synth_scores, val_scores, cfg.plus_one)
         gap = positive_ecdf_gap(pvals)
         gaps.append(gap)
@@ -542,6 +556,63 @@ def _calibrate_gammas(cfg: RunConfig, method: MethodVariant, run_idx: int,
         pools.append(pvals)
     report = ValidityReport(tuple(gaps), tuple(gammas), tuple(pools), cfg.lam)
     return np.asarray(gammas), report
+
+
+def _impute_rows(imputer: Imputer, rows) -> list[Observation]:
+    """``impute`` every row that has a missing value."""
+    if not rows:
+        return []
+    masked = np.stack([o.mask for o in rows]).any(axis=1)
+    return [impute(imputer, o) if m else o for o, m in zip(rows, masked)]
+
+
+@dataclass(eq=False)
+class _FittedRun:
+    """What a run fits before its stream starts."""
+
+    imputer: Imputer
+    score_model: ScoreModel
+    threshold: QuantileThreshold | None  # FIXED only
+    twin_model: TwinModel | None
+    gammas: np.ndarray  # (n_eff,) per effective context
+
+
+def _fit_run(cfg: RunConfig, method: MethodVariant, run_idx: int,
+             rundata: RunData) -> _FittedRun:
+    """Fit the imputer, score model, FIXED's threshold, the generator and
+    the per-context trust of one run on its training sets."""
+    aware = method.context_aware
+    n_eff = rundata.n_contexts if aware else 1
+
+    imputer = Imputer.fit(rundata.score_train, rundata.kinds)
+    score_train = _impute_rows(imputer, rundata.score_train)
+    score_model = _fit_score_model(cfg, method, run_idx, score_train, n_eff)
+
+    threshold = None
+    if method is MethodVariant.FIXED:
+        threshold = fit_fixed_threshold(score_model, score_train, cfg.alpha)
+
+    twin_model = None
+    if method.uses_twin:
+        twin_rows = _impute_rows(imputer, rundata.twin_train)
+        if not aware:
+            twin_rows = _to_context0(twin_rows)
+        twin_model = fit_twin(
+            twin_rows, k=cfg.gmm_components,
+            rng=derive_rng(cfg.seed, run_idx, _Purpose.TWIN_FIT, 0),
+            n_contexts=n_eff)
+
+    validation = _impute_rows(imputer, rundata.validation)
+    gammas, _report = _calibrate_gammas(cfg, method, run_idx, n_eff,
+                                        score_model, twin_model, validation)
+    return _FittedRun(imputer, score_model, threshold, twin_model, gammas)
+
+
+# --- the run engine ---------------------------------------------------------
+
+# Each array drawn or scored at once holds at most about this many values
+# (512 KB of float64), however long the stream is.
+CHUNK_VALUES = 2**16
 
 
 def _fill_missing(matrix: np.ndarray, imputer: Imputer) -> np.ndarray:
@@ -553,81 +624,119 @@ def _fill_missing(matrix: np.ndarray, imputer: Imputer) -> np.ndarray:
     return filled
 
 
+def _score_batches(model: ScoreModel, batches: np.ndarray,
+                   contexts: np.ndarray) -> np.ndarray:
+    """Scores (k, m) of k batches (k, m, d), batch i of context contexts[i],
+    with one ``scores`` call per context on that context's stacked rows."""
+    k, m, d = batches.shape
+    out = np.empty((k, m))
+    for c in np.unique(contexts):
+        at = contexts == c
+        if at.all():
+            out[:] = model.scores(batches.reshape(k * m, d),
+                                  int(c)).reshape(k, m)
+        else:
+            rows = batches[at].reshape(-1, d)
+            out[at] = model.scores(rows, int(c)).reshape(-1, m)
+    return out
+
+
+def _statistics(cfg: RunConfig, method: MethodVariant, run_idx: int,
+                rundata: RunData, fitted: _FittedRun):
+    """The statistic phase: every step's (q, u, p, z), NaN where a value
+    does not apply, or FIXED's score-above-threshold flags as z.
+
+    No step's statistic reads the detector's past, so a chunk of steps is
+    computed at once.  Each stream-time generator yields one kind of draw in
+    step order, so a step's values do not depend on the chunk size.
+    """
+    steps, dim = rundata.tests.shape
+    rule = method.acquisition
+    model, imputer = fitted.score_model, fitted.imputer
+    contexts = rundata.contexts if method.context_aware \
+        else np.zeros(steps, dtype=int)
+
+    def stream_rng(purpose: int, sub: int = 0) -> np.random.Generator:
+        return derive_rng(cfg.seed, run_idx, purpose, sub)
+
+    masked = cfg.q_miss > 0.0
+    test_mask = stream_rng(_Purpose.MASK, 0) if masked else None
+    real_mask = stream_rng(_Purpose.MASK, 1) \
+        if masked and method.uses_real else None
+    comps = noise = acquire = None
+    if method.uses_twin:
+        comps = stream_rng(_Purpose.TWIN_SAMPLE, 0)
+        noise = stream_rng(_Purpose.TWIN_SAMPLE, 1)
+    if rule == "active":
+        acquire = stream_rng(_Purpose.ACQUIRE)
+    q, p, z = (np.full(steps, np.nan) for _ in range(3))
+    u = np.full(steps, rule == "always")
+    widest = max(rundata.n, rundata.n_tilde if method.uses_twin else 0, 1)
+    chunk = max(1, CHUNK_VALUES // (widest * dim))
+    for lo in range(0, steps, chunk):
+        at = slice(lo, min(steps, lo + chunk))
+        c = contexts[at]
+        x = rundata.tests[at]
+        if test_mask is not None:
+            x = apply_mcar_mask(x, cfg.q_miss, test_mask)
+        s = _score_batches(model, _fill_missing(x, imputer)[:, None], c)[:, 0]
+        if rule is None:
+            z[at] = fitted.threshold.flag(s, c)
+            continue
+        if method.uses_twin:
+            synth = sample_synthetic(fitted.twin_model, c, rundata.n_tilde,
+                                     comps, noise)
+            q[at] = conformal_pvalues(_score_batches(
+                model, synth.reshape(c.size, -1, dim), c), s, cfg.plus_one)
+        if rule == "active":
+            u[at] = acquire.random(c.size) < \
+                acquisition_probability(q[at], fitted.gammas[c])
+        if method.uses_real:
+            # drawn at every step, scored only where the method queries
+            real = rundata.real_batches(at.start, at.stop)
+            if real_mask is not None:
+                real = apply_mcar_mask(real, cfg.q_miss, real_mask)
+            queried = u[at]
+            if queried.any():
+                p[at][queried] = conformal_pvalues(_score_batches(
+                    model, _fill_missing(real[queried], imputer),
+                    c[queried]), s[queried], cfg.plus_one)
+        z[at] = active_pvalues(q[at], u[at], p[at], fitted.gammas[c]) \
+            if rule == "active" else (p[at] if rule == "always" else q[at])
+    return q, u, p, z
+
+
+def _optional(values: np.ndarray) -> list[float | None]:
+    return [None if np.isnan(v) else v for v in values.tolist()]
+
+
 def _detect_run(cfg: RunConfig, method: MethodVariant, run_idx: int,
                 rundata: RunData) -> tuple[list[StepRecord], RunTrace]:
-    aware = method.context_aware
-    n_eff = rundata.n_contexts if aware else 1
-
-    imputer = Imputer.fit(rundata.score_train, rundata.kinds)
-    score_train = [impute(imputer, o) for o in rundata.score_train]
-    score_model = _fit_score_model(cfg, method, run_idx, score_train, n_eff)
-
-    threshold = None
-    if method is MethodVariant.FIXED:
-        threshold = fit_fixed_threshold(score_model, score_train, cfg.alpha)
-
-    twin_model = None
-    if method.uses_twin:
-        twin_rows = [impute(imputer, o) for o in rundata.twin_train]
-        if not aware:
-            twin_rows = _to_context0(twin_rows)
-        twin_model = fit_twin(
-            twin_rows, k=cfg.gmm_components,
-            rng=derive_rng(cfg.seed, run_idx, _Purpose.TWIN_FIT, 0),
-            n_contexts=n_eff)
-
-    validation = [impute(imputer, o) for o in rundata.validation]
-    gammas, _report = _calibrate_gammas(cfg, method, run_idx, n_eff,
-                                        score_model, twin_model, validation)
-
+    """Fit, run the statistic phase, then the decision phase: walk the
+    statistics through the threshold recursion, the only part that reads
+    past decisions."""
+    fitted = _fit_run(cfg, method, run_idx, rundata)
+    q, u, p, z = _statistics(cfg, method, run_idx, rundata, fitted)
     state = DetectorState.fresh(cfg.alpha, cfg.delta, cfg.eta)
     tracker = MetricsTracker.fresh(cfg.delta, cfg.eta)
     records: list[StepRecord] = []
     sfdr, power, cdar = [], [], []
-
-    for t, hstep in enumerate(rundata.stream, start=1):
-        obs = hstep.test
-        mask_rng = None
-        if cfg.q_miss > 0.0:
-            mask_rng = derive_rng(cfg.seed, run_idx, _Purpose.MASK, t)
-            obs = apply_mcar_mask(obs, cfg.q_miss, mask_rng)
-        if obs.mask.any():
-            obs = impute(imputer, obs)
-        c_eff = obs.context if aware else 0
-        test_score = score_model.score(obs.observed(), c_eff)
-
+    columns = zip(rundata.contexts.tolist(), rundata.truth.tolist(),
+                  _optional(q), u.tolist(), _optional(p), z.tolist())
+    for t, (context, truth, q_t, u_t, p_t, z_t) in enumerate(columns, 1):
         if method is MethodVariant.FIXED:
-            rejected = threshold.flag(test_score, c_eff)
-            record = StepRecord(t=t, context=hstep.test.context, q=None, u=0,
-                                p=None, z=None, alpha_t=None,
-                                decision=int(rejected), truth=hstep.test.truth)
+            record = StepRecord(t=t, context=context, q=None, u=0, p=None,
+                                z=None, alpha_t=None, decision=int(z_t),
+                                truth=truth)
         else:
-            synth_scores = None
-            if method.uses_twin:
-                batch = sample_synthetic(
-                    twin_model, c_eff, rundata.n_tilde,
-                    derive_rng(cfg.seed, run_idx, _Purpose.TWIN_SAMPLE, t))
-                synth_scores = score_model.scores(batch, c_eff)
-
-            real_scores = None
-            if hstep.real_features is not None:
-                def real_scores(src=hstep.real_features, c=c_eff,
-                                mrng=mask_rng):
-                    x = src()
-                    if mrng is not None:
-                        x = np.where(mrng.random(x.shape) < cfg.q_miss,
-                                     np.nan, x)
-                    return score_model.scores(_fill_missing(x, imputer), c)
-
-            record, state = step(
-                state, test_score, hstep.test.context,
-                rng=derive_rng(cfg.seed, run_idx, _Purpose.ACQUIRE, t),
-                gamma=float(gammas[c_eff]), synthetic_scores=synth_scores,
-                real_scores=real_scores, acquisition=method.acquisition,
-                plus_one=cfg.plus_one, truth=hstep.test.truth)
-
+            alpha_t = fdr.next_threshold(state)
+            rejected = z_t <= alpha_t  # ties reject
+            state = state.record(rejected)
+            record = StepRecord(t=t, context=context, q=q_t, u=int(u_t),
+                                p=p_t, z=z_t, alpha_t=alpha_t,
+                                decision=int(rejected), truth=truth)
         records.append(record)
-        tracker = tracker.update(record.decision, hstep.test.truth, record.u)
+        tracker = tracker.update(record.decision, truth, record.u)
         sfdr.append(tracker.sfdr)
         power.append(tracker.power)
         cdar.append(tracker.cdar)
@@ -652,10 +761,27 @@ class RunArtifacts:
     per_method: dict[str, MethodResult]
 
 
+def _warn_unreachable(cfg: RunConfig, n: int) -> None:
+    # a real p-value is at least 1/(n+1); once zeta_t < 1 - delta, a
+    # stream with no recent detection has threshold alpha*eta*(1-delta)
+    if 1.0 / (n + 1) > cfg.alpha * cfg.eta * (1.0 - cfg.delta):
+        warnings.warn(
+            f"1/(n+1) > alpha*eta*(1-delta) with n = {n}, alpha = "
+            f"{cfg.alpha}, eta = {cfg.eta}, delta = {cfg.delta}: real "
+            f"p-values never reach the threshold floor, so a detection "
+            f"needs zeta_t > 1 - delta or a recent detection",
+            stacklevel=3)
+
+
 def run_benchmark(cfg: RunConfig) -> RunArtifacts:
-    """Execute every configured method over `runs` seeded replicates."""
+    """Execute every configured method over `runs` seeded replicates.
+
+    Warns once per batch size n with which a method that uses real batches
+    cannot reach the threshold floor; n is the one its split serves.
+    """
     cfg.validate()
     table = _load_table(cfg) if cfg.dataset in ("csv", "oran") else None
+    checked_n: set[int] = set()
     per_method: dict[str, MethodResult] = {}
     for name in cfg.methods:
         method = MethodVariant(name)
@@ -667,6 +793,9 @@ def run_benchmark(cfg: RunConfig) -> RunArtifacts:
                     rundata = gaussian_synthetic_stream(cfg, method, run_idx)
                 else:
                     rundata = table_run(cfg, method, run_idx, table)
+                if method.uses_real and rundata.n not in checked_n:
+                    checked_n.add(rundata.n)
+                    _warn_unreachable(cfg, rundata.n)
                 recs, trace = _detect_run(cfg, method, run_idx, rundata)
             except Exception as exc:
                 raise RuntimeError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import GAMMA_MAX
+from .conformal import GAMMA_MAX, conformal_pvalues
 from .core import EPS_VAR, features_matrix
 from .scoring import _kmeans_pp
 
@@ -119,18 +119,48 @@ def fit_twin(train, k: int = 2, rng: np.random.Generator | None = None,
     return TwinModel(tuple(weights), tuple(means), tuple(variances))
 
 
-def sample_synthetic(model: TwinModel, context: int, n_tilde: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Draw an (n_tilde, d) batch of i.i.d. synthetic feature vectors."""
+def sample_synthetic(model: TwinModel, context, n_tilde: int,
+                     rng: np.random.Generator,
+                     noise_rng: np.random.Generator | None = None
+                     ) -> np.ndarray:
+    """Draw n_tilde i.i.d. synthetic feature vectors per context.
+
+    ``context`` is one context id, giving an (n_tilde, d) batch, or a vector
+    of k ids, giving k batches stacked into (k * n_tilde, d) rows.  Each
+    row's mixture component comes from one uniform of ``rng`` and its
+    Gaussian noise from ``noise_rng``, or from ``rng`` after all the
+    uniforms when that is None.  With two generators, successive calls read
+    both in order, so a batch does not depend on how the calls split a
+    sequence of contexts.
+    """
     if n_tilde < 1:
         raise ValueError("n_tilde must be >= 1")
-    if not 0 <= context < model.n_contexts:
-        raise ValueError(f"context {context} outside [0, {model.n_contexts})")
-    comps = rng.choice(model.weights[context].size, size=n_tilde,
-                       p=model.weights[context])
-    noise = rng.standard_normal((n_tilde, model.dim))
-    return (model.means[context][comps]
-            + np.sqrt(model.variances[context][comps]) * noise)
+    contexts = np.atleast_1d(np.asarray(context))
+    outside = (contexts < 0) | (contexts >= model.n_contexts)
+    if outside.any():
+        raise ValueError(f"context {contexts[outside][0]} outside "
+                         f"[0, {model.n_contexts})")
+    uniforms = rng.random((contexts.size, n_tilde))
+    noise = (rng if noise_rng is None else noise_rng).standard_normal(
+        (contexts.size, n_tilde, model.dim))
+    # as Generator.choice(p=weights) picks it, the component is the count of
+    # normalized cumulative weights at or below the uniform; the last one is
+    # 1, above every uniform, and so is the padding of a smaller mixture
+    width = max(w.size for w in model.weights)
+    bounds = np.full((model.n_contexts, width - 1), np.inf)
+    params = np.zeros((model.n_contexts, width, 2, model.dim))
+    for c, weights in enumerate(model.weights):
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        bounds[c, :weights.size - 1] = cdf[:-1]
+        params[c, :weights.size, 0] = model.means[c]
+        params[c, :weights.size, 1] = np.sqrt(model.variances[c])
+    slot = contexts[:, None] * width  # first component of each row's context
+    for j in range(width - 1):
+        slot = slot + (uniforms >= bounds[contexts, j][:, None])
+    drawn = np.take(params.reshape(-1, 2, model.dim), slot, axis=0)
+    rows = drawn[..., 0, :] + drawn[..., 1, :] * noise
+    return rows.reshape(-1, model.dim)
 
 
 def proxy_pvalues(synthetic_scores, validation_scores,
@@ -140,10 +170,8 @@ def proxy_pvalues(synthetic_scores, validation_scores,
     val = np.asarray(validation_scores, dtype=float)
     if synth.size == 0 or val.size == 0:
         raise ValueError("score pools must be non-empty")
-    counts = (synth[None, :] >= val[:, None]).sum(axis=1)
-    if plus_one:
-        counts = counts + 1
-    return counts / (synth.size + 1)
+    return conformal_pvalues(np.broadcast_to(synth, (val.size, synth.size)),
+                             val, plus_one)
 
 
 def positive_ecdf_gap(pvalues) -> float:

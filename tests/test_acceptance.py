@@ -9,12 +9,15 @@ Gaussian-oracle base configuration (alpha 0.1, delta 0.99, eta 1,
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import coad
 from coad.conformal import (GAMMA_MAX, active_pvalue, conformal_pvalue,
                             draw_acquisition)
 from coad.fdr import DetectorState, build_zeta, next_threshold
@@ -281,13 +284,17 @@ def test_a12_cli_end_to_end_determinism(tmp_path):
         "method = C_PP_COAD,FIXED\ndataset = gaussian\nruns = 2\n"
         "steps = 12\nseed = 31\nn = 60\nscore_train_size = 200\n"
         "twin_train_size = 200\nval_size = 100\nsynth_pool = 100\n")
+    # the CLI process imports the coad that this test imported
+    src = str(Path(coad.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     outputs = []
     for sub in ("one", "two"):
         out_dir = tmp_path / sub
         result = subprocess.run(
             [sys.executable, "-m", "coad.cli", "run", "--config",
              str(cfg_path), "--out", str(out_dir)],
-            capture_output=True, text=True, timeout=300)
+            capture_output=True, text=True, timeout=300, env=env)
         assert result.returncode == 0, result.stderr
         outputs.append((
             (out_dir / "steps.csv").read_bytes(),

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coad.core import observation
@@ -234,28 +234,40 @@ class TestBuildStream:
 
 class TestMcar:
     def test_identity_at_zero(self):
-        obs = observation([1.0, 2.0, 3.0], 0)
-        assert apply_mcar_mask(obs, 0.0, np.random.default_rng(0)) is obs
+        x = np.array([1.0, 2.0, 3.0])
+        assert apply_mcar_mask(x, 0.0, np.random.default_rng(0)) is x
 
     def test_binomial_rate(self):
         rng = np.random.default_rng(0)
-        obs = observation(np.arange(10, dtype=float), 0)
-        counts = [apply_mcar_mask(obs, 0.3, rng).mask.sum()
-                  for _ in range(10**4)]
+        x = np.tile(np.arange(10, dtype=float), (10**4, 1))
+        counts = np.isnan(apply_mcar_mask(x, 0.3, rng)).sum(axis=1)
         se = math.sqrt(10 * 0.3 * 0.7 / 10**4)
         assert abs(np.mean(counts) - 3.0) <= 3 * se
 
     def test_value_independence(self):
-        obs1 = observation(np.arange(8, dtype=float), 0)
-        obs2 = observation(2 * np.arange(8, dtype=float), 0)
-        m1 = apply_mcar_mask(obs1, 0.4, np.random.default_rng(5)).mask
-        m2 = apply_mcar_mask(obs2, 0.4, np.random.default_rng(5)).mask
+        x1 = np.arange(8, dtype=float)
+        x2 = 2 * np.arange(8, dtype=float)
+        m1 = np.isnan(apply_mcar_mask(x1, 0.4, np.random.default_rng(5)))
+        m2 = np.isnan(apply_mcar_mask(x2, 0.4, np.random.default_rng(5)))
         assert np.array_equal(m1, m2)
+
+    def test_keeps_existing_holes_and_values(self):
+        x = np.array([[np.nan, 1.0, 2.0], [3.0, np.nan, 4.0]])
+        out = apply_mcar_mask(x, 0.5, np.random.default_rng(3))
+        assert np.isnan(out[np.isnan(x)]).all()
+        kept = ~np.isnan(out)
+        assert np.array_equal(out[kept], x[kept])
+
+    def test_chunks_read_the_stream_in_order(self):
+        x = np.arange(24, dtype=float).reshape(4, 3, 2)
+        whole = apply_mcar_mask(x, 0.3, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        parts = [apply_mcar_mask(x[i:i + 1], 0.3, rng) for i in range(4)]
+        assert np.array_equal(np.isnan(whole), np.isnan(np.concatenate(parts)))
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            apply_mcar_mask(observation([1.0], 0), 1.0,
-                            np.random.default_rng(0))
+            apply_mcar_mask(np.array([1.0]), 1.0, np.random.default_rng(0))
 
 
 class TestImputer:
@@ -304,6 +316,48 @@ class TestImputer:
         twice = impute(imp, once)
         assert np.array_equal(once.features, twice.features)
         assert not twice.mask.any()
+
+    @staticmethod
+    def _loop_fill(train, kinds):
+        """The per-row, per-feature fit the vectorized one replaced."""
+        fill = np.empty(len(kinds))
+        for i, kind in enumerate(kinds):
+            column = [obs.features[i] for obs in train if not obs.mask[i]]
+            if kind == "continuous":
+                fill[i] = float(np.median(column))
+            else:
+                counts: dict[float, int] = {}
+                for v in column:  # ties break by first appearance
+                    counts[v] = counts.get(v, 0) + 1
+                fill[i] = max(counts, key=counts.get)
+        return fill
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_matches_loop_reference(self, data):
+        rows = data.draw(st.integers(1, 12))
+        kinds = ("continuous", "categorical", "categorical")
+        values = st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, -3.25])
+        train = []
+        for r in range(rows):
+            feats = data.draw(st.lists(values, min_size=3, max_size=3))
+            # the first row keeps every feature observed
+            mask = [False] * 3 if r == 0 else \
+                data.draw(st.lists(st.booleans(), min_size=3, max_size=3))
+            train.append(observation(np.array(feats), 0,
+                                     mask=np.array(mask)))
+        fill = Imputer.fit(train, kinds).fill_values
+        assert fill.tobytes() == self._loop_fill(train, kinds).tobytes()
+
+    def test_mostly_masked_column_and_ties(self):
+        # column 0: one observed value; column 1: 1 and 2 tie, 2 came first
+        train = [observation([np.nan, 2.0], 0), observation([np.nan, 1.0], 0),
+                 observation([7.5, 1.0], 0), observation([np.nan, 2.0], 0),
+                 observation([np.nan, 3.0], 0)]
+        kinds = ("continuous", "categorical")
+        fill = Imputer.fit(train, kinds).fill_values
+        assert fill.tolist() == [7.5, 2.0]
+        assert fill.tobytes() == self._loop_fill(train, kinds).tobytes()
 
     def test_no_observed_values(self):
         train = [observation([np.nan], 0)]

@@ -59,6 +59,11 @@ class TestZeta:
     def test_positive(self):
         assert np.all(build_zeta() > 0)
 
+    def test_chunked_build_matches_one_shot_formula(self):
+        t = np.arange(1, HORIZON + 1, dtype=float)
+        raw = np.log(np.maximum(t, 2.0)) / (t * np.exp(np.sqrt(np.log(t))))
+        assert build_zeta().tobytes() == (raw / raw.sum()).tobytes()
+
     def test_zero_beyond_horizon(self):
         # zeta_t = 0 past the table, so the floor 1 - delta takes over
         alpha, delta, eta = 0.1, 0.99, 0.5

@@ -21,9 +21,9 @@ GOLDEN_CONFIG = {
 }
 
 STEPS_SHA256 = \
-    "410c3a868b1d0e4636bb3f887b2fbef936628c2110af02fbedc82135e6f49547"
+    "2b514a8d3d01bb87dff97cdb23ecfbd1d2b09d219ae391dd190c0ea34f923101"
 AGGREGATE_SHA256 = \
-    "5d5a6d002e1ffa0c55f10398c12b0a894c9d7444c55e10f2c858ab10ad91d5f1"
+    "4eab869d4120351879bccdb75dbe91a5b02445931a4e646b9f66268ddf299806"
 
 
 def test_emitted_csvs_match_golden_digests(tmp_path):

@@ -67,11 +67,13 @@ class TestConfig:
             config_from(**{key: text})
 
     def test_unreachable_floor_warns_once(self):
-        # 1/61 > 0.1 * 1.0 * (1 - 0.99): the floor is out of reach
+        # 1/61 > 0.1 * 1.0 * (1 - 0.99): the floor is out of reach for the
+        # four methods that use real batches, which all use n = 60
         with pytest.warns(UserWarning, match="n = 60, alpha = 0.1, "
                           "eta = 1.0, delta = 0.99") as caught:
-            config_from({"method": "all", "alpha": "0.1", "delta": "0.99",
-                         "n": "60"})
+            cfg = config_from(dict(FAST, method="all", alpha="0.1",
+                                   delta="0.99", runs="1", steps="3"))
+            run_benchmark(cfg)
         assert len(caught) == 1
 
     @pytest.mark.parametrize("mapping", [
@@ -83,6 +85,27 @@ class TestConfig:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             config_from(dict({"alpha": "0.1", "delta": "0.99"}, **mapping))
+
+    def test_a4_batch_size_runs_silently(self):
+        cfg = config_from(dict(FAST, method="C_PP_COAD,COAD,PP_COAD,C_COAD",
+                               alpha="0.1", delta="0.99", n="1100",
+                               runs="1", steps="3"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_benchmark(cfg)
+
+    def test_split_batch_size_checked(self, tmp_path):
+        # n unset: the twinless split serves len(calibration) // steps rows
+        # per step, here 1/(n+1) > alpha * (1 - delta) = 0.001
+        cfg = config_from(_toy_csv(tmp_path, method="C_COAD", runs="1",
+                                   steps="8", alpha="0.1", delta="0.99"))
+        with pytest.warns(UserWarning, match=r"n = \d+, alpha = 0.1") \
+                as caught:
+            arts = run_benchmark(cfg)
+        assert len(caught) == 1
+        n = int(str(caught[0].message).split("n = ")[1].split(",")[0])
+        assert 1.0 / (n + 1) > 0.001 and n > 10
+        assert len(arts.per_method["C_COAD"].records) == 8
 
     @pytest.mark.parametrize("bad", [
         {"alpha": "0"}, {"delta": "1"}, {"lambda": "-1"}, {"runs": "0"},
@@ -168,6 +191,26 @@ class TestVariantEquivalence:
             b = po.per_method["C_PO_COAD"].records
             assert [(i, r.t, r.q) for i, r in a] == \
                 [(i, r.t, r.q) for i, r in b]
+
+    @pytest.mark.parametrize("active, always", [("C_PP_COAD", "C_COAD"),
+                                                ("PP_COAD", "COAD")])
+    @pytest.mark.parametrize("q_miss", [0.0, 0.3])
+    def test_queried_real_pvalue_does_not_depend_on_skips(self, active,
+                                                          always, q_miss):
+        # gamma calibrated on a mismatched twin, so the active method both
+        # queries and skips; wherever it queried, it scored the same real
+        # batch as the method that queries every step
+        cfg = _cfg(method=f"{active},{always}", q_miss=q_miss,
+                   twin_var_scale=0.5, runs=4)
+        arts = run_benchmark(cfg)
+        a = arts.per_method[active].records
+        b = arts.per_method[always].records
+        # every method of a run sees the same test points
+        assert [(i, r.t, r.context, r.truth) for i, r in a] == \
+            [(i, r.t, r.context, r.truth) for i, r in b]
+        queried = [(ra.p, rb.p) for (_, ra), (_, rb) in zip(a, b) if ra.u]
+        assert 0 < len(queried) < len(a)
+        assert all(pa == pb for pa, pb in queried)
 
     def test_tiny_gamma_tracks_always_real(self):
         pp = run_benchmark(_cfg(method="C_PP_COAD", gamma_override=EPS_GAMMA,
@@ -283,30 +326,34 @@ class TestOranPath:
         assert len(arts.per_method["FIXED"].records) == 20
 
 
+def _toy_csv(tmp_path, **mapping):
+    """A two-context CSV dataset with its schema, as a config mapping."""
+    rng = np.random.default_rng(0)
+    lines = ["x0,x1,age,label"]
+    for i in range(400):
+        age = 25.0 if i % 2 == 0 else 75.0
+        mu = 0.0 if age < 50 else 5.0
+        x = rng.normal(mu, 1.0, 2)
+        label = 0
+        if i % 10 == 0:
+            x += 6.0
+            label = 1
+        lines.append(f"{x[0]:.6f},{x[1]:.6f},{age},{label}")
+    csv_path = tmp_path / "toy.csv"
+    csv_path.write_text("\n".join(lines) + "\n")
+    schema_path = tmp_path / "toy.schema"
+    schema_path.write_text(
+        "feature.x0 = continuous\nfeature.x1 = continuous\n"
+        "label = label\nlabel.anomaly_values = 1\n"
+        "context.column = age\ncontext.bins = 50\n")
+    return dict({"dataset": "csv", "seed": "1", "csv_path": str(csv_path),
+                 "schema_path": str(schema_path)}, **mapping)
+
+
 class TestCsvPath:
     def test_benchmark_from_files(self, tmp_path):
-        rng = np.random.default_rng(0)
-        lines = ["x0,x1,age,label"]
-        for i in range(400):
-            age = 25.0 if i % 2 == 0 else 75.0
-            mu = 0.0 if age < 50 else 5.0
-            x = rng.normal(mu, 1.0, 2)
-            label = 0
-            if i % 10 == 0:
-                x += 6.0
-                label = 1
-            lines.append(f"{x[0]:.6f},{x[1]:.6f},{age},{label}")
-        csv_path = tmp_path / "toy.csv"
-        csv_path.write_text("\n".join(lines) + "\n")
-        schema_path = tmp_path / "toy.schema"
-        schema_path.write_text(
-            "feature.x0 = continuous\nfeature.x1 = continuous\n"
-            "label = label\nlabel.anomaly_values = 1\n"
-            "context.column = age\ncontext.bins = 50\n")
-        cfg = config_from({"method": "C_COAD,FIXED", "dataset": "csv",
-                           "runs": "2", "steps": "8", "seed": "1",
-                           "csv_path": str(csv_path),
-                           "schema_path": str(schema_path)})
+        cfg = config_from(_toy_csv(tmp_path, method="C_COAD,FIXED", runs="2",
+                                   steps="8"))
         arts = run_benchmark(cfg)
         assert len(arts.per_method["C_COAD"].records) == 16
         recs = [r for _, r in arts.per_method["C_COAD"].records]
