@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import json
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -335,15 +337,19 @@ class GaussianOracle:
                 + scale * rng.standard_normal((size, self.means.shape[1])))
 
 
-def gaussian_synthetic_stream(cfg: RunConfig, method: MethodVariant,
-                              run_idx: int) -> RunData:
+def gaussian_synthetic_stream(cfg: RunConfig, methods, run_idx: int
+                              ) -> RunData:
     """Per-run data from the Gaussian oracle: labeled stream, training sets,
     and fresh real calibration batches with a known nominal law.
 
-    The test points' contexts, anomaly flags and noise, and the real
-    batches' noise, each come from their own generator of the run, read in
-    step order; every method of a run sees the same draws, whether or not
-    it queries real data at a step.
+    It holds what any of ``methods`` needs: the generator's training set if
+    one uses a twin, the validation inliers if one calibrates gamma, and
+    the real batches if one uses them.  Each set comes from its own
+    generator of the run, or, for the twin's training set, from the data
+    generator after the score-training set, so every method sees the same
+    draws whichever methods share the run.  The test points' contexts,
+    anomaly flags and noise, and the real batches' noise, are read in step
+    order, whether or not a method queries real data at a step.
     """
     oracle = GaussianOracle.from_config(cfg)
     contexts = cfg.contexts
@@ -362,14 +368,14 @@ def gaussian_synthetic_stream(cfg: RunConfig, method: MethodVariant,
             score_train.append(Observation(x, no_missing, c, 1))
 
     twin_train: list[Observation] = []
-    if method.uses_twin:
+    if any(m.uses_twin for m in methods):
         per_ctx_twin = cfg.twin_train_size // contexts
         for c in range(contexts):
             for x in oracle.sample_twin_law(c, per_ctx_twin, data_rng):
                 twin_train.append(Observation(x, no_missing, c, 0))
 
     validation: list[Observation] = []
-    if method.acquisition == "active" and cfg.gamma_override is None:
+    if _calibrates(cfg, methods):
         for c in range(contexts):
             vrng = derive_rng(cfg.seed, run_idx, _Purpose.VALIDITY, c)
             for x in oracle.sample_nominal(c, cfg.val_size, vrng):
@@ -384,7 +390,7 @@ def gaussian_synthetic_stream(cfg: RunConfig, method: MethodVariant,
              + stream_rng(2).standard_normal((cfg.steps, cfg.dim)))
 
     real_batches = None
-    if method.uses_real:
+    if any(m.uses_real for m in methods):
         real_rng = derive_rng(cfg.seed, run_idx, _Purpose.REAL_CAL, 0)
 
         def real_batches(lo: int, hi: int) -> np.ndarray:
@@ -396,6 +402,12 @@ def gaussian_synthetic_stream(cfg: RunConfig, method: MethodVariant,
                    truth=truth, real_batches=real_batches,
                    n_contexts=contexts, kinds=("continuous",) * cfg.dim,
                    n=n, n_tilde=n_tilde)
+
+
+def _calibrates(cfg: RunConfig, methods) -> bool:
+    """Whether one of ``methods`` calibrates gamma on validation inliers."""
+    return cfg.gamma_override is None and \
+        any(m.acquisition == "active" for m in methods)
 
 
 @dataclass(eq=False)
@@ -443,10 +455,11 @@ def _rebin_by_activity(rows, weights, boundaries) -> list[Observation]:
             for o, c in zip(rows, contexts)]
 
 
-def table_run(cfg: RunConfig, method: MethodVariant, run_idx: int,
+def table_run(cfg: RunConfig, split_kind: str, run_idx: int,
               table: _Table) -> RunData:
-    """Per-run data from a finite dataset via the split protocol."""
-    plan = SplitPlan(kind=method.split_kind, n_per_step=cfg.n,
+    """Per-run data from a finite dataset via the split protocol, for the
+    methods whose split is ``split_kind``."""
+    plan = SplitPlan(kind=split_kind, n_per_step=cfg.n,
                      test_reserve=cfg.steps)
     rng = derive_rng(cfg.seed, run_idx, _Purpose.SPLITS, 0)
     splits = make_splits(table.rows, plan, cfg.steps, rng)
@@ -473,7 +486,7 @@ def table_run(cfg: RunConfig, method: MethodVariant, run_idx: int,
         contexts = _activity_context(tests, table.activity_weights, boundaries)
 
     validation: list[Observation] = []
-    if method.acquisition == "active" and cfg.gamma_override is None:
+    if split_kind == "prediction_powered" and cfg.gamma_override is None:
         carve = round(0.2 * len(score_train))
         validation = [o for o in score_train[:carve] if o.truth != 1]
         score_train = score_train[carve:]
@@ -488,14 +501,14 @@ def table_run(cfg: RunConfig, method: MethodVariant, run_idx: int,
         n_tilde = max(1, len(twin_train) // 2 // cfg.steps)
 
     real_batches = None
-    if splits.n > 0 and method.uses_real:
+    if splits.n > 0:
         # the fresh per-step batches are consecutive slices of the part
-        used = splits.calibration[:cfg.steps * splits.n]
-        batches = np.stack([o.features for o in used]).reshape(
-            cfg.steps, splits.n, tests.shape[1])
+        n, part = splits.n, splits.calibration
 
         def real_batches(lo: int, hi: int) -> np.ndarray:
-            return batches[lo:hi]
+            rows = part[lo * n:hi * n]
+            return np.stack([o.features for o in rows]).reshape(
+                hi - lo, n, tests.shape[1])
 
     return RunData(score_train=score_train, twin_train=twin_train,
                    validation=validation, tests=tests, contexts=contexts,
@@ -511,9 +524,8 @@ def _to_context0(rows) -> list[Observation]:
     return [Observation(o.features, o.mask, 0, o.truth) for o in rows]
 
 
-def _fit_score_model(cfg: RunConfig, method: MethodVariant, run_idx: int,
+def _fit_score_model(cfg: RunConfig, aware: bool, run_idx: int,
                      train, n_contexts: int) -> ScoreModel:
-    aware = method.context_aware
     if cfg.score == "supervised":
         return fit_supervised_score(train, n_contexts=n_contexts,
                                     context_aware=aware)
@@ -546,7 +558,9 @@ def _calibrate_gammas(cfg: RunConfig, method: MethodVariant, run_idx: int,
             pools.append(np.array([]))
             continue
         srng = derive_rng(cfg.seed, run_idx, _Purpose.VALIDITY, n_eff + c)
-        synth = sample_synthetic(twin_model, c, cfg.synth_pool, srng)
+        uniforms = srng.random((1, cfg.synth_pool))
+        noise = srng.standard_normal((1, cfg.synth_pool, twin_model.dim))
+        synth = sample_synthetic(twin_model, c, uniforms, noise)
         synth_scores = score_model.scores(synth, c)
         val_scores = score_model.scores(features_matrix(members), c)
         pvals = proxy_pvalues(synth_scores, val_scores, cfg.plus_one)
@@ -568,7 +582,7 @@ def _impute_rows(imputer: Imputer, rows) -> list[Observation]:
 
 @dataclass(eq=False)
 class _FittedRun:
-    """What a run fits before its stream starts."""
+    """What one method fits before its stream starts."""
 
     imputer: Imputer
     score_model: ScoreModel
@@ -577,35 +591,65 @@ class _FittedRun:
     gammas: np.ndarray  # (n_eff,) per effective context
 
 
-def _fit_run(cfg: RunConfig, method: MethodVariant, run_idx: int,
-             rundata: RunData) -> _FittedRun:
-    """Fit the imputer, score model, FIXED's threshold, the generator and
-    the per-context trust of one run on its training sets."""
-    aware = method.context_aware
-    n_eff = rundata.n_contexts if aware else 1
+class _RunFits:
+    """The fits of one run's split group, each made once, when the first
+    method that needs it asks for it.
 
-    imputer = Imputer.fit(rundata.score_train, rundata.kinds)
-    score_train = _impute_rows(imputer, rundata.score_train)
-    score_model = _fit_score_model(cfg, method, run_idx, score_train, n_eff)
+    The imputer and the imputed rows depend only on the group's data; a
+    score model and a generator depend on it and on context awareness.
+    FIXED's threshold and the gammas are fit per method, by ``fit``.
+    """
 
-    threshold = None
-    if method is MethodVariant.FIXED:
-        threshold = fit_fixed_threshold(score_model, score_train, cfg.alpha)
+    def __init__(self, cfg: RunConfig, run_idx: int, rundata: RunData):
+        self.cfg, self.run_idx, self.rundata = cfg, run_idx, rundata
+        self.imputer = Imputer.fit(rundata.score_train, rundata.kinds)
+        self.score_train = _impute_rows(self.imputer, rundata.score_train)
+        self._score_models: dict[bool, ScoreModel] = {}
+        self._twin_models: dict[bool, TwinModel] = {}
 
-    twin_model = None
-    if method.uses_twin:
-        twin_rows = _impute_rows(imputer, rundata.twin_train)
-        if not aware:
-            twin_rows = _to_context0(twin_rows)
-        twin_model = fit_twin(
-            twin_rows, k=cfg.gmm_components,
-            rng=derive_rng(cfg.seed, run_idx, _Purpose.TWIN_FIT, 0),
-            n_contexts=n_eff)
+    @cached_property
+    def twin_rows(self) -> list[Observation]:
+        return _impute_rows(self.imputer, self.rundata.twin_train)
 
-    validation = _impute_rows(imputer, rundata.validation)
-    gammas, _report = _calibrate_gammas(cfg, method, run_idx, n_eff,
-                                        score_model, twin_model, validation)
-    return _FittedRun(imputer, score_model, threshold, twin_model, gammas)
+    @cached_property
+    def validation(self) -> list[Observation]:
+        return _impute_rows(self.imputer, self.rundata.validation)
+
+    def _n_eff(self, aware: bool) -> int:
+        return self.rundata.n_contexts if aware else 1
+
+    def score_model(self, aware: bool) -> ScoreModel:
+        if aware not in self._score_models:
+            self._score_models[aware] = _fit_score_model(
+                self.cfg, aware, self.run_idx, self.score_train,
+                self._n_eff(aware))
+        return self._score_models[aware]
+
+    def twin_model(self, aware: bool) -> TwinModel:
+        if aware not in self._twin_models:
+            rows = self.twin_rows if aware else _to_context0(self.twin_rows)
+            self._twin_models[aware] = fit_twin(
+                rows, k=self.cfg.gmm_components,
+                rng=derive_rng(self.cfg.seed, self.run_idx,
+                               _Purpose.TWIN_FIT, 0),
+                n_contexts=self._n_eff(aware))
+        return self._twin_models[aware]
+
+    def fit(self, method: MethodVariant) -> _FittedRun:
+        """The imputer, score model, FIXED's threshold, the generator and
+        the per-context trust that ``method`` runs with."""
+        aware = method.context_aware
+        score_model = self.score_model(aware)
+        threshold = None
+        if method is MethodVariant.FIXED:
+            threshold = fit_fixed_threshold(score_model, self.score_train,
+                                            self.cfg.alpha)
+        twin_model = self.twin_model(aware) if method.uses_twin else None
+        gammas, _report = _calibrate_gammas(
+            self.cfg, method, self.run_idx, self._n_eff(aware), score_model,
+            twin_model, self.validation)
+        return _FittedRun(self.imputer, score_model, threshold, twin_model,
+                          gammas)
 
 
 # --- the run engine ---------------------------------------------------------
@@ -641,82 +685,110 @@ def _score_batches(model: ScoreModel, batches: np.ndarray,
     return out
 
 
-def _statistics(cfg: RunConfig, method: MethodVariant, run_idx: int,
-                rundata: RunData, fitted: _FittedRun):
-    """The statistic phase: every step's (q, u, p, z), NaN where a value
-    does not apply, or FIXED's score-above-threshold flags as z.
+@dataclass(eq=False)
+class _Chunk:
+    """The stream arrays of the steps ``at`` that every method of a split
+    group reads; None where no method of the group needs one."""
 
-    No step's statistic reads the detector's past, so a chunk of steps is
-    computed at once.  Each stream-time generator yields one kind of draw in
-    step order, so a step's values do not depend on the chunk size.
+    at: slice
+    tests: np.ndarray             # (k, d) test points, masked, then filled
+    uniforms: np.ndarray | None   # (k, n_tilde) twin component uniforms
+    noise: np.ndarray | None      # (k, n_tilde, d) twin noise
+    acquire: np.ndarray | None    # (k,) acquisition uniforms
+    real: np.ndarray | None       # (k, n, d) real batches, masked
+
+
+def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData, methods,
+            imputer: Imputer):
+    """Draw the stream of a split group chunk by chunk.
+
+    Each stream-time generator is created once per run and yields one kind
+    of draw in step order, so a step's values depend neither on the chunk
+    size nor on which methods share the run.  Nothing outlives its chunk.
     """
     steps, dim = rundata.tests.shape
-    rule = method.acquisition
-    model, imputer = fitted.score_model, fitted.imputer
-    contexts = rundata.contexts if method.context_aware \
-        else np.zeros(steps, dtype=int)
+    uses_twin = any(m.uses_twin for m in methods)
+    uses_real = any(m.uses_real for m in methods)
 
     def stream_rng(purpose: int, sub: int = 0) -> np.random.Generator:
         return derive_rng(cfg.seed, run_idx, purpose, sub)
 
     masked = cfg.q_miss > 0.0
     test_mask = stream_rng(_Purpose.MASK, 0) if masked else None
-    real_mask = stream_rng(_Purpose.MASK, 1) \
-        if masked and method.uses_real else None
+    real_mask = stream_rng(_Purpose.MASK, 1) if masked and uses_real else None
     comps = noise = acquire = None
-    if method.uses_twin:
+    if uses_twin:
         comps = stream_rng(_Purpose.TWIN_SAMPLE, 0)
         noise = stream_rng(_Purpose.TWIN_SAMPLE, 1)
-    if rule == "active":
+    if any(m.acquisition == "active" for m in methods):
         acquire = stream_rng(_Purpose.ACQUIRE)
-    q, p, z = (np.full(steps, np.nan) for _ in range(3))
-    u = np.full(steps, rule == "always")
-    widest = max(rundata.n, rundata.n_tilde if method.uses_twin else 0, 1)
+    widest = max(rundata.n, rundata.n_tilde if uses_twin else 0, 1)
     chunk = max(1, CHUNK_VALUES // (widest * dim))
     for lo in range(0, steps, chunk):
-        at = slice(lo, min(steps, lo + chunk))
-        c = contexts[at]
-        x = rundata.tests[at]
+        hi = min(steps, lo + chunk)
+        x = rundata.tests[lo:hi]
         if test_mask is not None:
             x = apply_mcar_mask(x, cfg.q_miss, test_mask)
-        s = _score_batches(model, _fill_missing(x, imputer)[:, None], c)[:, 0]
-        if rule is None:
-            z[at] = fitted.threshold.flag(s, c)
-            continue
-        if method.uses_twin:
-            synth = sample_synthetic(fitted.twin_model, c, rundata.n_tilde,
-                                     comps, noise)
-            q[at] = conformal_pvalues(_score_batches(
-                model, synth.reshape(c.size, -1, dim), c), s, cfg.plus_one)
-        if rule == "active":
-            u[at] = acquire.random(c.size) < \
-                acquisition_probability(q[at], fitted.gammas[c])
-        if method.uses_real:
-            # drawn at every step, scored only where the method queries
-            real = rundata.real_batches(at.start, at.stop)
+        real = None
+        if uses_real:
+            # drawn at every step, scored only where a method queries
+            real = rundata.real_batches(lo, hi)
             if real_mask is not None:
                 real = apply_mcar_mask(real, cfg.q_miss, real_mask)
-            queried = u[at]
-            if queried.any():
-                p[at][queried] = conformal_pvalues(_score_batches(
-                    model, _fill_missing(real[queried], imputer),
-                    c[queried]), s[queried], cfg.plus_one)
-        z[at] = active_pvalues(q[at], u[at], p[at], fitted.gammas[c]) \
-            if rule == "active" else (p[at] if rule == "always" else q[at])
-    return q, u, p, z
+        uniforms = twin_noise = None
+        if uses_twin:
+            uniforms = comps.random((hi - lo, rundata.n_tilde))
+            twin_noise = noise.standard_normal((hi - lo, rundata.n_tilde, dim))
+        yield _Chunk(slice(lo, hi), _fill_missing(x, imputer), uniforms,
+                     twin_noise,
+                     None if acquire is None else acquire.random(hi - lo),
+                     real)
+
+
+def _statistics(cfg: RunConfig, method: MethodVariant, fitted: _FittedRun,
+                rundata: RunData, chunk: _Chunk, columns) -> None:
+    """The statistic phase of one chunk for one method: write each step's
+    (q, u, p, z) into ``columns``, NaN where a value does not apply, or
+    FIXED's score-above-threshold flags as z.
+
+    No step's statistic reads the detector's past, so a chunk of steps is
+    computed at once, from the arrays the chunk shares.
+    """
+    q, u, p, z = columns
+    at, rule, model = chunk.at, method.acquisition, fitted.score_model
+    c = rundata.contexts[at] if method.context_aware \
+        else np.zeros(at.stop - at.start, dtype=int)
+    s = _score_batches(model, chunk.tests[:, None], c)[:, 0]
+    if rule is None:
+        z[at] = fitted.threshold.flag(s, c)
+        return
+    if method.uses_twin:
+        synth = sample_synthetic(fitted.twin_model, c, chunk.uniforms,
+                                 chunk.noise)
+        q[at] = conformal_pvalues(_score_batches(
+            model, synth.reshape(c.size, -1, chunk.tests.shape[1]), c),
+            s, cfg.plus_one)
+    if rule == "active":
+        u[at] = chunk.acquire < \
+            acquisition_probability(q[at], fitted.gammas[c])
+    if method.uses_real:
+        queried = u[at]
+        if queried.any():
+            p[at][queried] = conformal_pvalues(_score_batches(
+                model, _fill_missing(chunk.real[queried], fitted.imputer),
+                c[queried]), s[queried], cfg.plus_one)
+    z[at] = active_pvalues(q[at], u[at], p[at], fitted.gammas[c]) \
+        if rule == "active" else (p[at] if rule == "always" else q[at])
 
 
 def _optional(values: np.ndarray) -> list[float | None]:
     return [None if np.isnan(v) else v for v in values.tolist()]
 
 
-def _detect_run(cfg: RunConfig, method: MethodVariant, run_idx: int,
-                rundata: RunData) -> tuple[list[StepRecord], RunTrace]:
-    """Fit, run the statistic phase, then the decision phase: walk the
-    statistics through the threshold recursion, the only part that reads
-    past decisions."""
-    fitted = _fit_run(cfg, method, run_idx, rundata)
-    q, u, p, z = _statistics(cfg, method, run_idx, rundata, fitted)
+def _decide(cfg: RunConfig, method: MethodVariant, rundata: RunData,
+            q, u, p, z) -> tuple[list[StepRecord], RunTrace]:
+    """The decision phase: walk the statistics through the threshold
+    recursion, the only part that reads past decisions."""
     state = DetectorState.fresh(cfg.alpha, cfg.delta, cfg.eta)
     tracker = MetricsTracker.fresh(cfg.delta, cfg.eta)
     records: list[StepRecord] = []
@@ -743,6 +815,53 @@ def _detect_run(cfg: RunConfig, method: MethodVariant, run_idx: int,
 
     trace = RunTrace(np.asarray(sfdr), np.asarray(power), np.asarray(cdar))
     return records, trace
+
+
+class _RunFailure(RuntimeError):
+    """A failed run, named by method, run index and master seed."""
+
+
+@contextmanager
+def _failing_as(cfg: RunConfig, method: MethodVariant, run_idx: int):
+    """Name ``method`` and the run in a failure of the work inside, unless
+    an inner block already named one."""
+    try:
+        yield
+    except _RunFailure:
+        raise
+    except Exception as exc:
+        raise _RunFailure(
+            f"method {method.value}, run {run_idx} (master seed {cfg.seed}) "
+            f"failed: {exc}") from exc
+
+
+def _run_group(cfg: RunConfig, group, run_idx: int, rundata: RunData
+               ) -> dict[MethodVariant, tuple[list[StepRecord], RunTrace]]:
+    """One run of a split group: fit, run every method's statistic phase
+    in lock-step over the shared chunks, then each decision phase.
+
+    Shared work that fails names the first method that needed it.
+    """
+    fits = _RunFits(cfg, run_idx, rundata)
+    fitted: dict[MethodVariant, _FittedRun] = {}
+    for method in group:
+        with _failing_as(cfg, method, run_idx):
+            fitted[method] = fits.fit(method)
+    steps = rundata.tests.shape[0]
+    columns = {method: (np.full(steps, np.nan),
+                        np.full(steps, method.acquisition == "always"),
+                        np.full(steps, np.nan), np.full(steps, np.nan))
+               for method in group}
+    for chunk in _chunks(cfg, run_idx, rundata, group, fits.imputer):
+        for method in group:
+            with _failing_as(cfg, method, run_idx):
+                _statistics(cfg, method, fitted[method], rundata, chunk,
+                            columns[method])
+    results = {}
+    for method in group:
+        with _failing_as(cfg, method, run_idx):
+            results[method] = _decide(cfg, method, rundata, *columns[method])
+    return results
 
 
 # --- orchestration and emission -----------------------------------------------
@@ -776,34 +895,45 @@ def _warn_unreachable(cfg: RunConfig, n: int) -> None:
 def run_benchmark(cfg: RunConfig) -> RunArtifacts:
     """Execute every configured method over `runs` seeded replicates.
 
+    Run-major: each run builds its data once per split group (every method
+    on the Gaussian oracle, the methods of one split kind on a table), and
+    the group's methods share its fits and stream draws.  A method's
+    records do not depend on which methods share its runs.  A failure
+    names the method, the run and the master seed; one in the group's
+    data names the group's first method in config order.
+
     Warns once per batch size n with which a method that uses real batches
     cannot reach the threshold floor; n is the one its split serves.
     """
     cfg.validate()
     table = _load_table(cfg) if cfg.dataset in ("csv", "oran") else None
+    methods = [MethodVariant(name) for name in dict.fromkeys(cfg.methods)]
+    groups: dict[str | None, list[MethodVariant]] = {}
+    for method in methods:
+        kind = None if table is None else method.split_kind
+        groups.setdefault(kind, []).append(method)
     checked_n: set[int] = set()
-    per_method: dict[str, MethodResult] = {}
-    for name in cfg.methods:
-        method = MethodVariant(name)
-        records: list[tuple[int, StepRecord]] = []
-        traces: list[RunTrace] = []
-        for run_idx in range(cfg.runs):
-            try:
+    records = {method: [] for method in methods}
+    traces = {method: [] for method in methods}
+    for run_idx in range(cfg.runs):
+        for kind, group in groups.items():
+            with _failing_as(cfg, group[0], run_idx):
                 if table is None:
-                    rundata = gaussian_synthetic_stream(cfg, method, run_idx)
+                    rundata = gaussian_synthetic_stream(cfg, group, run_idx)
                 else:
-                    rundata = table_run(cfg, method, run_idx, table)
-                if method.uses_real and rundata.n not in checked_n:
-                    checked_n.add(rundata.n)
-                    _warn_unreachable(cfg, rundata.n)
-                recs, trace = _detect_run(cfg, method, run_idx, rundata)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"method {name}, run {run_idx} (master seed {cfg.seed}) "
-                    f"failed: {exc}") from exc
-            records.extend((run_idx, rec) for rec in recs)
-            traces.append(trace)
-        per_method[name] = MethodResult(records, traces, aggregate(traces))
+                    rundata = table_run(cfg, kind, run_idx, table)
+                for method in group:
+                    if method.uses_real and rundata.n not in checked_n:
+                        checked_n.add(rundata.n)
+                        _warn_unreachable(cfg, rundata.n)
+                results = _run_group(cfg, group, run_idx, rundata)
+            for method, (recs, trace) in results.items():
+                records[method].extend((run_idx, rec) for rec in recs)
+                traces[method].append(trace)
+    per_method = {
+        method.value: MethodResult(records[method], traces[method],
+                                   aggregate(traces[method]))
+        for method in methods}
     return RunArtifacts(cfg, per_method)
 
 

@@ -119,30 +119,29 @@ def fit_twin(train, k: int = 2, rng: np.random.Generator | None = None,
     return TwinModel(tuple(weights), tuple(means), tuple(variances))
 
 
-def sample_synthetic(model: TwinModel, context, n_tilde: int,
-                     rng: np.random.Generator,
-                     noise_rng: np.random.Generator | None = None
-                     ) -> np.ndarray:
-    """Draw n_tilde i.i.d. synthetic feature vectors per context.
+def sample_synthetic(model: TwinModel, context, uniforms: np.ndarray,
+                     noise: np.ndarray) -> np.ndarray:
+    """Turn drawn randomness into synthetic feature vectors, i.i.d. per
+    context; the caller draws.
 
-    ``context`` is one context id, giving an (n_tilde, d) batch, or a vector
-    of k ids, giving k batches stacked into (k * n_tilde, d) rows.  Each
-    row's mixture component comes from one uniform of ``rng`` and its
-    Gaussian noise from ``noise_rng``, or from ``rng`` after all the
-    uniforms when that is None.  With two generators, successive calls read
-    both in order, so a batch does not depend on how the calls split a
-    sequence of contexts.
+    ``context`` is one context id or a vector of k ids.  Batch i has
+    n_tilde rows: row j takes its mixture component from ``uniforms[i, j]``
+    (uniforms is (k, n_tilde)) and its standard normal noise from
+    ``noise[i, j]`` (noise is (k, n_tilde, d)).  The k batches come back
+    stacked into (k * n_tilde, d) rows.
     """
-    if n_tilde < 1:
-        raise ValueError("n_tilde must be >= 1")
     contexts = np.atleast_1d(np.asarray(context))
+    k = contexts.size
+    if uniforms.ndim != 2 or uniforms.shape[0] != k or uniforms.shape[1] < 1:
+        raise ValueError(f"need (k, n_tilde) uniforms with k = {k} and "
+                         f"n_tilde >= 1, got shape {uniforms.shape}")
+    if noise.shape != (*uniforms.shape, model.dim):
+        raise ValueError(f"noise shape {noise.shape} does not match "
+                         f"uniforms {uniforms.shape} and d = {model.dim}")
     outside = (contexts < 0) | (contexts >= model.n_contexts)
     if outside.any():
         raise ValueError(f"context {contexts[outside][0]} outside "
                          f"[0, {model.n_contexts})")
-    uniforms = rng.random((contexts.size, n_tilde))
-    noise = (rng if noise_rng is None else noise_rng).standard_normal(
-        (contexts.size, n_tilde, model.dim))
     # as Generator.choice(p=weights) picks it, the component is the count of
     # normalized cumulative weights at or below the uniform; the last one is
     # 1, above every uniform, and so is the padding of a smaller mixture

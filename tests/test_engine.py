@@ -15,7 +15,7 @@ import pytest
 
 from coad import harness
 from coad.fdr import DetectorState, StepRecord, step
-from coad.harness import (MethodVariant, _fit_run, _load_table, _Purpose,
+from coad.harness import (MethodVariant, _load_table, _Purpose, _RunFits,
                           config_from, derive_rng, emit,
                           gaussian_synthetic_stream, run_benchmark, table_run)
 from coad.oran import generate_oran, samples_to_csv
@@ -26,8 +26,9 @@ CSV_METHODS = "C_COAD,C_PP_COAD,C_PO_COAD,FIXED"  # csv-oran's four
 
 
 def oracle_records(cfg, method, run_idx, rundata) -> list[StepRecord]:
-    """One run's step records, computed one step at a time."""
-    fitted = _fit_run(cfg, method, run_idx, rundata)
+    """One run's step records, computed one step at a time from the data of
+    ``method`` alone, on generators of its own."""
+    fitted = _RunFits(cfg, run_idx, rundata).fit(method)
     model, fill = fitted.score_model, fitted.imputer.fill_values
     draw = partial(derive_rng, cfg.seed, run_idx)
     test_mask, real_mask = draw(_Purpose.MASK, 0), draw(_Purpose.MASK, 1)
@@ -53,8 +54,10 @@ def oracle_records(cfg, method, run_idx, rundata) -> list[StepRecord]:
             continue
         synthetic = None
         if method.uses_twin:
+            shape = (1, rundata.n_tilde)
             synthetic = model.scores(sample_synthetic(
-                fitted.twin_model, c, rundata.n_tilde, comps, noise), c)
+                fitted.twin_model, c, comps.random(shape),
+                noise.standard_normal((*shape, x.size))), c)
         real = None
         if rundata.real_batches is not None:
             batch = rundata.real_batches(i, i + 1)[0]
@@ -105,13 +108,15 @@ class TestScalarOracle:
     def test_golden_config(self):
         cfg = config_from(GOLDEN_CONFIG)
         assert_engine_matches_oracle(
-            cfg, partial(gaussian_synthetic_stream, cfg))
+            cfg, lambda method, run: gaussian_synthetic_stream(
+                cfg, (method,), run))
 
     def test_csv_config(self, tmp_path):
         cfg = _oran_csv_config(tmp_path)
         table = _load_table(cfg)
         assert_engine_matches_oracle(
-            cfg, lambda method, run: table_run(cfg, method, run, table))
+            cfg, lambda method, run: table_run(cfg, method.split_kind, run,
+                                               table))
 
 
 def _digests(cfg, out):

@@ -55,6 +55,14 @@ class TestFitTwin:
                    for x, y in zip(a.variances, b.variances))
 
 
+def _sample(model, context, n_tilde, rng):
+    """One batch of n_tilde synthetic rows, drawn from ``rng`` as the gamma
+    pool draws them: all the component uniforms, then all the noise."""
+    uniforms = rng.random((1, n_tilde))
+    return sample_synthetic(model, context, uniforms,
+                            rng.standard_normal((1, n_tilde, model.dim)))
+
+
 class TestSampleSynthetic:
     def _unit_model(self):
         rng = np.random.default_rng(0)
@@ -63,29 +71,27 @@ class TestSampleSynthetic:
 
     def test_mean_concentrates(self):
         model = self._unit_model()
-        draws = sample_synthetic(model, 0, 10**5, np.random.default_rng(5))
+        draws = _sample(model, 0, 10**5, np.random.default_rng(5))
         assert abs(draws.mean()) < 3.5 / math.sqrt(10**5) + 0.05
 
     def test_shape(self):
         model = self._unit_model()
-        assert sample_synthetic(model, 0, 1, np.random.default_rng(0)).shape \
+        assert _sample(model, 0, 1, np.random.default_rng(0)).shape \
             == (1, 1)
 
     def test_replay_identical(self):
         model = self._unit_model()
-        a = sample_synthetic(model, 0, 64, np.random.default_rng(11))
-        b = sample_synthetic(model, 0, 64, np.random.default_rng(11))
+        a = _sample(model, 0, 64, np.random.default_rng(11))
+        b = _sample(model, 0, 64, np.random.default_rng(11))
         assert np.array_equal(a, b)
 
     def test_bad_context(self):
         with pytest.raises(ValueError):
-            sample_synthetic(self._unit_model(), 3, 5,
-                             np.random.default_rng(0))
+            _sample(self._unit_model(), 3, 5, np.random.default_rng(0))
 
     def test_bad_size(self):
         with pytest.raises(ValueError):
-            sample_synthetic(self._unit_model(), 0, 0,
-                             np.random.default_rng(0))
+            _sample(self._unit_model(), 0, 0, np.random.default_rng(0))
 
 
 class TestEcdfGap:
