@@ -102,9 +102,10 @@ class DatasetSchema:
             raise ValueError(f"{path}: missing required key 'label'")
         bins = tuple(float(v) for v in raw["context.bins"].split(",")) \
             if raw.get("context.bins") else ()
-        if any(b <= a for a, b in zip(bins, bins[1:])):
-            raise ValueError(f"{path}: context.bins must be strictly "
-                             f"increasing, got {raw['context.bins']}")
+        if not all(map(math.isfinite, bins)) or \
+                any(b <= a for a, b in zip(bins, bins[1:])):
+            raise ValueError(f"{path}: context.bins must be finite and "
+                             f"strictly increasing, got {raw['context.bins']}")
         missing = frozenset(raw["missing.tokens"].split(",")) \
             if "missing.tokens" in raw else frozenset({"?", ""})
         anomaly = frozenset(v.strip() for v in
@@ -171,7 +172,11 @@ def _parse_row(row, schema, codebooks) -> Observation:
         ctx_token = row[schema.context_column].strip()
         if ctx_token in schema.missing_tokens:
             raise ValueError(f"context column {schema.context_column!r} is missing")
-        context = schema.context_of(float(ctx_token))
+        value = float(ctx_token)
+        if not math.isfinite(value):
+            raise ValueError(f"context column {schema.context_column!r}: "
+                             f"non-finite value {ctx_token!r}")
+        context = schema.context_of(value)
     return Observation(values, mask, context, truth)
 
 

@@ -7,6 +7,15 @@ stream-time generator yields one kind of draw in step order, so replays are
 exact, a step's draws do not depend on how a run is chunked, and they do not
 shift when a method skips a query.
 
+The benchmark runs run-major.  A run's methods form split groups (all of
+them on the Gaussian oracle, the methods of one split kind on a table).  A
+group builds its data once, fits each model once per distinct input -- the
+imputer once, a score model and a generator once per context awareness --
+and draws its stream once, chunk by chunk; every method of the group reads
+those shared arrays in lock-step.  Since each shared object is a function
+of (seed, run, purpose, sub-stream) alone, a method's outputs do not depend
+on which methods share its runs.
+
 A run has two phases.  No step's statistic -- proxy p-value, acquisition
 draw, real p-value, test statistic -- reads the detector's past, so the
 statistic phase computes them for a chunk of steps at a time with numpy.
@@ -21,9 +30,8 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,12 +72,13 @@ class _Purpose:
     SPLITS = 1
     SCORE_FIT = 2
     TWIN_FIT = 3
-    VALIDITY = 4
+    VALIDITY = 4  # gamma calibration's synthetic pool, sub n_eff + context
     TEST_POINT = 5
     TWIN_SAMPLE = 6
     REAL_CAL = 7
     ACQUIRE = 8
     MASK = 9
+    VALIDATION = 10  # the Gaussian oracle's validation inliers, sub context
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -285,7 +294,7 @@ class RunData:
     ``real_batches(lo, hi)`` returns the (hi - lo, n, d) real calibration
     batches of steps lo..hi-1 (0-based); call it once per chunk, in step
     order, since the Gaussian oracle draws them as it goes.  It is None when
-    the split serves no real batches.
+    the run serves no real batches.
     """
 
     score_train: list[Observation]
@@ -337,8 +346,9 @@ class GaussianOracle:
                 + scale * rng.standard_normal((size, self.means.shape[1])))
 
 
-def gaussian_synthetic_stream(cfg: RunConfig, methods, run_idx: int
-                              ) -> RunData:
+def gaussian_synthetic_stream(cfg: RunConfig,
+                              methods: Sequence[MethodVariant],
+                              run_idx: int) -> RunData:
     """Per-run data from the Gaussian oracle: labeled stream, training sets,
     and fresh real calibration batches with a known nominal law.
 
@@ -375,9 +385,10 @@ def gaussian_synthetic_stream(cfg: RunConfig, methods, run_idx: int
                 twin_train.append(Observation(x, no_missing, c, 0))
 
     validation: list[Observation] = []
-    if _calibrates(cfg, methods):
+    if cfg.gamma_override is None and \
+            any(m.acquisition == "active" for m in methods):
         for c in range(contexts):
-            vrng = derive_rng(cfg.seed, run_idx, _Purpose.VALIDITY, c)
+            vrng = derive_rng(cfg.seed, run_idx, _Purpose.VALIDATION, c)
             for x in oracle.sample_nominal(c, cfg.val_size, vrng):
                 validation.append(Observation(x, no_missing, c, 0))
 
@@ -402,12 +413,6 @@ def gaussian_synthetic_stream(cfg: RunConfig, methods, run_idx: int
                    truth=truth, real_batches=real_batches,
                    n_contexts=contexts, kinds=("continuous",) * cfg.dim,
                    n=n, n_tilde=n_tilde)
-
-
-def _calibrates(cfg: RunConfig, methods) -> bool:
-    """Whether one of ``methods`` calibrates gamma on validation inliers."""
-    return cfg.gamma_override is None and \
-        any(m.acquisition == "active" for m in methods)
 
 
 @dataclass(eq=False)
@@ -604,16 +609,10 @@ class _RunFits:
         self.cfg, self.run_idx, self.rundata = cfg, run_idx, rundata
         self.imputer = Imputer.fit(rundata.score_train, rundata.kinds)
         self.score_train = _impute_rows(self.imputer, rundata.score_train)
+        self.twin_rows = _impute_rows(self.imputer, rundata.twin_train)
+        self.validation = _impute_rows(self.imputer, rundata.validation)
         self._score_models: dict[bool, ScoreModel] = {}
         self._twin_models: dict[bool, TwinModel] = {}
-
-    @cached_property
-    def twin_rows(self) -> list[Observation]:
-        return _impute_rows(self.imputer, self.rundata.twin_train)
-
-    @cached_property
-    def validation(self) -> list[Observation]:
-        return _impute_rows(self.imputer, self.rundata.validation)
 
     def _n_eff(self, aware: bool) -> int:
         return self.rundata.n_contexts if aware else 1
@@ -698,8 +697,9 @@ class _Chunk:
     real: np.ndarray | None       # (k, n, d) real batches, masked
 
 
-def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData, methods,
-            imputer: Imputer):
+def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData,
+            methods: Sequence[MethodVariant], imputer: Imputer
+            ) -> Iterator[_Chunk]:
     """Draw the stream of a split group chunk by chunk.
 
     Each stream-time generator is created once per run and yields one kind
@@ -835,7 +835,8 @@ def _failing_as(cfg: RunConfig, method: MethodVariant, run_idx: int):
             f"failed: {exc}") from exc
 
 
-def _run_group(cfg: RunConfig, group, run_idx: int, rundata: RunData
+def _run_group(cfg: RunConfig, group: Sequence[MethodVariant], run_idx: int,
+               rundata: RunData
                ) -> dict[MethodVariant, tuple[list[StepRecord], RunTrace]]:
     """One run of a split group: fit, run every method's statistic phase
     in lock-step over the shared chunks, then each decision phase.

@@ -61,12 +61,14 @@ class TestSchema:
         with pytest.raises(ValueError, match=r"nolabel\.schema.*'label'"):
             DatasetSchema.from_file(path)
 
-    @pytest.mark.parametrize("bins", ["5,1", "1,1"])
+    @pytest.mark.parametrize("bins", ["5,1", "1,1", "nan"])
     def test_bins_must_increase(self, tmp_path, bins):
+        # a nan bin compares false with every value and empties context 0
         path = tmp_path / "bins.schema"
         path.write_text(SCHEMA_TEXT.replace("context.bins = 50",
                                             f"context.bins = {bins}"))
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(ValueError,
+                           match=r"bins\.schema: .*strictly increasing"):
             DatasetSchema.from_file(path)
 
 
@@ -107,6 +109,18 @@ class TestLoadCsv:
     def test_missing_context_value(self, tmp_path, schema):
         with pytest.raises(ValueError, match="context"):
             load_csv(self._write(tmp_path, "?,1.0,M,3\n"), schema)
+
+    def test_non_finite_context_rejected(self, tmp_path):
+        # a context column that is no feature is parsed only for its bin;
+        # a nan there would bin into the top context without a word
+        schema = DatasetSchema(features=(("tsh", "continuous"),),
+                               label="class", context_column="site",
+                               context_bins=(1.5, 2.5))
+        path = tmp_path / "site.csv"
+        path.write_text("tsh,site,class\n1.0,1,0\n1.0,nan,0\n")
+        with pytest.raises(ValueError,
+                           match="row 3: context column 'site': non-finite"):
+            load_csv(path, schema)
 
     def test_empty_file_warns(self, tmp_path, schema):
         path = self._write(tmp_path, "")

@@ -8,6 +8,7 @@ no decision.
 """
 
 import hashlib
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -117,6 +118,24 @@ class TestScalarOracle:
         assert_engine_matches_oracle(
             cfg, lambda method, run: table_run(cfg, method.split_kind, run,
                                                table))
+
+
+@pytest.mark.parametrize("config", ["golden", "csv"])
+def test_sharing_is_invisible(config, tmp_path):
+    # a run's methods share its data, fits and draws; a method's records
+    # must not show which methods shared them
+    cfg = config_from(GOLDEN_CONFIG) if config == "golden" \
+        else _oran_csv_config(tmp_path)
+
+    def records(methods):
+        arts = run_benchmark(replace(cfg, methods=methods))
+        return {name: [repr(r) for r in result.records]
+                for name, result in arts.per_method.items()}
+
+    together = records(cfg.methods)
+    assert records(cfg.methods[::-1]) == together
+    for name in cfg.methods:
+        assert records((name,)) == {name: together[name]}, name
 
 
 def _digests(cfg, out):

@@ -21,9 +21,9 @@ GOLDEN_CONFIG = {
 }
 
 STEPS_SHA256 = \
-    "2b514a8d3d01bb87dff97cdb23ecfbd1d2b09d219ae391dd190c0ea34f923101"
+    "31e5790c2aaaf88a279e7dedfe875cee7d3c602d35cd1bbc7e806c604e4dadf5"
 AGGREGATE_SHA256 = \
-    "4eab869d4120351879bccdb75dbe91a5b02445931a4e646b9f66268ddf299806"
+    "30dfafd3d16cd826b7035503349268e0071264a95626eb0f63c55cad74d3d509"
 
 
 def test_emitted_csvs_match_golden_digests(tmp_path):

@@ -1,10 +1,13 @@
 import json
+import sys
 import warnings
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from coad import harness
 from coad.conformal import EPS_GAMMA
 from coad.harness import (AGG_HEADER, STEP_HEADER, MethodVariant, RunConfig,
                           config_from, derive_rng, emit, load_config,
@@ -154,6 +157,24 @@ class TestDeriveRng:
         c = derive_rng(2, 2, 3).random(4)
         assert not np.array_equal(a, b) and not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("contexts", [2, 3])
+    def test_each_key_comes_from_one_call_site(self, contexts, monkeypatch):
+        # two call sites deriving one key would read one stream for two
+        # purposes (the gamma pool once read a context's validation draws)
+        sites = defaultdict(set)
+
+        def recording(seed, *key):
+            caller = sys._getframe(1)
+            sites[key].add((caller.f_code.co_filename, caller.f_lineno))
+            return derive_rng(seed, *key)
+
+        monkeypatch.setattr(harness, "derive_rng", recording)
+        run_benchmark(_cfg(method="all", contexts=contexts, runs=2, steps=5,
+                           alpha=0.2, delta=0.5))
+        assert len(sites) > 10
+        assert {key: lines for key, lines in sites.items()
+                if len(lines) > 1} == {}
+
 
 class TestRecordShapes:
     def test_coad_always_queries(self):
@@ -302,10 +323,14 @@ class TestBehavior:
                                   anomaly_shift=0.0))
         assert arts.per_method["C_COAD"].summary.power_mean[-1] < 0.15
 
-    def test_failed_run_reports_context(self):
-        cfg = _cfg(method="C_PP_COAD")
+    @pytest.mark.parametrize("methods", ["C_PP_COAD", "C_COAD,C_PP_COAD"])
+    def test_failed_run_reports_context(self, methods):
+        # C_COAD shares the run's data and score model but fits no twin, so
+        # the failing twin fit belongs to C_PP_COAD
+        cfg = _cfg(method=methods)
         cfg.gmm_components = 10**6  # far more components than data
-        with pytest.raises(RuntimeError, match="run 0"):
+        with pytest.raises(RuntimeError,
+                           match=r"method C_PP_COAD, run 0 \(master seed 11\)"):
             run_benchmark(cfg)
 
 
