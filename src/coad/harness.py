@@ -597,12 +597,12 @@ class _FittedRun:
 
 
 class _RunFits:
-    """The fits of one run's split group, each made once, when the first
-    method that needs it asks for it.
+    """The fits of one run's split group, each made once.
 
-    The imputer and the imputed rows depend only on the group's data; a
-    score model and a generator depend on it and on context awareness.
-    FIXED's threshold and the gammas are fit per method, by ``fit``.
+    The imputer and the imputed rows depend only on the group's data and
+    are made with the object.  A score model and a generator also depend on
+    context awareness; each is fit when the first method that needs it
+    asks.  FIXED's threshold and the gammas are fit per method, by ``fit``.
     """
 
     def __init__(self, cfg: RunConfig, run_idx: int, rundata: RunData):
@@ -858,6 +858,7 @@ def _run_group(cfg: RunConfig, group: Sequence[MethodVariant], run_idx: int,
             with _failing_as(cfg, method, run_idx):
                 _statistics(cfg, method, fitted[method], rundata, chunk,
                             columns[method])
+    del chunk  # so that no chunk outlives the statistic phase
     results = {}
     for method in group:
         with _failing_as(cfg, method, run_idx):
