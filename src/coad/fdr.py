@@ -2,15 +2,24 @@
 
 The threshold at time t is
 
-    alpha_t = alpha * eta * max(zeta_t, 1 - delta)
-            + alpha * sum_j delta^(t - rho_j) * zeta_(t - rho_j)
+    alpha_t = min(1, alpha * eta * max(zeta_t, 1 - delta)
+                     + alpha * sum_j delta^(t - rho_j) * zeta_(t - rho_j))
 
 where rho_j are past detection times (strictly before t, so the threshold
 is measurable before the current statistic is seen) and {zeta_t} is a
 non-increasing sequence summing to 1 over t <= 10^6 and zero beyond.  The
 memory term is a convolution with k_l = delta^l * zeta_l, whose tail past
-W(delta) lags sums to less than KERNEL_TAIL, so the state keeps only the
-detections of the last W steps, however long the stream runs.
+W(delta) lags sums to less than KERNEL_TAIL, so only the detections of the
+last W steps count, however long the stream runs.  The memory term is a
+left fold in ascending rho_j: ((k_(t - rho_1) + k_(t - rho_2)) + ...), in
+floating point too, so the scalar schedule (``DetectorState`` and
+``next_threshold``) and the whole-stream walk (``threshold_walk``) give the
+same thresholds bit for bit.
+
+Between two detections alpha_t is known in advance, so ``threshold_walk``
+finds each next detection with one vector compare over a block of steps
+and then adds that detection's kernel slice to the memory of the W steps
+after it: its Python work grows with the detections, not with the steps.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ __all__ = [
     "decay_kernel",
     "next_threshold",
     "step",
+    "threshold_walk",
 ]
 
 
@@ -71,6 +81,15 @@ def decay_kernel(delta: float) -> np.ndarray:
     return kernel
 
 
+def _check_parameters(alpha: float, delta: float, eta: float) -> None:
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    if eta <= 0.0:
+        raise ValueError("eta must be positive")
+
+
 @dataclass(frozen=True, eq=False)
 class DetectorState:
     """Sequential detector state: clock, recent detection times, parameters.
@@ -89,12 +108,7 @@ class DetectorState:
     @classmethod
     def fresh(cls, alpha: float, delta: float,
               eta: float = 1.0) -> "DetectorState":
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if not 0.0 < delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if eta <= 0.0:
-            raise ValueError("eta must be positive")
+        _check_parameters(alpha, delta, eta)
         return cls(t=1, detection_times=(), alpha=alpha, delta=delta, eta=eta)
 
     def record(self, rejected: bool) -> "DetectorState":
@@ -113,10 +127,60 @@ def next_threshold(state: DetectorState) -> float:
     zeta_t = float(zetas[state.t - 1]) if state.t <= zetas.size else 0.0
     alpha_t = state.alpha * state.eta * max(zeta_t, 1.0 - state.delta)
     if state.detection_times:
-        lags = state.t - np.asarray(state.detection_times)  # all in [1, W]
-        alpha_t += state.alpha * float(
-            np.sum(decay_kernel(state.delta)[lags - 1]))
+        kernel = decay_kernel(state.delta)
+        memory = 0.0
+        for rho in state.detection_times:  # ascending: the left fold
+            memory += kernel[state.t - rho - 1]  # lag in [1, W]
+        alpha_t += state.alpha * float(memory)
     return min(1.0, alpha_t)
+
+
+# Steps the walk compares at once after a detection; the block doubles
+# each time it holds none.
+WALK_BLOCK = 32
+
+
+def threshold_walk(z, alpha: float, delta: float,
+                   eta: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Thresholds alpha_1..alpha_T and 0/1 decisions ``z_t <= alpha_t`` of
+    a whole stream of statistics z_1..z_T, as ``next_threshold`` and
+    ``DetectorState.record`` give them one step at a time.
+
+    The base term alpha * eta * max(zeta_t, 1 - delta) is one vector.  The
+    memory term starts at zero and gets the kernel slice k_1..k_W added
+    after each detection, in detection order, so every step's memory is the
+    left fold of its in-window detections.  A statistic that is NaN or
+    outside [0, 1] raises, since it could never be rejected.
+    """
+    _check_parameters(alpha, delta, eta)
+    z = np.asarray(z, dtype=float)
+    bad = np.flatnonzero(~((z >= 0.0) & (z <= 1.0)))
+    if bad.size:
+        raise ValueError(f"statistic z_t must lie in [0, 1]; step "
+                         f"{bad[0] + 1} has {z[bad[0]]}")
+    steps = z.size
+    zeta = np.zeros(steps)
+    head = build_zeta()[:steps]
+    zeta[:head.size] = head
+    base = alpha * eta * np.maximum(zeta, 1.0 - delta)
+    kernel = decay_kernel(delta)
+    memory = np.zeros(steps)
+    decisions = np.zeros(steps, dtype=int)
+    t, block = 0, WALK_BLOCK
+    while t < steps:
+        hi = min(steps, t + block)
+        # z_t <= 1, so the cap at 1 cannot change a decision
+        hits = z[t:hi] <= base[t:hi] + alpha * memory[t:hi]
+        first = int(hits.argmax())
+        if not hits[first]:
+            t, block = hi, 2 * block
+            continue
+        rho = t + first
+        decisions[rho] = 1
+        reach = min(steps, rho + 1 + kernel.size)
+        memory[rho + 1:reach] += kernel[:reach - rho - 1]
+        t, block = rho + 1, WALK_BLOCK
+    return np.minimum(1.0, base + alpha * memory), decisions
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,9 @@ on which methods share its runs.
 A run has two phases.  No step's statistic -- proxy p-value, acquisition
 draw, real p-value, test statistic -- reads the detector's past, so the
 statistic phase computes them for a chunk of steps at a time with numpy.
-The decision phase then walks them through the threshold recursion, the
-only sequential part.
+The decision phase then walks the statistics through the threshold
+schedule, one vector compare per stretch between detections, and folds the
+decisions into the run's metric trace.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ from .conformal import (GAMMA_MAX, acquisition_probability, active_pvalues,
 from .core import Observation, features_matrix
 from .data import (DatasetSchema, Imputer, SplitPlan, apply_mcar_mask,
                    build_stream, impute, load_csv, make_splits, parse_kv_file)
-# The run engine calls next_threshold through ``fdr`` and no longer calls
-# ``step``; the name stays because perfbench/spans.py patches it here.
-from .fdr import DetectorState, StepRecord, step  # noqa: F401
-from .metrics import MetricsTracker, RunTrace, TraceSummary, aggregate
+# The run engine calls ``fdr.threshold_walk``, not the single-step ``step``;
+# the name stays because perfbench/spans.py patches it here.
+from .fdr import StepRecord, step  # noqa: F401
+from .metrics import RunTrace, TraceSummary, aggregate, run_trace
 from .oran import generate_oran, samples_to_observations
 from .scoring import (QuantileThreshold, ScoreModel, fit_density_score,
                       fit_fixed_threshold, fit_kmeans_score,
@@ -782,39 +783,28 @@ def _statistics(cfg: RunConfig, method: MethodVariant, fitted: _FittedRun,
 
 
 def _optional(values: np.ndarray) -> list[float | None]:
-    return [None if np.isnan(v) else v for v in values.tolist()]
+    return [None if v != v else v for v in values.tolist()]  # NaN: absent
 
 
 def _decide(cfg: RunConfig, method: MethodVariant, rundata: RunData,
             q, u, p, z) -> tuple[list[StepRecord], RunTrace]:
-    """The decision phase: walk the statistics through the threshold
-    recursion, the only part that reads past decisions."""
-    state = DetectorState.fresh(cfg.alpha, cfg.delta, cfg.eta)
-    tracker = MetricsTracker.fresh(cfg.delta, cfg.eta)
-    records: list[StepRecord] = []
-    sfdr, power, cdar = [], [], []
-    columns = zip(rundata.contexts.tolist(), rundata.truth.tolist(),
-                  _optional(q), u.tolist(), _optional(p), z.tolist())
-    for t, (context, truth, q_t, u_t, p_t, z_t) in enumerate(columns, 1):
-        if method is MethodVariant.FIXED:
-            record = StepRecord(t=t, context=context, q=None, u=0, p=None,
-                                z=None, alpha_t=None, decision=int(z_t),
-                                truth=truth)
-        else:
-            alpha_t = fdr.next_threshold(state)
-            rejected = z_t <= alpha_t  # ties reject
-            state = state.record(rejected)
-            record = StepRecord(t=t, context=context, q=q_t, u=int(u_t),
-                                p=p_t, z=z_t, alpha_t=alpha_t,
-                                decision=int(rejected), truth=truth)
-        records.append(record)
-        tracker = tracker.update(record.decision, truth, record.u)
-        sfdr.append(tracker.sfdr)
-        power.append(tracker.power)
-        cdar.append(tracker.cdar)
-
-    trace = RunTrace(np.asarray(sfdr), np.asarray(power), np.asarray(cdar))
-    return records, trace
+    """The decision phase: the threshold walk over the run's statistics,
+    the only part that reads past decisions, then the metric trace."""
+    steps = z.size
+    if method is MethodVariant.FIXED:  # z holds the score-above flags
+        decisions, acquired = z.astype(int), np.zeros(steps, dtype=int)
+        qs = ps = zs = thresholds = [None] * steps
+    else:
+        alpha_t, decisions = fdr.threshold_walk(z, cfg.alpha, cfg.delta,
+                                                cfg.eta)
+        acquired = u.astype(int)
+        qs, ps, zs, thresholds = (_optional(q), _optional(p), z.tolist(),
+                                  alpha_t.tolist())
+    columns = zip(rundata.contexts.tolist(), qs, acquired.tolist(), ps, zs,
+                  thresholds, decisions.tolist(), rundata.truth.tolist())
+    records = [StepRecord(t, *row) for t, row in enumerate(columns, 1)]
+    return records, run_trace(decisions, rundata.truth, acquired, cfg.delta,
+                              cfg.eta)
 
 
 class _RunFailure(RuntimeError):

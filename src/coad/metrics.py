@@ -1,18 +1,22 @@
 """Decaying-memory evaluation: smoothed FDR, power, and acquisition rate.
 
-Each run owns one tracker of five decayed masses, updated by the plain
-recursion m <- delta * m + x of the decaying-memory FDR; per-timestep ratios
-are collected into a trace and traces are averaged pointwise across Monte
-Carlo runs.
+A run's metrics come from five decayed masses, each following the plain
+recursion m <- delta * m + x of the decaying-memory FDR.  ``run_trace``
+folds them over a run's decision, truth and acquisition columns and takes
+the per-timestep ratios as vectors; ``MetricsTracker`` folds one timestep
+at a time with the same arithmetic.  Traces are averaged pointwise across
+Monte Carlo runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-__all__ = ["MetricsTracker", "RunTrace", "TraceSummary", "aggregate"]
+__all__ = ["MetricsTracker", "RunTrace", "TraceSummary", "aggregate",
+           "run_trace"]
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,27 @@ class TraceSummary:
     power_se: np.ndarray
     cdar_mean: np.ndarray
     cdar_se: np.ndarray
+
+
+def _decayed(inputs, delta: float) -> np.ndarray:
+    """m_t = delta * m_(t-1) + x_t from m_0 = 0, in step order."""
+    masses = accumulate(inputs, lambda m, x: delta * m + x, initial=0.0)
+    return np.fromiter(masses, float, count=len(inputs) + 1)[1:]
+
+
+def run_trace(decision, truth, acquired, delta: float,
+              eta: float = 1.0) -> RunTrace:
+    """The trace of one run from its 0/1 decision, truth and acquisition
+    columns; equal, bit for bit, to folding ``MetricsTracker.update`` over
+    the steps."""
+    decision, truth, acquired = (np.asarray(c, dtype=int)
+                                 for c in (decision, truth, acquired))
+    false_anomalies, detections, true_detections, anomalies, acquisitions = (
+        _decayed(x.tolist(), delta) for x in (
+            decision * (1 - truth), decision, decision * truth, truth,
+            acquired))
+    return RunTrace(false_anomalies / (detections + eta),
+                    true_detections / (anomalies + eta), acquisitions)
 
 
 def _mean_se(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

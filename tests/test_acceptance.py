@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,31 @@ def test_a4_sfdr_control():
     ok = worst_excess <= 0.0 and elapsed < 300.0
     _report("A4 sFDR control for guaranteed methods", ok,
             f"worst excess {worst_excess:+.4f} ({worst_name}), {elapsed:.0f}s")
+
+
+def test_a4_sfdr_control_at_length():
+    # one long stream with a mis-specified twin; 200-step blocks stand in
+    # for the runs, and 1/(n+1) <= alpha * (1 - delta) keeps detections
+    # reachable, so the run must not warn
+    start = time.perf_counter()
+    cfg = config_from({
+        "dataset": "gaussian", "method": "C_PP_COAD", "seed": "1",
+        "alpha": "0.2", "delta": "0.9", "n": "60", "runs": "1",
+        "steps": "100000", "anomaly_rate": "0.1", "anomaly_shift": "4.0",
+        "twin_var_scale": "0.25"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run_benchmark(cfg).per_method["C_PP_COAD"].traces[0]
+    elapsed = time.perf_counter() - start
+    blocks = trace.sfdr.reshape(-1, 200)
+    mean = blocks.mean(axis=0)
+    se = blocks.std(axis=0, ddof=1) / math.sqrt(blocks.shape[0])
+    excess = float(np.max(mean - 2 * se)) - cfg.alpha
+    power = float(trace.power.mean())
+    ok = excess <= 0.0 and power > 0.1 and elapsed < 10.0
+    _report("A4 sFDR control on one long stream", ok,
+            f"excess {excess:+.4f}, mean power {power:.3f}, "
+            f"{elapsed:.1f}s")
 
 
 def test_a5_prediction_only_violation():

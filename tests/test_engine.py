@@ -2,9 +2,11 @@
 
 The oracle rebuilds every step record one step at a time through the public
 single-step API, ``fdr.step``, reading the run's stream-time generators one
-step per read.  The engine computes whole chunks of steps at once, so
-agreement bit for bit shows that chunking changes no draw, no statistic and
-no decision.
+step per read, and folds ``MetricsTracker.update`` over the records for the
+run's metric trace.  The engine computes whole chunks of steps at once and
+walks the thresholds a detection at a time, so agreement bit for bit shows
+that neither changes a draw, a statistic, a threshold, a decision or a
+metric.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ from coad.fdr import DetectorState, StepRecord, step
 from coad.harness import (MethodVariant, _load_table, _Purpose, _RunFits,
                           config_from, derive_rng, emit,
                           gaussian_synthetic_stream, run_benchmark, table_run)
+from coad.metrics import MetricsTracker
 from coad.oran import generate_oran, samples_to_csv
 from coad.twin import sample_synthetic
 from test_golden import GOLDEN_CONFIG
@@ -72,15 +75,33 @@ def oracle_records(cfg, method, run_idx, rundata) -> list[StepRecord]:
     return records
 
 
+def oracle_trace(cfg, records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sfdr, power and cdar after each of one run's records, one
+    ``MetricsTracker.update`` per step."""
+    tracker = MetricsTracker.fresh(cfg.delta, cfg.eta)
+    rows = []
+    for rec in records:
+        tracker = tracker.update(rec.decision, rec.truth, rec.u)
+        rows.append((tracker.sfdr, tracker.power, tracker.cdar))
+    return tuple(np.array(column) for column in zip(*rows))
+
+
 def assert_engine_matches_oracle(cfg, rundata_of):
     arts = run_benchmark(cfg)
     for name in cfg.methods:
         method = MethodVariant(name)
-        expected = [(run, rec) for run in range(cfg.runs)
-                    for rec in oracle_records(cfg, method, run,
-                                              rundata_of(method, run))]
+        result = arts.per_method[name]
+        expected = []
+        for run in range(cfg.runs):
+            records = oracle_records(cfg, method, run,
+                                     rundata_of(method, run))
+            expected += [(run, rec) for rec in records]
+            trace = result.traces[run]
+            for got, want in zip((trace.sfdr, trace.power, trace.cdar),
+                                 oracle_trace(cfg, records)):
+                assert np.array_equal(got, want), (name, run)
         # repr shows every bit of a float, and the types
-        assert [repr(r) for r in arts.per_method[name].records] == \
+        assert [repr(r) for r in result.records] == \
             [repr(r) for r in expected], name
 
 

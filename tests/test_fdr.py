@@ -2,22 +2,26 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coad.fdr import (KERNEL_TAIL, DetectorState, StepRecord, build_zeta,
-                      decay_kernel, next_threshold, step)
+                      decay_kernel, next_threshold, step, threshold_walk)
 
 HORIZON = 10**6
 
 
 def reference_threshold(t, detections, alpha, delta, eta=1.0):
-    """The full-history schedule: every past detection, no window."""
+    """The full-history schedule: every past detection, no window, with the
+    memory term summed left to right in ascending detection time."""
     zetas = build_zeta()
     alpha_t = alpha * eta * max(float(zetas[t - 1]), 1.0 - delta)
     if detections:
         lags = t - np.asarray(detections)
-        alpha_t += alpha * float(np.sum(delta ** lags * zetas[lags - 1]))
+        memory = 0.0
+        for term in delta ** lags * zetas[lags - 1]:
+            memory += term
+        alpha_t += alpha * float(memory)
     return min(1.0, alpha_t)
 
 
@@ -168,6 +172,84 @@ class TestNextThreshold:
             without = next_threshold(_state_at(t))
             with_det = next_threshold(_state_at(t, detections=(s,)))
             assert with_det > without
+
+
+# How a statistic is picked from the step's threshold: equal to it, zero,
+# the next float above it (capped at 1), or a given value in [0, 1].
+STATISTIC_KINDS = st.one_of(st.sampled_from(["tie", "zero", "above"]),
+                            st.floats(0.0, 1.0))
+
+
+def _scalar_loop(kinds, alpha, delta, eta):
+    """Statistics picked against a next_threshold / record loop, with that
+    loop's thresholds and decisions."""
+    state = DetectorState.fresh(alpha, delta, eta)
+    z, alphas, decisions = [], [], []
+    for kind in kinds:
+        alpha_t = next_threshold(state)
+        z_t = {"tie": alpha_t, "zero": 0.0,
+               "above": min(1.0, float(np.nextafter(alpha_t, 2.0)))
+               }.get(kind, kind)
+        rejected = z_t <= alpha_t
+        state = state.record(rejected)
+        z.append(z_t)
+        alphas.append(alpha_t)
+        decisions.append(int(rejected))
+    return np.array(z), np.array(alphas), decisions
+
+
+class TestThresholdWalk:
+    @settings(deadline=None, max_examples=40)
+    @given(alpha=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+           delta=st.sampled_from([0.5, 0.9]),
+           eta=st.sampled_from([0.5, 1.0, 4.0]),
+           kinds=st.lists(STATISTIC_KINDS, min_size=150, max_size=300))
+    def test_matches_scalar_loop(self, alpha, delta, eta, kinds):
+        # at delta = 0.5 every stream outlives W = 58 more than twice; eta 4
+        # takes alpha_t past 1, where the cap decides
+        z, alphas, decisions = _scalar_loop(kinds, alpha, delta, eta)
+        alpha_t, walked = threshold_walk(z, alpha, delta, eta)
+        assert alpha_t.tobytes() == alphas.tobytes()
+        assert walked.tolist() == decisions
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0 - 1e-9])
+    def test_crosses_zeta_horizon(self, delta):
+        # zeta_t is 0 past 10^6; at delta = 1 - 1e-9 zeta_t stays above the
+        # floor 1 - delta up to there, so the base term drops at the horizon
+        alpha, eta, lead = 0.1, 1.0, 200
+        z = np.ones(HORIZON + lead)  # 1 > alpha_t: no detection before
+        tail = 10.0 ** np.random.default_rng(5).uniform(-12, -1, 2 * lead)
+        tail[::17] = 0.0
+        z[-2 * lead:] = tail
+        alpha_t, decisions = threshold_walk(z, alpha, delta, eta)
+        assert not decisions[:-2 * lead].any()
+        assert decisions[-lead:].any()
+        state = DetectorState(t=HORIZON - lead + 1, detection_times=(),
+                              alpha=alpha, delta=delta, eta=eta)
+        for t in range(HORIZON - lead + 1, z.size + 1):
+            threshold = next_threshold(state)
+            assert threshold == alpha_t[t - 1], t
+            assert decisions[t - 1] == (z[t - 1] <= threshold), t
+            state = state.record(z[t - 1] <= threshold)
+        # a state built past the horizon from the walk's detections agrees
+        width = decay_kernel(delta).size
+        detections = np.flatnonzero(decisions) + 1
+        for t in (HORIZON + 1, HORIZON + lead // 2, z.size):
+            times = tuple(int(r) for r in detections if t - width <= r < t)
+            built = DetectorState(t=t, detection_times=times, alpha=alpha,
+                                  delta=delta, eta=eta)
+            assert next_threshold(built) == alpha_t[t - 1], t
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    def test_statistic_outside_unit_interval_raises(self, bad):
+        with pytest.raises(ValueError, match=r"step 2 has"):
+            threshold_walk([0.5, bad, 0.5], 0.1, 0.9)
+
+    def test_parameter_domain(self):
+        with pytest.raises(ValueError, match="alpha"):
+            threshold_walk([0.5], 1.1, 0.9)
+        with pytest.raises(ValueError, match="delta"):
+            threshold_walk([0.5], 0.1, 1.0)
 
 
 class TestStep:

@@ -21,7 +21,7 @@ GOLDEN_CONFIG = {
 }
 
 STEPS_SHA256 = \
-    "31e5790c2aaaf88a279e7dedfe875cee7d3c602d35cd1bbc7e806c604e4dadf5"
+    "691be3f4e435ac2b0d7f8ca3881fa5dc0d926d57e9d5ec5a6b49d6c2cf87c9a5"
 AGGREGATE_SHA256 = \
     "30dfafd3d16cd826b7035503349268e0071264a95626eb0f63c55cad74d3d509"
 

@@ -333,6 +333,18 @@ class TestBehavior:
                            match=r"method C_PP_COAD, run 0 \(master seed 11\)"):
             run_benchmark(cfg)
 
+    def test_nan_statistic_fails_loudly(self, monkeypatch):
+        # a NaN statistic is never <= alpha_t, so it would silently never
+        # reject; the decision phase refuses it and names the run
+        monkeypatch.setattr(
+            harness, "conformal_pvalues",
+            lambda cal, tests, plus_one=True: np.full(len(tests), np.nan))
+        with pytest.raises(RuntimeError,
+                           match=r"method COAD, run 0 \(master seed 11\) "
+                                 r"failed: statistic z_t must lie in "
+                                 r"\[0, 1\]; step 1 has nan"):
+            run_benchmark(_cfg(method="COAD"))
+
 
 class TestOranPath:
     def test_benchmark_runs_and_replays(self):
