@@ -9,8 +9,11 @@ Run from the repository root:
 For each workload of perfbench/workloads.py it runs perfbench/run.py twice,
 with ``--trace 0`` for the end-to-end metrics and with ``--trace 1`` for
 the per-layer split, one run after another.  It then times the tier-1
-suite.  It uses only the standard library; the benchmark runs measure
-themselves, and the suite is timed with ``time.perf_counter``.
+suite and probes how peak memory grows with stream length: the
+``long-stream`` config at each of STREAM_LENGTHS steps, each in a fresh
+interpreter.  It uses only the standard library; the benchmark runs
+measure themselves, the suite is timed with ``time.perf_counter``, and a
+probe reads its own peak RSS.
 """
 
 from __future__ import annotations
@@ -27,7 +30,22 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+from run import SINGLE_THREAD  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
+
+# Steps of the long-stream config whose peak RSS the memory probe compares;
+# the growth between the two, per added step, is what a step costs at peak.
+STREAM_LENGTHS = (20_000, 200_000)
+# One fresh interpreter's config_from, run_benchmark and emit of the JSON
+# config mapping in argv[1]; prints its peak RSS in MB.
+PROBE = """
+import json, resource, sys, tempfile
+from coad import config_from, emit, run_benchmark
+cfg = config_from(json.loads(sys.argv[1]))
+with tempfile.TemporaryDirectory() as out:
+    emit(run_benchmark(cfg), out)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+"""
 
 
 def perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -46,11 +64,17 @@ def values(verdict: dict) -> dict[str, float]:
             for name, metric in verdict["metrics"].items()}
 
 
-def tier1() -> dict:
-    """Wall time and summary line of the tier-1 suite."""
-    env = dict(os.environ)
+def source_env(**extra: str) -> dict[str, str]:
+    """This environment with the source tree first on PYTHONPATH."""
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def tier1() -> dict:
+    """Wall time and summary line of the tier-1 suite."""
+    env = source_env()
     start = perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
@@ -60,6 +84,27 @@ def tier1() -> dict:
     lines = proc.stdout.strip().splitlines()
     return {"wall_s": wall, "exit_code": proc.returncode,
             "summary": lines[-1] if lines else proc.stderr.strip()[-500:]}
+
+
+def peak_rss_mb(mapping: dict[str, str]) -> float:
+    """Peak RSS of one single-threaded PROBE of the config ``mapping``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(mapping)], cwd=ROOT,
+        env=source_env(**SINGLE_THREAD), capture_output=True, text=True,
+        check=True)
+    return float(proc.stdout.split()[-1])
+
+
+def stream_memory(seed: int) -> dict:
+    """Peak RSS of the long-stream config at each of STREAM_LENGTHS, and
+    its growth in bytes per added step."""
+    mapping = WORKLOADS["long-stream"].mapping(seed)
+    peaks = {steps: peak_rss_mb(dict(mapping, steps=str(steps)))
+             for steps in STREAM_LENGTHS}
+    short, long = STREAM_LENGTHS
+    return {"peak_rss_mb": {str(steps): mb for steps, mb in peaks.items()},
+            "bytes_per_step": (peaks[long] - peaks[short]) * 2**20
+            / (long - short)}
 
 
 def src_lines() -> int:
@@ -104,6 +149,7 @@ def main() -> int:
         "seed": args.seed,
         "seconds": args.seconds,
         "src_lines": src_lines(),
+        "stream_memory": stream_memory(args.seed),
         "tier1": tier1(),
         "workloads": workloads,
     }

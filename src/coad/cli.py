@@ -4,6 +4,7 @@ the synthetic conflict dataset to disk."""
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -64,12 +65,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = config_from(mapping, **overrides)
     artifacts = run_benchmark(cfg)
     paths = emit(artifacts, cfg.out_dir)
-    for name, result in artifacts.per_method.items():
-        s = result.summary
-        controlled = bool(max(s.sfdr_mean) <= cfg.alpha)
-        print(f"{name}: final sfdr={s.sfdr_mean[-1]:.4f} "
-              f"power={s.power_mean[-1]:.4f} cdar={s.cdar_mean[-1]:.4f} "
-              f"sfdr_controlled={controlled}")
+    summary = json.loads(paths["summary"].read_text(encoding="utf-8"))
+    for name in artifacts.per_method:
+        s = summary["per_method"][name]
+        print(f"{name}: final sfdr={s['final_sfdr']:.4f} "
+              f"power={s['final_power']:.4f} cdar={s['final_cdar']:.4f} "
+              f"sfdr_controlled={s['sfdr_controlled']}")
     print(f"artifacts written to {paths['steps'].parent}")
     return 0
 

@@ -22,6 +22,10 @@ statistic phase computes them for a chunk of steps at a time with numpy.
 The decision phase then walks the statistics through the threshold
 schedule, one vector compare per stretch between detections, and folds the
 decisions into the run's metric trace.
+
+A run's output stays columnar up to the files: ``RunSteps`` holds its
+per-step columns, ``MethodResult.records`` is a view built from them, and
+``emit`` writes the CSVs from them a block of EMIT_ROWS rows at a time.
 """
 
 from __future__ import annotations
@@ -205,6 +209,9 @@ class RunConfig:
         for size in (self.n, self.n_tilde):
             if size is not None and size < 1:
                 raise ValueError("n and n_tilde must be >= 1 when set")
+        for key in ("contexts", "dim", "gmm_components", "synth_pool"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
         if self.gamma_override is not None and \
                 not 0.0 < self.gamma_override <= GAMMA_MAX:
             raise ValueError(f"gamma_override must lie in (0, {GAMMA_MAX}]")
@@ -782,29 +789,36 @@ def _statistics(cfg: RunConfig, method: MethodVariant, fitted: _FittedRun,
         if rule == "active" else (p[at] if rule == "always" else q[at])
 
 
-def _optional(values: np.ndarray) -> list[float | None]:
-    return [None if v != v else v for v in values.tolist()]  # NaN: absent
+@dataclass(frozen=True, eq=False)
+class RunSteps:
+    """One run's per-step output as columns over its steps, NaN where a
+    value is absent: FIXED tests raw scores, so its q, p, z and alpha_t
+    are NaN and its u is 0."""
+
+    context: np.ndarray
+    q: np.ndarray
+    u: np.ndarray         # 0/1 real batch bought
+    p: np.ndarray
+    z: np.ndarray
+    alpha_t: np.ndarray
+    decision: np.ndarray  # 0/1
+    truth: np.ndarray     # 0/1
 
 
 def _decide(cfg: RunConfig, method: MethodVariant, rundata: RunData,
-            q, u, p, z) -> tuple[list[StepRecord], RunTrace]:
+            q, u, p, z) -> tuple[RunSteps, RunTrace]:
     """The decision phase: the threshold walk over the run's statistics,
     the only part that reads past decisions, then the metric trace."""
-    steps = z.size
+    acquired = u.astype(int)
     if method is MethodVariant.FIXED:  # z holds the score-above flags
-        decisions, acquired = z.astype(int), np.zeros(steps, dtype=int)
-        qs = ps = zs = thresholds = [None] * steps
+        decisions = z.astype(int)
+        z = alpha_t = np.full(z.size, np.nan)
     else:
         alpha_t, decisions = fdr.threshold_walk(z, cfg.alpha, cfg.delta,
                                                 cfg.eta)
-        acquired = u.astype(int)
-        qs, ps, zs, thresholds = (_optional(q), _optional(p), z.tolist(),
-                                  alpha_t.tolist())
-    columns = zip(rundata.contexts.tolist(), qs, acquired.tolist(), ps, zs,
-                  thresholds, decisions.tolist(), rundata.truth.tolist())
-    records = [StepRecord(t, *row) for t, row in enumerate(columns, 1)]
-    return records, run_trace(decisions, rundata.truth, acquired, cfg.delta,
-                              cfg.eta)
+    trace = run_trace(decisions, rundata.truth, acquired, cfg.delta, cfg.eta)
+    return RunSteps(rundata.contexts, q, acquired, p, z, alpha_t, decisions,
+                    rundata.truth), trace
 
 
 class _RunFailure(RuntimeError):
@@ -827,7 +841,7 @@ def _failing_as(cfg: RunConfig, method: MethodVariant, run_idx: int):
 
 def _run_group(cfg: RunConfig, group: Sequence[MethodVariant], run_idx: int,
                rundata: RunData
-               ) -> dict[MethodVariant, tuple[list[StepRecord], RunTrace]]:
+               ) -> dict[MethodVariant, tuple[RunSteps, RunTrace]]:
     """One run of a split group: fit, run every method's statistic phase
     in lock-step over the shared chunks, then each decision phase.
 
@@ -861,9 +875,22 @@ def _run_group(cfg: RunConfig, group: Sequence[MethodVariant], run_idx: int,
 
 @dataclass(eq=False)
 class MethodResult:
-    records: list[tuple[int, StepRecord]]
+    runs: list[RunSteps]
     traces: list[RunTrace]
     summary: TraceSummary
+
+    @property
+    def records(self) -> list[tuple[int, StepRecord]]:
+        """Every run's (run index, ``StepRecord``) rows, None where a column
+        holds NaN; a view built from the columns on each access."""
+        def optional(values):
+            return [None if v != v else v for v in values.tolist()]
+        return [(run_idx, StepRecord(t, *row))
+                for run_idx, s in enumerate(self.runs)
+                for t, row in enumerate(zip(
+                    s.context.tolist(), optional(s.q), s.u.tolist(),
+                    optional(s.p), optional(s.z), optional(s.alpha_t),
+                    s.decision.tolist(), s.truth.tolist()), 1)]
 
 
 @dataclass(eq=False)
@@ -905,7 +932,7 @@ def run_benchmark(cfg: RunConfig) -> RunArtifacts:
         kind = None if table is None else method.split_kind
         groups.setdefault(kind, []).append(method)
     checked_n: set[int] = set()
-    records = {method: [] for method in methods}
+    runs = {method: [] for method in methods}
     traces = {method: [] for method in methods}
     for run_idx in range(cfg.runs):
         for kind, group in groups.items():
@@ -919,22 +946,37 @@ def run_benchmark(cfg: RunConfig) -> RunArtifacts:
                         checked_n.add(rundata.n)
                         _warn_unreachable(cfg, rundata.n)
                 results = _run_group(cfg, group, run_idx, rundata)
-            for method, (recs, trace) in results.items():
-                records[method].extend((run_idx, rec) for rec in recs)
+            for method, (steps, trace) in results.items():
+                runs[method].append(steps)
                 traces[method].append(trace)
     per_method = {
-        method.value: MethodResult(records[method], traces[method],
+        method.value: MethodResult(runs[method], traces[method],
                                    aggregate(traces[method]))
         for method in methods}
     return RunArtifacts(cfg, per_method)
 
 
-def _fmt(value) -> str:
-    return "" if value is None else f"{value:.17g}"
-
-
 STEP_HEADER = "run,t,context,method,q,u,p,z,alpha_t,decision,truth"
 AGG_HEADER = "t,method,sfdr_mean,sfdr_se,power_mean,power_se,cdar_mean,cdar_se"
+# steps.csv and aggregate.csv are formatted and written this many rows at a
+# time, so emission holds one block of text however long the runs are.
+EMIT_ROWS = 2**10
+
+
+def _text(values: np.ndarray) -> Iterator[str]:
+    """Integers as integers, floats with 17 significant digits, NaN empty."""
+    if values.dtype.kind != "f":
+        return map(str, values.tolist())
+    return ("" if v != v else f"{v:.17g}" for v in values.tolist())
+
+
+def _blocks(*columns: np.ndarray) -> Iterator[Iterator[tuple]]:
+    """Rows (t, text of each column...) of equal-length columns, one
+    EMIT_ROWS block at a time; t counts from 1."""
+    size = columns[0].size
+    for lo in range(0, size, EMIT_ROWS):
+        hi = min(size, lo + EMIT_ROWS)
+        yield zip(range(lo + 1, hi + 1), *(_text(c[lo:hi]) for c in columns))
 
 
 def emit(artifacts: RunArtifacts, out_dir) -> dict[str, Path]:
@@ -947,30 +989,26 @@ def emit(artifacts: RunArtifacts, out_dir) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     cfg = artifacts.config
 
-    step_lines = [STEP_HEADER]
-    for name, result in artifacts.per_method.items():
-        for run_idx, rec in result.records:
-            step_lines.append(",".join([
-                str(run_idx), str(rec.t), str(rec.context), name,
-                _fmt(rec.q), str(rec.u), _fmt(rec.p), _fmt(rec.z),
-                _fmt(rec.alpha_t), str(rec.decision),
-                "" if rec.truth is None else str(rec.truth),
-            ]))
     steps_path = out / "steps.csv"
-    steps_path.write_text("\n".join(step_lines) + "\n", encoding="utf-8")
+    with steps_path.open("w", encoding="utf-8") as file:
+        file.write(STEP_HEADER + "\n")
+        for name, result in artifacts.per_method.items():
+            for run_idx, s in enumerate(result.runs):
+                for rows in _blocks(s.context, s.q, s.u, s.p, s.z, s.alpha_t,
+                                    s.decision, s.truth):
+                    file.write("".join(
+                        f"{run_idx},{t},{c},{name},{','.join(rest)}\n"
+                        for t, c, *rest in rows))
 
-    agg_lines = [AGG_HEADER]
-    for name, result in artifacts.per_method.items():
-        s = result.summary
-        for i in range(s.sfdr_mean.size):
-            agg_lines.append(",".join([
-                str(i + 1), name,
-                _fmt(s.sfdr_mean[i]), _fmt(s.sfdr_se[i]),
-                _fmt(s.power_mean[i]), _fmt(s.power_se[i]),
-                _fmt(s.cdar_mean[i]), _fmt(s.cdar_se[i]),
-            ]))
     agg_path = out / "aggregate.csv"
-    agg_path.write_text("\n".join(agg_lines) + "\n", encoding="utf-8")
+    with agg_path.open("w", encoding="utf-8") as file:
+        file.write(AGG_HEADER + "\n")
+        for name, result in artifacts.per_method.items():
+            s = result.summary
+            for rows in _blocks(s.sfdr_mean, s.sfdr_se, s.power_mean,
+                                s.power_se, s.cdar_mean, s.cdar_se):
+                file.write("".join(f"{t},{name},{','.join(rest)}\n"
+                                   for t, *rest in rows))
 
     summary = {"config": cfg.resolved(), "per_method": {}}
     for name, result in artifacts.per_method.items():

@@ -10,6 +10,7 @@ metric.
 """
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -172,3 +173,49 @@ def test_outputs_do_not_depend_on_chunk_size(config, tmp_path, monkeypatch):
     default = _digests(cfg, tmp_path / "default")
     monkeypatch.setattr(harness, "CHUNK_VALUES", 1)  # one step per chunk
     assert _digests(cfg, tmp_path / "one_step") == default
+
+
+@pytest.mark.parametrize("config", ["golden", "csv"])
+def test_outputs_do_not_depend_on_emit_block(config, tmp_path, monkeypatch):
+    # golden covers FIXED's empty columns and the NaN q and p of the
+    # methods that skip a batch
+    cfg = config_from(GOLDEN_CONFIG) if config == "golden" \
+        else _oran_csv_config(tmp_path)
+    arts = run_benchmark(cfg)
+
+    def files(out):
+        paths = emit(arts, out)
+        return [paths[key].read_bytes() for key in ("steps", "aggregate")]
+
+    default = files(tmp_path / "default")
+    rows = default[0].count(b"\n")
+    for block in (1, 7, rows + 1):
+        monkeypatch.setattr(harness, "EMIT_ROWS", block)
+        assert files(tmp_path / f"block{block}") == default, block
+
+
+def test_memory_per_step_is_bounded(tmp_path):
+    # between the statistic phase and the files nothing is kept or built
+    # per step beyond the result columns: the artifacts grow by their
+    # columns alone, and emission holds one block of text at any length
+    def measure(steps):
+        cfg = config_from({"method": "C_COAD", "runs": "1", "seed": "3",
+                           "steps": str(steps), "n": "20", "alpha": "0.2",
+                           "delta": "0.5"})
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            arts = run_benchmark(cfg)
+            retained = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            emit(arts, tmp_path / str(steps))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return retained, peak - start
+
+    measure(1000)  # fills the caches: the zeta table, the decay kernel
+    (small, small_emit), (large, large_emit) = measure(4000), measure(16000)
+    assert (large - small) / 12000 <= 256
+    assert large_emit < 2 * small_emit and large_emit < 2**20

@@ -116,10 +116,19 @@ class TestConfig:
         {"q_miss": "1.0"}, {"score": "zero-shot"},
         {"anomaly_rate": "-0.5"}, {"anomaly_rate": "1.0"},
         {"anomaly_rate": "1.5"}, {"eta": "0"}, {"n": "0"}, {"n_tilde": "0"},
+        {"contexts": "0"}, {"dim": "0"}, {"gmm_components": "0"},
+        {"synth_pool": "0"},
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             config_from(bad)
+
+    @pytest.mark.parametrize("key", ["contexts", "dim", "gmm_components",
+                                     "synth_pool"])
+    def test_sizes_fail_at_config_time_by_name(self, key):
+        # left to run 0, these failed with causes that named no key
+        with pytest.raises(ValueError, match=f"^{key} must be >= 1$"):
+            config_from({key: "0"})
 
     def test_csv_requires_paths(self):
         with pytest.raises(ValueError, match="csv"):
