@@ -3,7 +3,7 @@ calibration, and online control of a decaying-memory false discovery rate."""
 
 from .conformal import (EPS_GAMMA, GAMMA_MAX, acquisition_probability,
                         active_pvalue, conformal_pvalue, draw_acquisition)
-from .core import Observation, observation
+from .core import Observation, Table, observation
 from .fdr import DetectorState, StepRecord, next_threshold, step
 from .harness import (MethodVariant, RunConfig, config_from, derive_rng, emit,
                       run_benchmark)

@@ -1,7 +1,10 @@
-"""Core value types: the per-step observation and p-value clamping.
+"""Core value types: a table of rows, one observation, p-value clamping.
 
-An Observation is immutable, safe to share across threads and across
-independent benchmark runs.
+A Table is the one form of a set of rows on the run path: a dataset, the
+parts of a split, a training or validation set, a stream's test points.
+Its columns make per-context selection a boolean index on the context
+column.  An Observation is the public single-point type.  Both are
+immutable, safe to share across threads and independent benchmark runs.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ EPS_VAR = 1e-6
 
 __all__ = [
     "EPS_VAR",
+    "Table",
     "Observation",
     "observation",
-    "features_matrix",
     "clamp_pvalue",
 ]
 
@@ -32,6 +35,57 @@ def clamp_pvalue(value: float) -> float:
     if np.isnan(value):
         raise ValueError("p-value is NaN")
     return min(1.0, max(0.0, value))
+
+
+@dataclass(frozen=True, eq=False)
+class Table:
+    """m labeled rows as columns.
+
+    ``features`` is (m, d) with NaN where a value is missing; missing values
+    must not be read before imputation.  ``context`` holds each row's
+    non-negative context id and ``truth`` its 0/1 anomaly label.  Both are
+    checked once, here.  The columns are read-only views.
+    """
+
+    features: np.ndarray
+    context: np.ndarray
+    truth: np.ndarray
+
+    def __post_init__(self) -> None:
+        columns = (np.asarray(self.features, dtype=float).view(),
+                   np.asarray(self.context, dtype=np.int64).view(),
+                   np.asarray(self.truth, dtype=np.int64).view())
+        features, context, truth = columns
+        if features.ndim != 2 or features.shape[1] < 1 or \
+                not context.shape == truth.shape == (len(features),):
+            raise ValueError("need an (m, d) feature matrix, d >= 1, and one "
+                             "context and one label per row; got shapes "
+                             f"{[c.shape for c in columns]}")
+        if (context < 0).any():
+            raise ValueError("context id must be non-negative")
+        if ((truth != 0) & (truth != 1)).any():
+            raise ValueError("truth must be 0 or 1")
+        for name, column in zip(("features", "context", "truth"), columns):
+            column.flags.writeable = False  # the source stays writeable
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return self.features.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.features.shape[1]
+
+    def rows(self, index) -> "Table":
+        """The rows at ``index``: a slice, positions or a boolean mask."""
+        return Table(self.features[index], self.context[index],
+                     self.truth[index])
+
+    def observed(self) -> np.ndarray:
+        """The feature matrix of fully observed (or already imputed) rows."""
+        if np.isnan(self.features).any():
+            raise ValueError("missing value read before imputation")
+        return self.features
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,12 +137,3 @@ def observation(features, context: int = 0, truth: int | None = None,
     if mask is None:
         mask = np.isnan(feats)
     return Observation(feats, np.asarray(mask), context, truth)
-
-
-def features_matrix(observations) -> np.ndarray:
-    """Stack fully observed (or already imputed) feature vectors into an
-    (m, d) matrix; masked slots hold NaN, so one check covers every row."""
-    matrix = np.stack([obs.features for obs in observations])
-    if np.isnan(matrix).any():
-        raise ValueError("masked observation read before imputation")
-    return matrix

@@ -1,11 +1,11 @@
 """Dataset ingestion, split protocol, MCAR masking, and imputation.
 
-CSV rows become Observations through a schema that names feature columns
+A CSV file becomes one Table through a schema that names feature columns
 (continuous or categorical), the label column, a numeric context column
 with bin boundaries, and the missing-value tokens.  Splits follow the
-benchmark protocol: shuffle, cut the inliers into score-training /
-generator-training / calibration parts, and serve the calibration part as
-disjoint per-timestep batches.
+benchmark protocol: shuffle the row indices, cut the inliers into
+score-training / generator-training / calibration parts, and serve the
+calibration part as disjoint per-timestep batches.  Every part is a Table.
 """
 
 from __future__ import annotations
@@ -13,18 +13,16 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Observation, observation
+from .core import Table
 
 __all__ = [
     "DatasetSchema",
     "SplitPlan",
     "Splits",
-    "StreamItem",
     "Imputer",
     "load_csv",
     "make_splits",
@@ -82,8 +80,10 @@ class DatasetSchema:
     def kinds(self) -> tuple[str, ...]:
         return tuple(kind for _, kind in self.features)
 
-    def context_of(self, value: float) -> int:
-        return bisect_right(list(self.context_bins), value)
+    def context_of(self, value):
+        """Context of a context-column value, elementwise for an array:
+        the number of bin boundaries at or below it."""
+        return np.searchsorted(self.context_bins, value, side="right")
 
     @classmethod
     def from_file(cls, path) -> "DatasetSchema":
@@ -117,67 +117,73 @@ class DatasetSchema:
                    categories=categories)
 
 
-def load_csv(path, schema: DatasetSchema) -> list[Observation]:
-    """Parse a CSV file into Observations.
+def load_csv(path, schema: DatasetSchema) -> Table:
+    """Parse a CSV file into a Table, one row per record.
 
-    Missing tokens set the mask; declared-but-unknown category values are
+    Missing tokens leave NaN; declared-but-unknown category values are
     treated as missing too, while undeclared categorical columns get codes
     in first-seen order.  Malformed rows fail with their row number.
     """
-    observations: list[Observation] = []
     codebooks: dict[str, dict[str, int]] = {
         name: {v: i for i, v in enumerate(schema.categories[name])}
         for name, kind in schema.features
         if kind == "categorical" and name in schema.categories}
+    records = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            warnings.warn(f"{path}: empty file, no rows loaded", stacklevel=2)
-            return observations
-        for rownum, row in enumerate(reader, start=2):  # header is line 1
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        # the header is line 1; blank records are skipped uncounted
+        for rownum, row in enumerate(filter(None, reader), start=2):
             try:
-                observations.append(_parse_row(row, schema, codebooks))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: malformed row {rownum}: {exc}") from exc
-    if not observations:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, "
+                                     f"got {len(row)}")
+                fields = dict(zip(header, map(str.strip, row)))
+                records.append(_parse_row(fields, schema, codebooks))
+            except (KeyError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}: malformed row {rownum}: {exc}") from exc
+    if header is None:
+        warnings.warn(f"{path}: empty file, no rows loaded", stacklevel=2)
+    elif not records:
         warnings.warn(f"{path}: no data rows", stacklevel=2)
-    return observations
+    d = len(schema.features)
+    matrix = np.array(records, dtype=float).reshape(len(records), d + 2)
+    return Table(matrix[:, :d], schema.context_of(matrix[:, d]),
+                 matrix[:, d + 1])
 
 
-def _parse_row(row, schema, codebooks) -> Observation:
-    values = np.empty(len(schema.features))
-    mask = np.zeros(len(schema.features), dtype=bool)
-    for i, (name, kind) in enumerate(schema.features):
-        token = row[name].strip()
+def _parse_row(fields, schema, codebooks) -> list[float]:
+    """A record's feature values (NaN where missing), its context-column
+    value and its 0/1 label.  The context value is -inf, which bins into
+    context 0, when the schema names no context column."""
+    values = []
+    for name, kind in schema.features:
+        token = fields[name]
         if token in schema.missing_tokens:
-            mask[i] = True
+            values.append(math.nan)
         elif kind == "continuous":
-            values[i] = float(token)
-            if not math.isfinite(values[i]):
-                raise ValueError(f"column {name!r}: non-finite value {token!r}")
+            values.append(_finite(token, f"column {name!r}"))
         elif name in schema.categories:
-            code = codebooks[name].get(token)
-            if code is None:
-                mask[i] = True  # unknown category behaves like missing
-            else:
-                values[i] = code
+            # an unknown category behaves like a missing value
+            values.append(codebooks[name].get(token, math.nan))
         else:
             book = codebooks.setdefault(name, {})
-            values[i] = book.setdefault(token, len(book))
-    label_token = row[schema.label].strip()
-    truth = 1 if label_token in schema.anomaly_values else 0
-    if schema.context_column is None:
-        context = 0
-    else:
-        ctx_token = row[schema.context_column].strip()
-        if ctx_token in schema.missing_tokens:
-            raise ValueError(f"context column {schema.context_column!r} is missing")
-        value = float(ctx_token)
-        if not math.isfinite(value):
-            raise ValueError(f"context column {schema.context_column!r}: "
-                             f"non-finite value {ctx_token!r}")
-        context = schema.context_of(value)
-    return Observation(values, mask, context, truth)
+            values.append(book.setdefault(token, len(book)))
+    label = float(fields[schema.label] in schema.anomaly_values)
+    name = schema.context_column
+    if name is None:
+        return values + [-math.inf, label]
+    if fields[name] in schema.missing_tokens:
+        raise ValueError(f"context column {name!r} is missing")
+    return values + [_finite(fields[name], f"context column {name!r}"), label]
+
+
+def _finite(token: str, what: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{what}: non-finite value {token!r}")
+    return value
 
 
 # --- split protocol ---------------------------------------------------------
@@ -213,21 +219,15 @@ class SplitPlan:
 
 @dataclass(frozen=True, eq=False)
 class Splits:
-    score_train: tuple[Observation, ...]
-    twin_train: tuple[Observation, ...]
-    calibration: tuple[Observation, ...]
-    test_inliers: tuple[Observation, ...]
-    anomaly_pool: tuple[Observation, ...]
+    score_train: Table
+    twin_train: Table
+    calibration: Table
+    test_inliers: Table
+    anomaly_pool: Table
     n: int
 
 
-@dataclass(frozen=True, eq=False)
-class StreamItem:
-    test: Observation
-    calibration: tuple[Observation, ...]
-
-
-def make_splits(data, plan: SplitPlan, steps: int,
+def make_splits(data: Table, plan: SplitPlan, steps: int,
                 rng: np.random.Generator) -> Splits:
     """Shuffle and cut a labeled dataset for one run of ``steps`` timesteps.
 
@@ -238,56 +238,56 @@ def make_splits(data, plan: SplitPlan, steps: int,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    inliers = [obs for obs in data if obs.truth != 1]
-    anomalies = [obs for obs in data if obs.truth == 1]
-    inliers = [inliers[i] for i in rng.permutation(len(inliers))]
-    anomalies = [anomalies[i] for i in rng.permutation(len(anomalies))]
+    inliers = np.flatnonzero(data.truth != 1)
+    anomalies = np.flatnonzero(data.truth == 1)
+    inliers = inliers[rng.permutation(inliers.size)]
+    anomalies = anomalies[rng.permutation(anomalies.size)]
 
-    if len(inliers) < plan.test_reserve:
+    if inliers.size < plan.test_reserve:
         raise ValueError(f"need at least {plan.test_reserve} inlier rows for "
-                         f"the test reserve, got {len(inliers)}")
-    test_inliers = tuple(inliers[:plan.test_reserve])
+                         f"the test reserve, got {inliers.size}")
+    test_inliers = inliers[:plan.test_reserve]
     rest = inliers[plan.test_reserve:]
 
     f_score, f_twin, _ = plan.fractions
-    cut1 = math.floor(f_score * len(rest))
-    cut2 = math.floor((f_score + f_twin) * len(rest))
+    cut1 = math.floor(f_score * rest.size)
+    cut2 = math.floor((f_score + f_twin) * rest.size)
     score_in, twin_part, cal_part = rest[:cut1], rest[cut1:cut2], rest[cut2:]
 
     if plan.kind == "twinless":
-        cal_part = twin_part + cal_part
-        twin_part = []
+        twin_part, cal_part = rest[:0], rest[cut1:]
     elif plan.kind == "prediction_only":
-        twin_part = twin_part + cal_part
-        cal_part = []
+        twin_part, cal_part = rest[cut1:], rest[:0]
 
-    anom_cut = math.floor(f_score * len(anomalies))
-    score_train = score_in + anomalies[:anom_cut]
-    anomaly_pool = tuple(anomalies[anom_cut:])
+    anom_cut = math.floor(f_score * anomalies.size)
+    score_train = np.concatenate([score_in, anomalies[:anom_cut]])
 
     if plan.kind == "prediction_only":
         n = 0
     else:
         n = plan.n_per_step if plan.n_per_step is not None \
-            else len(cal_part) // steps
-        if n < 1 or n * steps > len(cal_part):
+            else cal_part.size // steps
+        if n < 1 or n * steps > cal_part.size:
             minimum = steps * max(1, plan.n_per_step or 1)
             raise ValueError(
-                f"calibration part has {len(cal_part)} rows; need at least "
+                f"calibration part has {cal_part.size} rows; need at least "
                 f"{minimum} for {steps} fresh batches")
 
-    return Splits(score_train=tuple(score_train), twin_train=tuple(twin_part),
-                  calibration=tuple(cal_part), test_inliers=test_inliers,
-                  anomaly_pool=anomaly_pool, n=n)
+    return Splits(score_train=data.rows(score_train),
+                  twin_train=data.rows(twin_part),
+                  calibration=data.rows(cal_part),
+                  test_inliers=data.rows(test_inliers),
+                  anomaly_pool=data.rows(anomalies[anom_cut:]), n=n)
 
 
 def build_stream(splits: Splits, steps: int, rng: np.random.Generator,
-                 anomaly_rate: float = 0.1) -> tuple[StreamItem, ...]:
-    """Lay out the per-timestep stream: one test point plus a fresh batch.
+                 anomaly_rate: float = 0.1) -> Table:
+    """The stream's test points, one per timestep, in step order.
 
     Anomaly steps (a count-controlled share of ``steps``) draw their test
     point from the anomaly pool; the rest consume the reserved inliers.
-    Calibration batches are disjoint front slices of the calibration part.
+    The step-t calibration batch is the t-th slice of n rows of the
+    calibration part.
     """
     if not 0.0 <= anomaly_rate < 1.0:
         raise ValueError("anomaly_rate must lie in [0, 1)")
@@ -295,20 +295,18 @@ def build_stream(splits: Splits, steps: int, rng: np.random.Generator,
     if len(splits.test_inliers) < steps - k:
         raise ValueError(f"need {steps - k} reserved inlier test points, "
                          f"got {len(splits.test_inliers)}")
-    anomaly_steps = set(rng.choice(steps, size=k, replace=False).tolist())
-    items = []
-    next_anom = 0
-    next_null = 0
-    for t in range(steps):
-        if t in anomaly_steps:
-            test = splits.anomaly_pool[next_anom]
-            next_anom += 1
-        else:
-            test = splits.test_inliers[next_null]
-            next_null += 1
-        batch = splits.calibration[t * splits.n:(t + 1) * splits.n]
-        items.append(StreamItem(test=test, calibration=batch))
-    return tuple(items)
+    anomalous = np.zeros(steps, dtype=bool)
+    anomalous[rng.choice(steps, size=k, replace=False)] = True
+    pool, null_pool = splits.anomaly_pool, splits.test_inliers
+    columns = []
+    for anomaly, null in zip((pool.features, pool.context, pool.truth),
+                             (null_pool.features, null_pool.context,
+                              null_pool.truth)):
+        column = np.empty((steps, *null.shape[1:]), dtype=null.dtype)
+        column[anomalous] = anomaly[:k]
+        column[~anomalous] = null[:steps - k]
+        columns.append(column)
+    return Table(*columns)
 
 
 # --- missingness ------------------------------------------------------------
@@ -329,26 +327,25 @@ def apply_mcar_mask(features: np.ndarray, q_miss: float,
 class Imputer:
     """Per-feature fill values: training median (continuous) or mode.
 
-    Fully determined at fit time; applying it clears the mask and leaves
-    observed slots untouched.
+    Fully determined at fit time; applying it fills the missing values and
+    leaves observed ones untouched.
     """
 
     fill_values: np.ndarray
     kinds: tuple[str, ...]
 
     @classmethod
-    def fit(cls, train, kinds) -> "Imputer":
+    def fit(cls, train: Table, kinds) -> "Imputer":
         kinds = tuple(kinds)
-        if not train:
+        if not len(train):
             raise ValueError("cannot fit an imputer on no data")
-        d = train[0].dim
+        d = train.dim
         if len(kinds) != d:
             raise ValueError("one kind per feature is required")
-        features = np.stack([obs.features for obs in train])
-        observed = ~np.stack([obs.mask for obs in train])
+        observed = ~np.isnan(train.features)
         fill = np.empty(d)
         for i, kind in enumerate(kinds):
-            column = features[observed[:, i], i]  # in row order
+            column = train.features[observed[:, i], i]  # row order
             if not column.size:
                 raise ValueError(f"feature {i} has no observed training values")
             if kind == "continuous":
@@ -361,11 +358,10 @@ class Imputer:
         return cls(fill, kinds)
 
 
-def impute(imp: Imputer, obs: Observation) -> Observation:
-    """Fill masked slots from the imputer and clear the mask."""
-    if not obs.mask.any():
-        return obs
-    values = obs.features.copy()
-    values[obs.mask] = imp.fill_values[obs.mask]
-    return Observation(values, np.zeros(obs.dim, dtype=bool),
-                       obs.context, obs.truth)
+def impute(imp: Imputer, features: np.ndarray) -> np.ndarray:
+    """Fill the NaN holes of an (..., d) feature array from the imputer;
+    an array without holes comes back as it is."""
+    holes = np.isnan(features)
+    if not holes.any():
+        return features
+    return np.where(holes, imp.fill_values, features)

@@ -9,12 +9,13 @@ shift when a method skips a query.
 
 The benchmark runs run-major.  A run's methods form split groups (all of
 them on the Gaussian oracle, the methods of one split kind on a table).  A
-group builds its data once, fits each model once per distinct input -- the
-imputer once, a score model and a generator once per context awareness --
-and draws its stream once, chunk by chunk; every method of the group reads
-those shared arrays in lock-step.  Since each shared object is a function
-of (seed, run, purpose, sub-stream) alone, a method's outputs do not depend
-on which methods share its runs.
+group builds its data once, as columnar ``Table``s of its training and
+validation sets and its stream's test points; it fits each model once per
+distinct input -- the imputer once, a score model and a generator once per
+context awareness -- and draws its stream once, chunk by chunk; every
+method of the group reads those shared arrays in lock-step.  Since each
+shared object is a function of (seed, run, purpose, sub-stream) alone, a
+method's outputs do not depend on which methods share its runs.
 
 A run has two phases.  No step's statistic -- proxy p-value, acquisition
 draw, real p-value, test statistic -- reads the detector's past, so the
@@ -33,7 +34,7 @@ from __future__ import annotations
 import json
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -43,14 +44,15 @@ import numpy as np
 from . import fdr
 from .conformal import (GAMMA_MAX, acquisition_probability, active_pvalues,
                         conformal_pvalues)
-from .core import Observation, features_matrix
+from .core import Table
 from .data import (DatasetSchema, Imputer, SplitPlan, apply_mcar_mask,
                    build_stream, impute, load_csv, make_splits, parse_kv_file)
 # The run engine calls ``fdr.threshold_walk``, not the single-step ``step``;
 # the name stays because perfbench/spans.py patches it here.
 from .fdr import StepRecord, step  # noqa: F401
 from .metrics import RunTrace, TraceSummary, aggregate, run_trace
-from .oran import generate_oran, samples_to_observations
+from .oran import (OranGraph, activity, activity_context, generate_oran,
+                   samples_to_table)
 from .scoring import (QuantileThreshold, ScoreModel, fit_density_score,
                       fit_fixed_threshold, fit_kmeans_score,
                       fit_supervised_score, lower_quantile)
@@ -296,21 +298,19 @@ def load_config(path) -> RunConfig:
 
 @dataclass(eq=False)
 class RunData:
-    """One run's training sets and its stream, as arrays over the steps.
+    """One run's training sets and its stream.
 
-    ``tests`` holds the test feature vectors, NaN where a value is missing.
+    ``stream`` holds one test point per step, NaN where a value is missing.
     ``real_batches(lo, hi)`` returns the (hi - lo, n, d) real calibration
     batches of steps lo..hi-1 (0-based); call it once per chunk, in step
     order, since the Gaussian oracle draws them as it goes.  It is None when
     the run serves no real batches.
     """
 
-    score_train: list[Observation]
-    twin_train: list[Observation]
-    validation: list[Observation]
-    tests: np.ndarray      # (steps, d)
-    contexts: np.ndarray   # (steps,) context of each test point
-    truth: np.ndarray      # (steps,) 0/1 anomaly label of each test point
+    score_train: Table
+    twin_train: Table
+    validation: Table
+    stream: Table
     real_batches: Callable[[int, int], np.ndarray] | None
     n_contexts: int
     kinds: tuple[str, ...]
@@ -375,30 +375,26 @@ def gaussian_synthetic_stream(cfg: RunConfig,
     n_tilde = cfg.n_tilde if cfg.n_tilde is not None else n
 
     data_rng = derive_rng(cfg.seed, run_idx, _Purpose.DATA, 0)
-    no_missing = np.zeros(cfg.dim, bool)  # the mask of every row
-    score_train: list[Observation] = []
+    score_train = []
     per_ctx = max(2, cfg.score_train_size // contexts)
     for c in range(contexts):
         k_anom = max(1, round(per_ctx * cfg.anomaly_rate))
-        for x in oracle.sample_nominal(c, per_ctx - k_anom, data_rng):
-            score_train.append(Observation(x, no_missing, c, 0))
-        for x in oracle.sample_anomaly(c, k_anom, data_rng):
-            score_train.append(Observation(x, no_missing, c, 1))
+        score_train += [
+            (c, 0, oracle.sample_nominal(c, per_ctx - k_anom, data_rng)),
+            (c, 1, oracle.sample_anomaly(c, k_anom, data_rng))]
 
-    twin_train: list[Observation] = []
+    twin_train = []
     if any(m.uses_twin for m in methods):
         per_ctx_twin = cfg.twin_train_size // contexts
-        for c in range(contexts):
-            for x in oracle.sample_twin_law(c, per_ctx_twin, data_rng):
-                twin_train.append(Observation(x, no_missing, c, 0))
+        twin_train = [(c, 0, oracle.sample_twin_law(c, per_ctx_twin, data_rng))
+                      for c in range(contexts)]
 
-    validation: list[Observation] = []
+    validation = []
     if cfg.gamma_override is None and \
             any(m.acquisition == "active" for m in methods):
-        for c in range(contexts):
-            vrng = derive_rng(cfg.seed, run_idx, _Purpose.VALIDATION, c)
-            for x in oracle.sample_nominal(c, cfg.val_size, vrng):
-                validation.append(Observation(x, no_missing, c, 0))
+        validation = [(c, 0, oracle.sample_nominal(c, cfg.val_size, derive_rng(
+                          cfg.seed, run_idx, _Purpose.VALIDATION, c)))
+                      for c in range(contexts)]
 
     def stream_rng(sub: int) -> np.random.Generator:
         return derive_rng(cfg.seed, run_idx, _Purpose.TEST_POINT, sub)
@@ -416,93 +412,80 @@ def gaussian_synthetic_stream(cfg: RunConfig,
             return (oracle.means[ctx[lo:hi], None, :]
                     + real_rng.standard_normal((hi - lo, n, cfg.dim)))
 
-    return RunData(score_train=score_train, twin_train=twin_train,
-                   validation=validation, tests=tests, contexts=ctx,
-                   truth=truth, real_batches=real_batches,
+    return RunData(score_train=_blocks_table(score_train, cfg.dim),
+                   twin_train=_blocks_table(twin_train, cfg.dim),
+                   validation=_blocks_table(validation, cfg.dim),
+                   stream=Table(tests, ctx, truth), real_batches=real_batches,
                    n_contexts=contexts, kinds=("continuous",) * cfg.dim,
                    n=n, n_tilde=n_tilde)
 
 
-@dataclass(eq=False)
-class _Table:
-    """Dataset shared by all runs: rows plus context metadata."""
+def _blocks_table(blocks, dim: int) -> Table:
+    """The rows of (context, truth, features) blocks, in block order."""
+    sizes = [len(x) for _, _, x in blocks]
+    return Table(
+        np.concatenate([np.empty((0, dim))] + [x for _, _, x in blocks]),
+        np.repeat([c for c, _, _ in blocks], sizes),
+        np.repeat([t for _, t, _ in blocks], sizes))
 
-    rows: list[Observation]
+
+@dataclass(eq=False)
+class _Dataset:
+    """Dataset shared by all runs: its rows plus context metadata."""
+
+    table: Table
     kinds: tuple[str, ...]
     n_contexts: int
-    activity_weights: np.ndarray | None = None  # set for the oran dataset
+    graph: OranGraph | None = None  # the oran dataset's, for its contexts
 
 
-def _load_table(cfg: RunConfig) -> _Table:
+def _load_dataset(cfg: RunConfig) -> _Dataset:
     if cfg.dataset == "csv":
         schema = DatasetSchema.from_file(cfg.schema_path)
-        rows = load_csv(cfg.csv_path, schema)
-        if not rows:
+        table = load_csv(cfg.csv_path, schema)
+        if not len(table):
             raise ValueError(f"{cfg.csv_path}: no rows")
-        return _Table(rows, schema.kinds, schema.n_contexts)
+        return _Dataset(table, schema.kinds, schema.n_contexts)
     graph_seed = int(derive_rng(cfg.seed, _Purpose.DATA, 1).integers(2**63))
     sample_seed = int(derive_rng(cfg.seed, _Purpose.DATA, 2).integers(2**63))
     graph, samples = generate_oran(
         graph_seed, sample_seed, cfg.oran_samples, cfg.oran_anomaly_frac,
         cfg.oran_xapps, cfg.oran_params, cfg.oran_kpis)
-    rows = samples_to_observations(samples)
-    weights = np.zeros(rows[0].dim)
-    weights[:graph.n_xapps] = graph.out_degrees
-    kinds = ("categorical",) * rows[0].dim
-    return _Table(rows, kinds, 4, activity_weights=weights)
-
-
-def _activity_context(features: np.ndarray, weights, boundaries) -> np.ndarray:
-    """Context of each row of ``features``: the boundaries at or below its
-    activity."""
-    acts = features @ weights
-    return (acts[:, None] >= np.asarray(boundaries)[None, :]).sum(axis=1)
-
-
-def _rebin_by_activity(rows, weights, boundaries) -> list[Observation]:
-    if not rows:
-        return []
-    contexts = _activity_context(np.stack([o.features for o in rows]),
-                                 weights, boundaries)
-    return [Observation(o.features, o.mask, int(c), o.truth)
-            for o, c in zip(rows, contexts)]
+    table = samples_to_table(samples)
+    return _Dataset(table, ("categorical",) * table.dim, 4, graph)
 
 
 def table_run(cfg: RunConfig, split_kind: str, run_idx: int,
-              table: _Table) -> RunData:
+              dataset: _Dataset) -> RunData:
     """Per-run data from a finite dataset via the split protocol, for the
     methods whose split is ``split_kind``."""
     plan = SplitPlan(kind=split_kind, n_per_step=cfg.n,
                      test_reserve=cfg.steps)
     rng = derive_rng(cfg.seed, run_idx, _Purpose.SPLITS, 0)
-    splits = make_splits(table.rows, plan, cfg.steps, rng)
-    items = build_stream(splits, cfg.steps, rng, cfg.anomaly_rate)
-    tests = np.stack([item.test.features for item in items])
-    contexts = np.array([item.test.context for item in items])
-    truth = np.array([item.test.truth for item in items])
+    splits = make_splits(dataset.table, plan, cfg.steps, rng)
+    stream = build_stream(splits, cfg.steps, rng, cfg.anomaly_rate)
 
-    score_train = list(splits.score_train)
-    twin_train = list(splits.twin_train)
-    n_contexts = table.n_contexts
-    if table.activity_weights is not None:
+    score_train, twin_train = splits.score_train, splits.twin_train
+    n_contexts = dataset.n_contexts
+    if dataset.graph is not None:
         # context bins come from this run's training portion; boundaries that
         # collide with each other or the training minimum would leave a bin
         # empty (activity is atomic), so they are dropped
-        acts = [float(o.features @ table.activity_weights) for o in score_train]
+        acts = activity(dataset.graph, score_train.features)
         quartiles = (lower_quantile(acts, q) for q in (0.25, 0.5, 0.75))
-        boundaries = tuple(sorted({b for b in quartiles if b > min(acts)}))
+        boundaries = tuple(sorted({b for b in quartiles if b > acts.min()}))
         n_contexts = len(boundaries) + 1
-        score_train = _rebin_by_activity(score_train, table.activity_weights,
-                                         boundaries)
-        twin_train = _rebin_by_activity(twin_train, table.activity_weights,
-                                        boundaries)
-        contexts = _activity_context(tests, table.activity_weights, boundaries)
+        score_train, twin_train, stream = (
+            replace(rows, context=activity_context(
+                activity(dataset.graph, rows.features), boundaries))
+            for rows in (score_train, twin_train, stream))
 
-    validation: list[Observation] = []
-    if split_kind == "prediction_powered" and cfg.gamma_override is None:
-        carve = round(0.2 * len(score_train))
-        validation = [o for o in score_train[:carve] if o.truth != 1]
-        score_train = score_train[carve:]
+    # the inliers of the front fifth validate the generator for gamma
+    carve = round(0.2 * len(score_train)) if split_kind == \
+        "prediction_powered" and cfg.gamma_override is None else 0
+    validation = score_train.rows(
+        np.flatnonzero(score_train.truth[:carve] == 0))
+    score_train = score_train.rows(slice(carve, None))
 
     if cfg.n_tilde is not None:
         n_tilde = cfg.n_tilde
@@ -516,25 +499,18 @@ def table_run(cfg: RunConfig, split_kind: str, run_idx: int,
     real_batches = None
     if splits.n > 0:
         # the fresh per-step batches are consecutive slices of the part
-        n, part = splits.n, splits.calibration
+        n, part = splits.n, splits.calibration.features
 
         def real_batches(lo: int, hi: int) -> np.ndarray:
-            rows = part[lo * n:hi * n]
-            return np.stack([o.features for o in rows]).reshape(
-                hi - lo, n, tests.shape[1])
+            return part[lo * n:hi * n].reshape(hi - lo, n, part.shape[1])
 
     return RunData(score_train=score_train, twin_train=twin_train,
-                   validation=validation, tests=tests, contexts=contexts,
-                   truth=truth, real_batches=real_batches,
-                   n_contexts=n_contexts, kinds=table.kinds,
-                   n=splits.n, n_tilde=n_tilde)
+                   validation=validation, stream=stream,
+                   real_batches=real_batches, n_contexts=n_contexts,
+                   kinds=dataset.kinds, n=splits.n, n_tilde=n_tilde)
 
 
 # --- model fitting ----------------------------------------------------------
-
-
-def _to_context0(rows) -> list[Observation]:
-    return [Observation(o.features, o.mask, 0, o.truth) for o in rows]
 
 
 def _fit_score_model(cfg: RunConfig, aware: bool, run_idx: int,
@@ -546,24 +522,23 @@ def _fit_score_model(cfg: RunConfig, aware: bool, run_idx: int,
         rng = derive_rng(cfg.seed, run_idx, _Purpose.SCORE_FIT, 0)
         return fit_kmeans_score(train, k=cfg.kmeans_k, rng=rng,
                                 n_contexts=n_contexts, context_aware=aware)
-    inliers = [o for o in train if o.truth != 1]
-    return fit_density_score(inliers, n_contexts=n_contexts,
-                             context_aware=aware)
+    return fit_density_score(train.rows(train.truth != 1),
+                             n_contexts=n_contexts, context_aware=aware)
 
 
 def _calibrate_gammas(cfg: RunConfig, method: MethodVariant, run_idx: int,
                       n_eff: int, score_model: ScoreModel,
-                      twin_model: TwinModel | None, validation
+                      twin_model: TwinModel | None, validation: Table
                       ) -> tuple[np.ndarray, ValidityReport | None]:
     if cfg.gamma_override is not None:
         return np.full(n_eff, cfg.gamma_override), None
     if method.acquisition != "active":
         return np.full(n_eff, GAMMA_MAX), None
+    groups = [validation] if not method.context_aware else \
+        [validation.rows(validation.context == c) for c in range(n_eff)]
     gaps, gammas, pools = [], [], []
-    for c in range(n_eff):
-        members = [o for o in validation
-                   if (o.context if method.context_aware else 0) == c]
-        if not members:
+    for c, group in enumerate(groups):
+        if not len(group):
             warnings.warn(f"no validation inliers for context {c}; "
                           "falling back to gamma = 0.5", stacklevel=2)
             gaps.append(float("nan"))
@@ -575,7 +550,7 @@ def _calibrate_gammas(cfg: RunConfig, method: MethodVariant, run_idx: int,
         noise = srng.standard_normal((1, cfg.synth_pool, twin_model.dim))
         synth = sample_synthetic(twin_model, c, uniforms, noise)
         synth_scores = score_model.scores(synth, c)
-        val_scores = score_model.scores(features_matrix(members), c)
+        val_scores = score_model.scores(group.observed(), c)
         pvals = proxy_pvalues(synth_scores, val_scores, cfg.plus_one)
         gap = positive_ecdf_gap(pvals)
         gaps.append(gap)
@@ -583,14 +558,6 @@ def _calibrate_gammas(cfg: RunConfig, method: MethodVariant, run_idx: int,
         pools.append(pvals)
     report = ValidityReport(tuple(gaps), tuple(gammas), tuple(pools), cfg.lam)
     return np.asarray(gammas), report
-
-
-def _impute_rows(imputer: Imputer, rows) -> list[Observation]:
-    """``impute`` every row that has a missing value."""
-    if not rows:
-        return []
-    masked = np.stack([o.mask for o in rows]).any(axis=1)
-    return [impute(imputer, o) if m else o for o, m in zip(rows, masked)]
 
 
 @dataclass(eq=False)
@@ -607,7 +574,7 @@ class _FittedRun:
 class _RunFits:
     """The fits of one run's split group, each made once.
 
-    The imputer and the imputed rows depend only on the group's data and
+    The imputer and the imputed tables depend only on the group's data and
     are made with the object.  A score model and a generator also depend on
     context awareness; each is fit when the first method that needs it
     asks.  FIXED's threshold and the gammas are fit per method, by ``fit``.
@@ -616,9 +583,10 @@ class _RunFits:
     def __init__(self, cfg: RunConfig, run_idx: int, rundata: RunData):
         self.cfg, self.run_idx, self.rundata = cfg, run_idx, rundata
         self.imputer = Imputer.fit(rundata.score_train, rundata.kinds)
-        self.score_train = _impute_rows(self.imputer, rundata.score_train)
-        self.twin_rows = _impute_rows(self.imputer, rundata.twin_train)
-        self.validation = _impute_rows(self.imputer, rundata.validation)
+        self.score_train, self.twin_train, self.validation = (
+            replace(rows, features=impute(self.imputer, rows.features))
+            for rows in (rundata.score_train, rundata.twin_train,
+                         rundata.validation))
         self._score_models: dict[bool, ScoreModel] = {}
         self._twin_models: dict[bool, TwinModel] = {}
 
@@ -634,12 +602,11 @@ class _RunFits:
 
     def twin_model(self, aware: bool) -> TwinModel:
         if aware not in self._twin_models:
-            rows = self.twin_rows if aware else _to_context0(self.twin_rows)
             self._twin_models[aware] = fit_twin(
-                rows, k=self.cfg.gmm_components,
+                self.twin_train, k=self.cfg.gmm_components,
                 rng=derive_rng(self.cfg.seed, self.run_idx,
                                _Purpose.TWIN_FIT, 0),
-                n_contexts=self._n_eff(aware))
+                n_contexts=self._n_eff(aware), context_aware=aware)
         return self._twin_models[aware]
 
     def fit(self, method: MethodVariant) -> _FittedRun:
@@ -664,15 +631,6 @@ class _RunFits:
 # Each array drawn or scored at once holds at most about this many values
 # (512 KB of float64), however long the stream is.
 CHUNK_VALUES = 2**16
-
-
-def _fill_missing(matrix: np.ndarray, imputer: Imputer) -> np.ndarray:
-    holes = np.isnan(matrix)
-    if not holes.any():
-        return matrix
-    filled = matrix.copy()
-    filled[holes] = np.broadcast_to(imputer.fill_values, matrix.shape)[holes]
-    return filled
 
 
 def _score_batches(model: ScoreModel, batches: np.ndarray,
@@ -714,7 +672,7 @@ def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData,
     of draw in step order, so a step's values depend neither on the chunk
     size nor on which methods share the run.  Nothing outlives its chunk.
     """
-    steps, dim = rundata.tests.shape
+    steps, dim = rundata.stream.features.shape
     uses_twin = any(m.uses_twin for m in methods)
     uses_real = any(m.uses_real for m in methods)
 
@@ -734,7 +692,7 @@ def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData,
     chunk = max(1, CHUNK_VALUES // (widest * dim))
     for lo in range(0, steps, chunk):
         hi = min(steps, lo + chunk)
-        x = rundata.tests[lo:hi]
+        x = rundata.stream.features[lo:hi]
         if test_mask is not None:
             x = apply_mcar_mask(x, cfg.q_miss, test_mask)
         real = None
@@ -747,7 +705,7 @@ def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData,
         if uses_twin:
             uniforms = comps.random((hi - lo, rundata.n_tilde))
             twin_noise = noise.standard_normal((hi - lo, rundata.n_tilde, dim))
-        yield _Chunk(slice(lo, hi), _fill_missing(x, imputer), uniforms,
+        yield _Chunk(slice(lo, hi), impute(imputer, x), uniforms,
                      twin_noise,
                      None if acquire is None else acquire.random(hi - lo),
                      real)
@@ -764,7 +722,7 @@ def _statistics(cfg: RunConfig, method: MethodVariant, fitted: _FittedRun,
     """
     q, u, p, z = columns
     at, rule, model = chunk.at, method.acquisition, fitted.score_model
-    c = rundata.contexts[at] if method.context_aware \
+    c = rundata.stream.context[at] if method.context_aware \
         else np.zeros(at.stop - at.start, dtype=int)
     s = _score_batches(model, chunk.tests[:, None], c)[:, 0]
     if rule is None:
@@ -783,7 +741,7 @@ def _statistics(cfg: RunConfig, method: MethodVariant, fitted: _FittedRun,
         queried = u[at]
         if queried.any():
             p[at][queried] = conformal_pvalues(_score_batches(
-                model, _fill_missing(chunk.real[queried], fitted.imputer),
+                model, impute(fitted.imputer, chunk.real[queried]),
                 c[queried]), s[queried], cfg.plus_one)
     z[at] = active_pvalues(q[at], u[at], p[at], fitted.gammas[c]) \
         if rule == "active" else (p[at] if rule == "always" else q[at])
@@ -816,9 +774,10 @@ def _decide(cfg: RunConfig, method: MethodVariant, rundata: RunData,
     else:
         alpha_t, decisions = fdr.threshold_walk(z, cfg.alpha, cfg.delta,
                                                 cfg.eta)
-    trace = run_trace(decisions, rundata.truth, acquired, cfg.delta, cfg.eta)
-    return RunSteps(rundata.contexts, q, acquired, p, z, alpha_t, decisions,
-                    rundata.truth), trace
+    stream = rundata.stream
+    trace = run_trace(decisions, stream.truth, acquired, cfg.delta, cfg.eta)
+    return RunSteps(stream.context, q, acquired, p, z, alpha_t, decisions,
+                    stream.truth), trace
 
 
 class _RunFailure(RuntimeError):
@@ -852,7 +811,7 @@ def _run_group(cfg: RunConfig, group: Sequence[MethodVariant], run_idx: int,
     for method in group:
         with _failing_as(cfg, method, run_idx):
             fitted[method] = fits.fit(method)
-    steps = rundata.tests.shape[0]
+    steps = len(rundata.stream)
     columns = {method: (np.full(steps, np.nan),
                         np.full(steps, method.acquisition == "always"),
                         np.full(steps, np.nan), np.full(steps, np.nan))
@@ -925,11 +884,11 @@ def run_benchmark(cfg: RunConfig) -> RunArtifacts:
     cannot reach the threshold floor; n is the one its split serves.
     """
     cfg.validate()
-    table = _load_table(cfg) if cfg.dataset in ("csv", "oran") else None
+    dataset = _load_dataset(cfg) if cfg.dataset in ("csv", "oran") else None
     methods = [MethodVariant(name) for name in dict.fromkeys(cfg.methods)]
     groups: dict[str | None, list[MethodVariant]] = {}
     for method in methods:
-        kind = None if table is None else method.split_kind
+        kind = None if dataset is None else method.split_kind
         groups.setdefault(kind, []).append(method)
     checked_n: set[int] = set()
     runs = {method: [] for method in methods}
@@ -937,10 +896,10 @@ def run_benchmark(cfg: RunConfig) -> RunArtifacts:
     for run_idx in range(cfg.runs):
         for kind, group in groups.items():
             with _failing_as(cfg, group[0], run_idx):
-                if table is None:
+                if dataset is None:
                     rundata = gaussian_synthetic_stream(cfg, group, run_idx)
                 else:
-                    rundata = table_run(cfg, kind, run_idx, table)
+                    rundata = table_run(cfg, kind, run_idx, dataset)
                 for method in group:
                     if method.uses_real and rundata.n not in checked_n:
                         checked_n.add(rundata.n)

@@ -16,11 +16,11 @@ per node; three conflict types can occur:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Observation
+from .core import Table
 from .scoring import lower_quantile
 
 CONFLICT_TYPES = ("direct", "indirect", "implicit")
@@ -32,12 +32,10 @@ __all__ = [
     "generate_oran",
     "check_conflicts",
     "feasible_conflicts",
-    "activity_of",
-    "activity_quartiles",
-    "assign_contexts",
-    "samples_to_observations",
+    "activity",
+    "activity_context",
+    "samples_to_table",
     "graph_to_json",
-    "graph_from_json",
     "samples_to_csv",
 ]
 
@@ -217,8 +215,8 @@ def generate_oran(graph_seed: int, sample_seed: int, n_samples: int = 10000,
     """Generate one fixed graph and a count-controlled mix of samples.
 
     Exactly round(n_samples * anomaly_frac) samples carry a conflict; their
-    positions are shuffled.  Contexts are assigned from activity quartiles
-    over the generated batch (callers may re-bin on a training subset).
+    positions are shuffled.  Contexts bin each sample's activity at the
+    batch's lower activity quartiles (callers may re-bin on a subset).
     """
     if not 0.0 <= anomaly_frac < 1.0:
         raise ValueError("anomaly_frac must lie in [0, 1)")
@@ -237,39 +235,28 @@ def generate_oran(graph_seed: int, sample_seed: int, n_samples: int = 10000,
         else _nominal_sample(graph, rng)
         for is_anom in labels
     ]
-    boundaries = activity_quartiles(graph, samples)
-    samples = assign_contexts(graph, samples, boundaries)
-    return graph, samples
+    acts = activity(graph, np.stack([s.xapp_active for s in samples]))
+    boundaries = [lower_quantile(acts, q) for q in (0.25, 0.5, 0.75)]
+    return graph, [replace(s, context=int(c)) for s, c in
+                   zip(samples, activity_context(acts, boundaries))]
 
 
-def activity_of(graph: OranGraph, sample: OranSample) -> int:
-    """Total active xApp->parameter control edges."""
-    return int(graph.out_degrees[sample.xapp_active].sum())
+def activity(graph: OranGraph, features: np.ndarray) -> np.ndarray:
+    """Active xApp->parameter control edges of each row of a sample feature
+    matrix; only its first n_xapps columns, the xApp states, are read."""
+    return features[:, :graph.n_xapps] @ graph.out_degrees
 
 
-def activity_quartiles(graph: OranGraph, samples) -> tuple[float, float, float]:
-    """Lower empirical quartile boundaries of the activity level."""
-    acts = [activity_of(graph, s) for s in samples]
-    return tuple(lower_quantile(acts, q) for q in (0.25, 0.5, 0.75))
+def activity_context(acts: np.ndarray, boundaries) -> np.ndarray:
+    """Context of each activity level: the number of boundaries at or below
+    it (right-open bins, the last one closed)."""
+    return (acts[:, None] >= np.asarray(boundaries)[None, :]).sum(axis=1)
 
 
-def assign_contexts(graph: OranGraph, samples, boundaries) -> list[OranSample]:
-    """Bin samples by activity: right-open bins, last bin closed."""
-    out = []
-    for s in samples:
-        act = activity_of(graph, s)
-        context = sum(act >= b for b in boundaries)
-        out.append(OranSample(s.xapp_active, s.param_changed, s.kpi_changed,
-                              s.conflict, context))
-    return out
-
-
-def samples_to_observations(samples) -> list[Observation]:
-    return [
-        Observation(s.features(), np.zeros(s.features().size, dtype=bool),
-                    s.context, int(s.conflict != "none"))
-        for s in samples
-    ]
+def samples_to_table(samples) -> Table:
+    return Table(np.stack([s.features() for s in samples]),
+                 np.array([s.context for s in samples]),
+                 np.array([int(s.conflict != "none") for s in samples]))
 
 
 # --- persistence ------------------------------------------------------------
@@ -287,19 +274,6 @@ def graph_to_json(graph: OranGraph) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def graph_from_json(text: str) -> OranGraph:
-    payload = json.loads(text)
-    counts = payload["counts"]
-    xp = np.zeros((counts["xapps"], counts["params"]), dtype=bool)
-    pk = np.zeros((counts["params"], counts["kpis"]), dtype=bool)
-    pp = np.zeros((counts["params"], counts["params"]), dtype=bool)
-    for matrix, key in ((xp, "xapp_param"), (pk, "param_kpi"),
-                        (pp, "param_param")):
-        for i, cols in enumerate(payload[key]):
-            matrix[i, cols] = True
-    return OranGraph(xp, pk, pp)
-
-
 def samples_to_csv(graph: OranGraph, samples) -> str:
     """One binary column per node plus conflict_type and context."""
     header = ([f"xapp_{i}" for i in range(graph.n_xapps)]
@@ -308,7 +282,6 @@ def samples_to_csv(graph: OranGraph, samples) -> str:
               + ["conflict_type", "context"])
     lines = [",".join(header)]
     for s in samples:
-        bits = [str(int(v)) for v in
-                np.concatenate([s.xapp_active, s.param_changed, s.kpi_changed])]
+        bits = [str(int(v)) for v in s.features()]
         lines.append(",".join(bits + [s.conflict, str(s.context)]))
     return "\n".join(lines) + "\n"

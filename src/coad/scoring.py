@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_VAR, features_matrix
+from .core import EPS_VAR, Table
 
 __all__ = [
     "ScoreModel",
@@ -65,23 +65,23 @@ class ScoreModel:
         raise NotImplementedError
 
 
-def _split_by_context(train, n_contexts, context_aware):
-    """Group feature matrices by context; every declared context must be hit."""
-    if not train:
+def _context_groups(train: Table, n_contexts: int | None,
+                    context_aware: bool) -> list[Table]:
+    """The rows of each context slot of a fit, by a boolean index; a pooled
+    fit has one slot of every row.  Every declared context must be hit."""
+    if not len(train):
         raise ValueError("training data is empty")
-    if n_contexts is None:
-        n_contexts = max(obs.context for obs in train) + 1
     if not context_aware:
-        return 1, {0: features_matrix(train)}
-    groups: dict[int, list] = {c: [] for c in range(n_contexts)}
-    for obs in train:
-        if obs.context >= n_contexts:
-            raise ValueError(f"context {obs.context} outside declared range")
-        groups[obs.context].append(obs)
-    for c, members in groups.items():
-        if not members:
+        return [train]
+    top = int(train.context.max())
+    if n_contexts is not None and top >= n_contexts:
+        raise ValueError(f"context {top} outside declared range")
+    groups = [train.rows(train.context == c)
+              for c in range(top + 1 if n_contexts is None else n_contexts)]
+    for c, group in enumerate(groups):
+        if not len(group):
             raise ValueError(f"no training points for context {c}")
-    return n_contexts, {c: features_matrix(m) for c, m in groups.items()}
+    return groups
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +105,7 @@ class DensityScore(ScoreModel):
         return 0.5 * (np.log(2.0 * np.pi * var).sum() + quad)
 
 
-def fit_density_score(train, n_contexts: int | None = None,
+def fit_density_score(train: Table, n_contexts: int | None = None,
                       context_aware: bool = True,
                       eps_var: float = EPS_VAR) -> DensityScore:
     """Fit per-context diagonal Gaussians on inlier-only training data.
@@ -113,19 +113,19 @@ def fit_density_score(train, n_contexts: int | None = None,
     Mean is the sample mean, variance the (population) sample variance plus
     ``eps_var``; the score of a point is the negative log-density.
     """
-    if any(obs.truth == 1 for obs in train):
+    if (train.truth == 1).any():
         raise ValueError("density score is fit on inliers only")
-    count, groups = _split_by_context(train, n_contexts, context_aware)
+    groups = _context_groups(train, n_contexts, context_aware)
     means, variances = [], []
-    for c in range(count):
-        x = groups[c]
+    for c, group in enumerate(groups):
+        x = group.observed()
         if x.shape[0] < 2:
             raise ValueError(f"need at least 2 points per context, context {c} "
                              f"has {x.shape[0]}")
         means.append(x.mean(axis=0))
         variances.append(x.var(axis=0) + eps_var)
     return DensityScore(np.asarray(means), np.asarray(variances),
-                        context_aware, count)
+                        context_aware, len(groups))
 
 
 def _kmeans_pp(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -144,7 +144,7 @@ def _kmeans_pp(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator,
-           tol: float, max_iter: int) -> tuple[np.ndarray, list[float]]:
+           tol: float, max_iter: int) -> np.ndarray:
     if k < 1:
         raise ValueError("k must be >= 1")
     if x.shape[0] < k:
@@ -153,11 +153,9 @@ def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator,
         raise ValueError(f"k={k} exceeds the number of distinct points; "
                          "duplicate centroids are not allowed")
     centers = _kmeans_pp(x, k, rng)
-    objective_path: list[float] = []
     for _ in range(max_iter):
         d2 = ((x[:, None, :] - centers[None]) ** 2).sum(-1)
         assign = d2.argmin(axis=1)
-        objective_path.append(float(d2[np.arange(x.shape[0]), assign].sum()))
         new = centers.copy()
         for j in range(k):
             members = x[assign == j]
@@ -170,7 +168,7 @@ def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator,
         centers = new
         if shift < tol:
             break
-    return centers, objective_path
+    return centers
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +176,6 @@ class KMeansScore(ScoreModel):
     """Euclidean distance to the nearest cluster centroid."""
 
     centroids: tuple[np.ndarray, ...]  # one (k, d) array per context slot
-    objective_paths: tuple[tuple[float, ...], ...]
     context_aware: bool
     n_contexts: int
 
@@ -188,19 +185,16 @@ class KMeansScore(ScoreModel):
         return np.sqrt(d2.min(axis=1))
 
 
-def fit_kmeans_score(train, k: int = 5, rng: np.random.Generator | None = None,
+def fit_kmeans_score(train: Table, k: int = 5,
+                     rng: np.random.Generator | None = None,
                      n_contexts: int | None = None, context_aware: bool = True,
                      tol: float = 1e-6, max_iter: int = 300) -> KMeansScore:
     """Lloyd's algorithm with k-means++ seeding; labels are ignored."""
     if rng is None:
         rng = np.random.default_rng(0)
-    count, groups = _split_by_context(train, n_contexts, context_aware)
-    centroids, paths = [], []
-    for c in range(count):
-        centers, path = _lloyd(groups[c], k, rng, tol, max_iter)
-        centroids.append(centers)
-        paths.append(tuple(path))
-    return KMeansScore(tuple(centroids), tuple(paths), context_aware, count)
+    groups = _context_groups(train, n_contexts, context_aware)
+    return KMeansScore(tuple(_lloyd(group.observed(), k, rng, tol, max_iter)
+                             for group in groups), context_aware, len(groups))
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,31 +222,26 @@ class NaiveBayesScore(ScoreModel):
         return probs[:, 1] / probs.sum(axis=1)
 
 
-def fit_supervised_score(train, n_contexts: int | None = None,
+def fit_supervised_score(train: Table, n_contexts: int | None = None,
                          context_aware: bool = True,
                          eps_var: float = EPS_VAR) -> NaiveBayesScore:
     """Fit Gaussian naive Bayes over the anomaly labels."""
-    if any(obs.truth not in (0, 1) for obs in train):
-        raise ValueError("supervised training needs a 0/1 label on every point")
-    if n_contexts is None:
-        n_contexts = max(obs.context for obs in train) + 1
-    count = n_contexts if context_aware else 1
-    means = np.empty((count, 2, train[0].dim))
+    groups = _context_groups(train, n_contexts, context_aware)
+    means = np.empty((len(groups), 2, train.dim))
     variances = np.empty_like(means)
-    log_priors = np.empty((count, 2))
-    for slot in range(count):
-        members = [obs for obs in train
-                   if not context_aware or obs.context == slot]
+    log_priors = np.empty((len(groups), 2))
+    for slot, group in enumerate(groups):
+        features = group.observed()
         for label in (0, 1):
-            rows = [obs for obs in members if obs.truth == label]
-            if not rows:
+            x = features[group.truth == label]
+            if not len(x):
                 raise ValueError(f"class {label} absent in training data for "
                                  f"context slot {slot}")
-            x = features_matrix(rows)
             means[slot, label] = x.mean(axis=0)
             variances[slot, label] = x.var(axis=0) + eps_var
-            log_priors[slot, label] = np.log(len(rows) / len(members))
-    return NaiveBayesScore(means, variances, log_priors, context_aware, count)
+            log_priors[slot, label] = np.log(len(x) / len(group))
+    return NaiveBayesScore(means, variances, log_priors, context_aware,
+                           len(groups))
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,22 +259,20 @@ class QuantileThreshold:
         return score > self.thresholds[slot]
 
 
-def fit_fixed_threshold(model: ScoreModel, train, alpha: float) -> QuantileThreshold:
+def fit_fixed_threshold(model: ScoreModel, train: Table,
+                        alpha: float) -> QuantileThreshold:
     """Fixed-threshold baseline: flag scores above the training quantile."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    thresholds = np.empty(model.n_contexts)
+    groups = _context_groups(train, model.n_contexts, model.context_aware)
+    thresholds = np.empty(len(groups))
     needed = math.ceil(1.0 / alpha)
-    for slot in range(model.n_contexts):
-        members = [obs for obs in train
-                   if not model.context_aware or obs.context == slot]
-        if not members:
-            raise ValueError(f"no training points for context {slot}")
-        if len(members) < needed:
+    for slot, group in enumerate(groups):
+        if len(group) < needed:
             warnings.warn(
-                f"context {slot} has {len(members)} points; the "
+                f"context {slot} has {len(group)} points; the "
                 f"(1 - {alpha}) quantile needs at least {needed} to be reliable",
                 stacklevel=2)
-        scores = model.scores(features_matrix(members), slot)
+        scores = model.scores(group.observed(), slot)
         thresholds[slot] = lower_quantile(scores, 1.0 - alpha)
     return QuantileThreshold(thresholds, alpha, model.context_aware)

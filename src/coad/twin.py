@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import GAMMA_MAX, conformal_pvalues
-from .core import EPS_VAR, features_matrix
-from .scoring import _kmeans_pp
+from .core import EPS_VAR, Table
+from .scoring import _context_groups, _kmeans_pp
 
 __all__ = [
     "TwinModel",
@@ -95,24 +95,23 @@ def _em_diag(x: np.ndarray, k: int, rng: np.random.Generator,
     return weights, means, variances
 
 
-def fit_twin(train, k: int = 2, rng: np.random.Generator | None = None,
-             n_contexts: int | None = None, max_iter: int = 100,
-             tol: float = 1e-6, eps_var: float = EPS_VAR) -> TwinModel:
-    """Fit one diagonal-covariance mixture per context on inlier data."""
+def fit_twin(train: Table, k: int = 2,
+             rng: np.random.Generator | None = None,
+             n_contexts: int | None = None, context_aware: bool = True,
+             max_iter: int = 100, tol: float = 1e-6,
+             eps_var: float = EPS_VAR) -> TwinModel:
+    """Fit one diagonal-covariance mixture per context on inlier data, or
+    one on all of it when not ``context_aware``."""
     if rng is None:
         rng = np.random.default_rng(0)
-    if not train:
-        raise ValueError("training data is empty")
-    if n_contexts is None:
-        n_contexts = max(obs.context for obs in train) + 1
     weights, means, variances = [], [], []
-    for c in range(n_contexts):
-        members = [obs for obs in train if obs.context == c]
-        if len(members) < k:
-            raise ValueError(f"context {c} has {len(members)} points; "
+    for c, group in enumerate(_context_groups(train, n_contexts,
+                                              context_aware)):
+        if len(group) < k:
+            raise ValueError(f"context {c} has {len(group)} points; "
                              f"need at least k={k} to fit the mixture")
-        w, mu, var = _em_diag(features_matrix(members), k, rng,
-                              max_iter, tol, eps_var)
+        w, mu, var = _em_diag(group.observed(), k, rng, max_iter, tol,
+                              eps_var)
         weights.append(w)
         means.append(mu)
         variances.append(var)

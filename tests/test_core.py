@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coad.core import Observation, clamp_pvalue, features_matrix, observation
+from coad.core import Observation, Table, clamp_pvalue, observation
 from coad.fdr import DetectorState, step
 from coad.metrics import MetricsTracker
 
@@ -126,14 +126,56 @@ class TestObservation:
         with pytest.raises(AssertionError):
             obs.observed()
 
-    def test_features_matrix(self):
-        rows = [observation([1.0, 2.0], 0), observation([3.0, 4.0], 1)]
-        assert features_matrix(rows).shape == (2, 2)
-
     def test_immutability(self):
         obs = observation([1.0], 0)
         with pytest.raises(ValueError):
             obs.features[0] = 9.0
+
+
+class TestTable:
+    @staticmethod
+    def _table():
+        return Table(np.array([[1.0, 2.0], [3.0, np.nan], [5.0, 6.0]]),
+                     [0, 1, 0], [0, 1, 0])
+
+    def test_columns_and_length(self):
+        t = self._table()
+        assert len(t) == 3 and t.dim == 2
+        assert t.context.dtype == t.truth.dtype == np.int64
+
+    def test_row_selection(self):
+        t = self._table()
+        picked = t.rows(t.context == 0)
+        assert picked.features.tolist() == [[1.0, 2.0], [5.0, 6.0]]
+        assert t.rows([2, 0]).features[:, 0].tolist() == [5.0, 1.0]
+        assert len(t.rows(slice(0))) == 0
+
+    def test_missing_value_read_before_imputation(self):
+        t = self._table()
+        with pytest.raises(ValueError, match="before imputation"):
+            t.observed()
+        assert t.rows([0, 2]).observed().shape == (2, 2)
+
+    @pytest.mark.parametrize("features, context, truth, match", [
+        (np.ones(3), [0, 0, 0], [0, 0, 0], "matrix"),
+        (np.ones((3, 0)), [0, 0, 0], [0, 0, 0], "matrix"),
+        (np.ones((3, 1)), [0, 0], [0, 0, 0], "one context"),
+        (np.ones((3, 1)), [0, 0, 0], [0, 0], "one label"),
+        (np.ones((3, 1)), [0, 0], [0, 0], "per row"),
+        (np.ones((3, 1)), [0, -1, 0], [0, 0, 0], "non-negative"),
+        (np.ones((3, 1)), [0, 0, 0], [0, 2, 0], "0 or 1"),
+    ])
+    def test_checked_at_construction(self, features, context, truth, match):
+        with pytest.raises(ValueError, match=match):
+            Table(features, context, truth)
+
+    def test_immutability_leaves_the_source_writeable(self):
+        source = np.zeros((2, 1))
+        t = Table(source, [0, 0], [0, 0])
+        with pytest.raises(ValueError):
+            t.features[0, 0] = 9.0
+        source[0, 0] = 1.0
+        assert t.features[0, 0] == 1.0  # a view, not a copy
 
 
 def test_clamp_pvalue():

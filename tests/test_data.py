@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coad.core import observation
+from coad.core import Table
 from coad.data import (DatasetSchema, Imputer, SplitPlan, apply_mcar_mask,
                        build_stream, impute, load_csv, make_splits,
                        parse_kv_file)
+from tables import concat, table
 
 SCHEMA_TEXT = """\
 # toy medical schema
@@ -50,6 +51,9 @@ class TestSchema:
         assert schema.context_of(30.0) == 0
         assert schema.context_of(70.0) == 1
         assert schema.context_of(50.0) == 1  # right-open first bin
+        # a whole column is binned at once, by the same rule
+        assert schema.context_of(np.array([30.0, 50.0, 70.0])).tolist() == \
+            [0, 1, 1]
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -82,21 +86,40 @@ class TestLoadCsv:
         path = self._write(tmp_path, "30,1.5,M,3\n70,2.5,F,1\n")
         rows = load_csv(path, schema)
         assert len(rows) == 2
-        assert rows[0].context == 0 and rows[0].truth == 0
-        assert rows[1].context == 1 and rows[1].truth == 1
-        assert rows[0].features[2] == 0.0  # M -> declared code 0
+        assert rows.context.tolist() == [0, 1]
+        assert rows.truth.tolist() == [0, 1]
+        assert rows.features[0].tolist() == [30.0, 1.5, 0.0]  # M -> code 0
 
     def test_missing_token_masks(self, tmp_path, schema):
         rows = load_csv(self._write(tmp_path, "30,?,M,3\n"), schema)
-        assert rows[0].mask[1] and not rows[0].mask[0]
+        assert np.isnan(rows.features[0]).tolist() == [False, True, False]
 
     def test_unknown_declared_category_masked(self, tmp_path, schema):
         rows = load_csv(self._write(tmp_path, "30,1.0,X,3\n"), schema)
-        assert rows[0].mask[2]
+        assert np.isnan(rows.features[0, 2])
 
     def test_malformed_row_number(self, tmp_path, schema):
         path = self._write(tmp_path, "30,1.0,M,3\nforty,1.0,M,3\n")
         with pytest.raises(ValueError, match="row 3"):
+            load_csv(path, schema)
+
+    def test_short_row_rejected(self, tmp_path, schema):
+        path = self._write(tmp_path, "30,1.0,M,3\n70,2.5\n")
+        with pytest.raises(ValueError, match=r"toy\.csv: malformed row 3: "
+                                             r"expected 4 fields, got 2"):
+            load_csv(path, schema)
+
+    def test_long_row_rejected(self, tmp_path, schema):
+        # an extra value would otherwise be dropped without a word
+        path = self._write(tmp_path, "30,1.0,M,3\n70,2.5,F,1,9\n")
+        with pytest.raises(ValueError, match=r"toy\.csv: malformed row 3: "
+                                             r"expected 4 fields, got 5"):
+            load_csv(path, schema)
+
+    def test_missing_column_named(self, tmp_path, schema):
+        path = tmp_path / "nosex.csv"
+        path.write_text("age,tsh,class\n30,1.0,3\n")
+        with pytest.raises(ValueError, match="malformed row 2: 'sex'"):
             load_csv(path, schema)
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
@@ -125,7 +148,8 @@ class TestLoadCsv:
     def test_empty_file_warns(self, tmp_path, schema):
         path = self._write(tmp_path, "")
         with pytest.warns(UserWarning):
-            assert load_csv(path, schema) == []
+            rows = load_csv(path, schema)
+        assert len(rows) == 0 and rows.dim == 3
 
     def test_undeclared_categorical_first_seen_codes(self, tmp_path):
         schema = DatasetSchema(features=(("color", "categorical"),),
@@ -133,15 +157,15 @@ class TestLoadCsv:
         path = tmp_path / "c.csv"
         path.write_text("color,y\nred,0\nblue,0\nred,0\n")
         rows = load_csv(path, schema)
-        assert [r.features[0] for r in rows] == [0.0, 1.0, 0.0]
+        assert rows.features[:, 0].tolist() == [0.0, 1.0, 0.0]
 
 
 def _inliers(count, d=2):
-    return [observation(np.full(d, float(i)), 0, 0) for i in range(count)]
+    return table([np.full(d, float(i)) for i in range(count)], truth=0)
 
 
 def _anomalies(count, d=2):
-    return [observation(np.full(d, 1000.0 + i), 0, 1) for i in range(count)]
+    return table([np.full(d, 1000.0 + i) for i in range(count)], truth=1)
 
 
 class TestMakeSplits:
@@ -163,36 +187,52 @@ class TestMakeSplits:
         splits = make_splits(_inliers(90), SplitPlan(kind="prediction_only"),
                              steps=10, rng=np.random.default_rng(0))
         assert (len(splits.score_train), len(splits.twin_train)) == (30, 60)
-        assert splits.n == 0 and splits.calibration == ()
+        assert splits.n == 0 and len(splits.calibration) == 0
 
     def test_replay_identical(self):
-        data = _inliers(60) + _anomalies(12)
+        data = concat(_inliers(60), _anomalies(12))
         a = make_splits(data, SplitPlan(test_reserve=5), 5,
                         np.random.default_rng(77))
         b = make_splits(data, SplitPlan(test_reserve=5), 5,
                         np.random.default_rng(77))
-        assert [o.features[0] for o in a.score_train] == \
-            [o.features[0] for o in b.score_train]
-        assert [o.features[0] for o in a.anomaly_pool] == \
-            [o.features[0] for o in b.anomaly_pool]
+        assert np.array_equal(a.score_train.features, b.score_train.features)
+        assert np.array_equal(a.anomaly_pool.features,
+                              b.anomaly_pool.features)
+
+    def test_matches_list_shuffle(self):
+        # the row order of the shuffle the columnar split replaced: each
+        # class list permuted in turn by one generator
+        data = concat(_inliers(40), _anomalies(9), _inliers(5))
+        splits = make_splits(data, SplitPlan(test_reserve=4), 4,
+                             np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        inl = [i for i in range(len(data)) if data.truth[i] != 1]
+        anom = [i for i in range(len(data)) if data.truth[i] == 1]
+        inl = [inl[i] for i in rng.permutation(len(inl))]
+        anom = [anom[i] for i in rng.permutation(len(anom))]
+        third = (len(inl) - 4) // 3
+        assert splits.test_inliers.features[:, 0].tolist() == \
+            data.features[inl[:4], 0].tolist()
+        assert splits.score_train.features[:, 0].tolist() == \
+            data.features[inl[4:4 + third] + anom[:3], 0].tolist()
 
     def test_partition_disjoint_and_complete(self):
-        data = _inliers(75) + _anomalies(15)
+        data = concat(_inliers(75), _anomalies(15))
         splits = make_splits(data, SplitPlan(test_reserve=6), 6,
                              np.random.default_rng(3))
-        parts = (list(splits.score_train) + list(splits.twin_train)
-                 + list(splits.calibration) + list(splits.test_inliers)
-                 + list(splits.anomaly_pool))
+        parts = concat(splits.score_train, splits.twin_train,
+                       splits.calibration, splits.test_inliers,
+                       splits.anomaly_pool)
         assert len(parts) == len(data)
-        assert Counter(o.features[0] for o in parts) == \
-            Counter(o.features[0] for o in data)
+        assert Counter(parts.features[:, 0].tolist()) == \
+            Counter(data.features[:, 0].tolist())
 
     def test_anomalies_only_in_score_or_pool(self):
-        data = _inliers(60) + _anomalies(30)
+        data = concat(_inliers(60), _anomalies(30))
         splits = make_splits(data, SplitPlan(), 5, np.random.default_rng(0))
-        assert all(o.truth != 1 for o in splits.twin_train)
-        assert all(o.truth != 1 for o in splits.calibration)
-        assert all(o.truth == 1 for o in splits.anomaly_pool)
+        assert not splits.twin_train.truth.any()
+        assert not splits.calibration.truth.any()
+        assert splits.anomaly_pool.truth.all()
         assert len(splits.anomaly_pool) == 20  # score share is 10 of 30
 
     def test_insufficient_rows(self):
@@ -214,21 +254,40 @@ class TestMakeSplits:
 
 class TestBuildStream:
     def test_fresh_disjoint_batches(self):
-        data = _inliers(100) + _anomalies(10)
+        # the step-t real batch is the t-th n-row slice of the calibration
+        # part; no row serves twice, as a batch row or as a test point
+        data = concat(_inliers(100), _anomalies(10))
         splits = make_splits(data, SplitPlan(test_reserve=10), 9,
                              np.random.default_rng(1))
         stream = build_stream(splits, 9, np.random.default_rng(2),
                               anomaly_rate=0.3)
-        seen = [o.features[0] for item in stream for o in item.calibration]
-        assert len(seen) == len(set(seen)) == 9 * splits.n
+        seen = stream.features[:, 0].tolist() \
+            + splits.calibration.features[:9 * splits.n, 0].tolist()
+        assert len(seen) == len(set(seen)) == 9 + 9 * splits.n
+
+    def test_test_points_in_step_order(self):
+        # anomaly steps take the pool's rows in order, the rest the
+        # reserved inliers in order
+        data = concat(_inliers(100), _anomalies(10))
+        splits = make_splits(data, SplitPlan(test_reserve=10), 9,
+                             np.random.default_rng(1))
+        stream = build_stream(splits, 9, np.random.default_rng(2),
+                              anomaly_rate=0.3)
+        chosen = np.random.default_rng(2).choice(9, size=3, replace=False)
+        anomalous = np.isin(np.arange(9), chosen)
+        assert stream.truth.tolist() == anomalous.astype(int).tolist()
+        assert np.array_equal(stream.features[anomalous],
+                              splits.anomaly_pool.features[:3])
+        assert np.array_equal(stream.features[~anomalous],
+                              splits.test_inliers.features[:6])
 
     def test_count_controlled_anomaly_steps(self):
-        data = _inliers(100) + _anomalies(20)
+        data = concat(_inliers(100), _anomalies(20))
         splits = make_splits(data, SplitPlan(test_reserve=10), 10,
                              np.random.default_rng(1))
         stream = build_stream(splits, 10, np.random.default_rng(2),
                               anomaly_rate=0.3)
-        assert sum(item.test.truth for item in stream) == 3
+        assert len(stream) == 10 and stream.truth.sum() == 3
 
     def test_reserve_shortage(self):
         data = _inliers(100)
@@ -287,56 +346,54 @@ class TestMcar:
 class TestImputer:
     def _fit(self):
         cols = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 1.0], [100.0, 0.0]])
-        train = [observation(row, 0) for row in cols]
-        return Imputer.fit(train, ("continuous", "categorical"))
+        return Imputer.fit(table(cols), ("continuous", "categorical"))
 
     def test_median_mean_of_middle_two(self):
         imp = self._fit()
         assert imp.fill_values[0] == 2.5
 
     def test_mode_first_seen_tiebreak(self):
-        train = [observation([0.0], 0), observation([0.0], 0),
-                 observation([1.0], 0)]
-        imp = Imputer.fit(train, ("categorical",))
+        imp = Imputer.fit(table([0.0, 0.0, 1.0]), ("categorical",))
         assert imp.fill_values[0] == 0.0
         # tie: first-seen order wins
-        train = [observation([2.0], 0), observation([1.0], 0),
-                 observation([1.0], 0), observation([2.0], 0)]
+        train = table([2.0, 1.0, 1.0, 2.0])
         assert Imputer.fit(train, ("categorical",)).fill_values[0] == 2.0
 
     def test_fully_observed_unchanged(self):
         imp = self._fit()
-        obs = observation([7.0, 1.0], 0)
-        assert impute(imp, obs) is obs
+        x = np.array([[7.0, 1.0]])
+        assert impute(imp, x) is x
 
     def test_fills_and_clears_mask(self):
         imp = self._fit()
-        obs = observation([np.nan, 1.0], 3, 1)
-        out = impute(imp, obs)
-        assert out.features[0] == 2.5 and not out.mask.any()
-        assert out.context == 3 and out.truth == 1
+        out = impute(imp, np.array([[np.nan, 1.0], [4.0, np.nan]]))
+        assert out.tolist() == [[2.5, 1.0], [4.0, 0.0]]
 
     def test_idempotent(self):
         imp = self._fit()
-        obs = observation([np.nan, np.nan], 0)
-        once = impute(imp, obs)
-        assert np.array_equal(impute(imp, once).features, once.features)
+        once = impute(imp, np.array([[np.nan, np.nan]]))
+        assert np.array_equal(impute(imp, once), once)
+
+    def test_fills_batches_along_the_feature_axis(self):
+        imp = self._fit()
+        batches = np.full((3, 2, 2), np.nan)
+        assert (impute(imp, batches) == [2.5, 0.0]).all()
 
     @given(mask=st.lists(st.booleans(), min_size=2, max_size=2))
     def test_idempotence_property(self, mask):
         imp = self._fit()
-        feats = np.where(mask, np.nan, 1.0)
-        once = impute(imp, observation(feats, 0))
+        feats = np.where(mask, np.nan, 1.0)[None, :]
+        once = impute(imp, feats)
         twice = impute(imp, once)
-        assert np.array_equal(once.features, twice.features)
-        assert not twice.mask.any()
+        assert np.array_equal(once, twice)
+        assert not np.isnan(twice).any()
 
     @staticmethod
     def _loop_fill(train, kinds):
         """The per-row, per-feature fit the vectorized one replaced."""
         fill = np.empty(len(kinds))
         for i, kind in enumerate(kinds):
-            column = [obs.features[i] for obs in train if not obs.mask[i]]
+            column = [row[i] for row in train.features if not np.isnan(row[i])]
             if kind == "continuous":
                 fill[i] = float(np.median(column))
             else:
@@ -352,32 +409,35 @@ class TestImputer:
         rows = data.draw(st.integers(1, 12))
         kinds = ("continuous", "categorical", "categorical")
         values = st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, -3.25])
-        train = []
+        features = []
         for r in range(rows):
             feats = data.draw(st.lists(values, min_size=3, max_size=3))
             # the first row keeps every feature observed
             mask = [False] * 3 if r == 0 else \
                 data.draw(st.lists(st.booleans(), min_size=3, max_size=3))
-            train.append(observation(np.array(feats), 0,
-                                     mask=np.array(mask)))
+            features.append(np.where(mask, np.nan, feats))
+        train = table(features)
         fill = Imputer.fit(train, kinds).fill_values
         assert fill.tobytes() == self._loop_fill(train, kinds).tobytes()
 
     def test_mostly_masked_column_and_ties(self):
         # column 0: one observed value; column 1: 1 and 2 tie, 2 came first
-        train = [observation([np.nan, 2.0], 0), observation([np.nan, 1.0], 0),
-                 observation([7.5, 1.0], 0), observation([np.nan, 2.0], 0),
-                 observation([np.nan, 3.0], 0)]
+        train = table([[np.nan, 2.0], [np.nan, 1.0], [7.5, 1.0],
+                       [np.nan, 2.0], [np.nan, 3.0]])
         kinds = ("continuous", "categorical")
         fill = Imputer.fit(train, kinds).fill_values
         assert fill.tolist() == [7.5, 2.0]
         assert fill.tobytes() == self._loop_fill(train, kinds).tobytes()
 
     def test_no_observed_values(self):
-        train = [observation([np.nan], 0)]
         with pytest.raises(ValueError, match="feature 0"):
-            Imputer.fit(train, ("continuous",))
+            Imputer.fit(table([np.nan]), ("continuous",))
+
+    def test_no_rows(self):
+        empty = Table(np.empty((0, 1)), [], [])
+        with pytest.raises(ValueError, match="no data"):
+            Imputer.fit(empty, ("continuous",))
 
     def test_kind_count_checked(self):
         with pytest.raises(ValueError):
-            Imputer.fit([observation([1.0, 2.0], 0)], ("continuous",))
+            Imputer.fit(table([[1.0, 2.0]]), ("continuous",))

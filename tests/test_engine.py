@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from coad import harness
+from coad.core import Observation
 from coad.fdr import DetectorState, StepRecord, step
-from coad.harness import (MethodVariant, _load_table, _Purpose, _RunFits,
+from coad.harness import (MethodVariant, _load_dataset, _Purpose, _RunFits,
                           config_from, derive_rng, emit,
                           gaussian_synthetic_stream, run_benchmark, table_run)
 from coad.metrics import MetricsTracker
@@ -47,9 +48,9 @@ def oracle_records(cfg, method, run_idx, rundata) -> list[StepRecord]:
 
     state = DetectorState.fresh(cfg.alpha, cfg.delta, cfg.eta)
     records = []
-    for i, x in enumerate(rundata.tests):
-        t, context = i + 1, int(rundata.contexts[i])
-        truth = int(rundata.truth[i])
+    stream = rundata.stream
+    for i, x in enumerate(stream.features):
+        t, context, truth = i + 1, int(stream.context[i]), int(stream.truth[i])
         c = context if method.context_aware else 0
         score = model.score(observed(x, test_mask), c)
         if method is MethodVariant.FIXED:
@@ -136,10 +137,10 @@ class TestScalarOracle:
 
     def test_csv_config(self, tmp_path):
         cfg = _oran_csv_config(tmp_path)
-        table = _load_table(cfg)
+        dataset = _load_dataset(cfg)
         assert_engine_matches_oracle(
             cfg, lambda method, run: table_run(cfg, method.split_kind, run,
-                                               table))
+                                               dataset))
 
 
 @pytest.mark.parametrize("config", ["golden", "csv"])
@@ -158,6 +159,23 @@ def test_sharing_is_invisible(config, tmp_path):
     assert records(cfg.methods[::-1]) == together
     for name in cfg.methods:
         assert records((name,)) == {name: together[name]}, name
+
+
+@pytest.mark.parametrize("config", ["golden", "csv"])
+def test_no_observation_is_built(config, tmp_path, monkeypatch):
+    # every set of rows on the run path is a columnar Table
+    cfg = config_from(GOLDEN_CONFIG) if config == "golden" \
+        else _oran_csv_config(tmp_path)
+    built = []
+    post_init = Observation.__post_init__
+
+    def counted(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(Observation, "__post_init__", counted)
+    run_benchmark(cfg)
+    assert len(built) == 0
 
 
 def _digests(cfg, out):

@@ -1,13 +1,14 @@
 import itertools
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from coad.oran import (OranGraph, OranSample, activity_of, activity_quartiles,
-                       assign_contexts, check_conflicts, feasible_conflicts,
-                       generate_oran, graph_from_json, graph_to_json,
-                       samples_to_csv, samples_to_observations)
+from coad.oran import (OranGraph, OranSample, activity, activity_context,
+                       check_conflicts, feasible_conflicts, generate_oran,
+                       graph_to_json, samples_to_csv, samples_to_table)
+from coad.scoring import lower_quantile
 
 
 def _graph(xp, pk, pp):
@@ -133,28 +134,37 @@ class TestGenerate:
 
 class TestContexts:
     def test_quartile_binning(self):
+        # generated contexts bin each sample's active control edges at the
+        # batch's lower activity quartiles
         graph, samples = generate_oran(3, 4, n_samples=500)
-        boundaries = activity_quartiles(graph, samples)
-        assert boundaries == tuple(sorted(boundaries))
-        rebinned = assign_contexts(graph, samples, boundaries)
-        for s in rebinned:
-            act = activity_of(graph, s)
+        acts = [int(graph.out_degrees[s.xapp_active].sum()) for s in samples]
+        boundaries = [lower_quantile(acts, q) for q in (0.25, 0.5, 0.75)]
+        for s, act in zip(samples, acts):
             assert s.context == sum(act >= b for b in boundaries)
 
     def test_activity_definition(self):
         g = _tiny_graph()  # out-degrees 2, 2, 1
         s = OranSample(np.array([True, False, True]),
                        np.zeros(3, bool), np.zeros(2, bool), "none")
-        assert activity_of(g, s) == 3
+        assert activity(g, s.features()[None, :]).tolist() == [3.0]
+
+    def test_boundaries_count_at_or_below(self):
+        acts = np.array([0.0, 1.0, 2.0, 3.0, 9.0])
+        assert activity_context(acts, (1.0, 3.0)).tolist() == [0, 1, 1, 2, 2]
+        assert activity_context(acts, (2.0, 2.0)).tolist() == [0, 0, 2, 2, 2]
+        assert activity_context(acts, ()).tolist() == [0] * 5
 
 
 class TestSerialization:
     def test_graph_json_roundtrip(self):
         graph, _ = generate_oran(9, 9, n_samples=10)
-        restored = graph_from_json(graph_to_json(graph))
-        assert np.array_equal(graph.xapp_param, restored.xapp_param)
-        assert np.array_equal(graph.param_kpi, restored.param_kpi)
-        assert np.array_equal(graph.param_param, restored.param_param)
+        payload = json.loads(graph_to_json(graph))
+        for key in ("xapp_param", "param_kpi", "param_param"):
+            assert payload[key] == [np.flatnonzero(row).tolist()
+                                    for row in getattr(graph, key)], key
+        assert payload["counts"] == {"xapps": graph.n_xapps,
+                                     "params": graph.n_params,
+                                     "kpis": graph.n_kpis}
 
     def test_csv_layout(self):
         graph, samples = generate_oran(9, 9, n_samples=5, n_xapps=3,
@@ -167,12 +177,15 @@ class TestSerialization:
         assert len(lines) == 6
         assert all(len(line.split(",")) == 3 + 4 + 2 + 2 for line in lines)
 
-    def test_observation_conversion(self):
+    def test_table_conversion(self):
         graph, samples = generate_oran(9, 9, n_samples=20)
-        rows = samples_to_observations(samples)
-        assert rows[0].dim == graph.n_xapps + graph.n_params + graph.n_kpis
-        assert all(o.truth == int(s.conflict != "none")
-                   for o, s in zip(rows, samples))
+        rows = samples_to_table(samples)
+        assert rows.dim == graph.n_xapps + graph.n_params + graph.n_kpis
+        assert rows.truth.tolist() == [int(s.conflict != "none")
+                                       for s in samples]
+        assert rows.context.tolist() == [s.context for s in samples]
+        assert np.array_equal(rows.features,
+                              np.stack([s.features() for s in samples]))
 
     def test_no_self_loops(self):
         with pytest.raises(ValueError):

@@ -3,16 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from coad.core import observation
+from coad.core import Table
 from coad.scoring import (DensityScore, KMeansScore, NaiveBayesScore,
                           ScoreModel, fit_density_score, fit_fixed_threshold,
                           fit_kmeans_score, fit_supervised_score,
                           lower_quantile)
-
-
-def _obs(values, context=0, truth=0):
-    return [observation(np.atleast_1d(v).astype(float), context, truth)
-            for v in values]
+from tables import concat, table
 
 
 class TestLowerQuantile:
@@ -34,89 +30,96 @@ class TestLowerQuantile:
 
 class TestDensityScore:
     def test_two_point_closed_form(self):
-        model = fit_density_score(_obs([0.0, 2.0]))
+        model = fit_density_score(table([0.0, 2.0]))
         # -log N(1; mu=1, var=1+1e-6) evaluated by hand
         expected = 0.5 * math.log(2.0 * math.pi * (1.0 + 1e-6))
         assert model.score([1.0], 0) == pytest.approx(expected, rel=1e-12)
         assert model.score([1.0], 0) == pytest.approx(0.9189, abs=5e-5)
 
     def test_minimum_at_mean(self):
-        model = fit_density_score(_obs([0.0, 2.0, 4.0]))
+        model = fit_density_score(table([0.0, 2.0, 4.0]))
         grid = np.linspace(-3, 7, 101)
         scores = [model.score([g], 0) for g in grid]
         assert grid[int(np.argmin(scores))] == pytest.approx(2.0, abs=0.06)
 
     def test_contexts_differ(self):
-        train = _obs([0.0, 1.0], context=0) + _obs([10.0, 11.0], context=1)
+        train = concat(table([0.0, 1.0], context=0),
+                       table([10.0, 11.0], context=1))
         model = fit_density_score(train, n_contexts=2)
         assert model.score([3.0], 0) != model.score([3.0], 1)
 
     def test_orientation(self):
-        model = fit_density_score(_obs([0.0, 2.0, 4.0]))
+        model = fit_density_score(table([0.0, 2.0, 4.0]))
         at_mean = model.score([2.0], 0)
         for far in (-5.0, 9.0, 30.0):
             assert model.score([far], 0) > at_mean
 
     def test_context_agnostic_ignores_context(self):
-        train = _obs([0.0, 1.0], context=0) + _obs([10.0, 11.0], context=1)
+        train = concat(table([0.0, 1.0], context=0),
+                       table([10.0, 11.0], context=1))
         model = fit_density_score(train, n_contexts=2, context_aware=False)
         assert model.score([3.0], 0) == model.score([3.0], 1)
 
     def test_rejects_anomalies_in_train(self):
         with pytest.raises(ValueError):
-            fit_density_score(_obs([0.0], truth=1) + _obs([1.0, 2.0]))
+            fit_density_score(concat(table([0.0], truth=1),
+                                     table([1.0, 2.0])))
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
-            fit_density_score(_obs([1.0]))
+            fit_density_score(table([1.0]))
 
     def test_empty_context_named(self):
         with pytest.raises(ValueError, match="context 1"):
-            fit_density_score(_obs([0.0, 1.0], context=0), n_contexts=2)
+            fit_density_score(table([0.0, 1.0], context=0), n_contexts=2)
 
 
 class TestKMeansScore:
     def test_point_on_centroid(self):
-        train = _obs([(0.0, 0.0), (10.0, 10.0)])
+        train = table([(0.0, 0.0), (10.0, 10.0)])
         model = fit_kmeans_score(train, k=2, rng=np.random.default_rng(0))
         assert model.score([0.0, 0.0], 0) == pytest.approx(0.0, abs=1e-9)
 
     def test_equidistant_point(self):
-        train = _obs([(0.0, 0.0), (10.0, 10.0)])
+        train = table([(0.0, 0.0), (10.0, 10.0)])
         model = fit_kmeans_score(train, k=2, rng=np.random.default_rng(0))
         assert model.score([5.0, 5.0], 0) == pytest.approx(math.sqrt(50.0))
 
     def test_single_cluster_is_distance_to_mean(self):
-        train = _obs([(0.0,), (2.0,), (4.0,)])
+        train = table([(0.0,), (2.0,), (4.0,)])
         model = fit_kmeans_score(train, k=1, rng=np.random.default_rng(0))
         assert model.score([5.0], 0) == pytest.approx(3.0)
 
     def test_duplicate_centroid_error(self):
-        train = _obs([(1.0,), (1.0,), (2.0,)])
+        train = table([(1.0,), (1.0,), (2.0,)])
         with pytest.raises(ValueError, match="[Dd]uplicate"):
             fit_kmeans_score(train, k=3, rng=np.random.default_rng(0))
 
     def test_objective_non_increasing(self):
+        # each Lloyd update keeps or lowers the k-means objective: the sum
+        # of squared distances to the nearest centroid
         rng = np.random.default_rng(3)
         pts = np.concatenate([rng.normal(0, 1, (40, 2)),
                               rng.normal(8, 1, (40, 2))])
-        model = fit_kmeans_score(_obs(pts), k=3, rng=np.random.default_rng(1))
-        for path in model.objective_paths:
-            assert all(b <= a + 1e-9 for a, b in zip(path, path[1:]))
+        objectives = [float((fit_kmeans_score(
+            table(pts), k=3, rng=np.random.default_rng(1),
+            max_iter=updates).scores(pts, 0) ** 2).sum())
+            for updates in range(1, 10)]
+        assert all(b <= a + 1e-9 for a, b in zip(objectives, objectives[1:]))
+        assert objectives[-1] < objectives[0]
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(3)
         pts = rng.normal(0, 1, (50, 2))
-        m1 = fit_kmeans_score(_obs(pts), k=4, rng=np.random.default_rng(9))
-        m2 = fit_kmeans_score(_obs(pts), k=4, rng=np.random.default_rng(9))
+        m1 = fit_kmeans_score(table(pts), k=4, rng=np.random.default_rng(9))
+        m2 = fit_kmeans_score(table(pts), k=4, rng=np.random.default_rng(9))
         assert all(np.array_equal(a, b)
                    for a, b in zip(m1.centroids, m2.centroids))
 
     def test_labels_ignored(self):
         pts = [(0.0, 0.0), (10.0, 10.0), (0.1, 0.1), (9.9, 9.9)]
-        with_labels = [observation(np.array(p), 0, t)
-                       for p, t in zip(pts, (0, 1, 0, 1))]
-        without = _obs(pts)
+        with_labels = Table(np.array(pts), np.zeros(4), [0, 1, 0, 1])
+        without = table(pts)
         m1 = fit_kmeans_score(with_labels, k=2, rng=np.random.default_rng(2))
         m2 = fit_kmeans_score(without, k=2, rng=np.random.default_rng(2))
         assert all(np.array_equal(a, b)
@@ -126,37 +129,43 @@ class TestKMeansScore:
 class TestNaiveBayesScore:
     def test_symmetric_midpoint(self):
         rng = np.random.default_rng(0)
-        inliers = [observation([float(v)], 0, 0)
-                   for v in rng.normal(-1, 1, 500)]
-        anomalies = [observation([float(v)], 0, 1)
-                     for v in rng.normal(1, 1, 500)]
-        model = fit_supervised_score(inliers + anomalies)
+        inliers = table(rng.normal(-1, 1, 500), truth=0)
+        anomalies = table(rng.normal(1, 1, 500), truth=1)
+        model = fit_supervised_score(concat(inliers, anomalies))
         assert model.score([0.0], 0) == pytest.approx(0.5, abs=0.05)
 
     def test_limit_toward_anomaly_class(self):
-        train = (_obs([-1.2, -1.0, -0.8], truth=0)
-                 + _obs([0.8, 1.0, 1.2], truth=1))
+        train = concat(table([-1.2, -1.0, -0.8], truth=0),
+                       table([0.8, 1.0, 1.2], truth=1))
         model = fit_supervised_score(train)
         assert model.score([50.0], 0) == pytest.approx(1.0, abs=1e-9)
 
     def test_prior_only_when_likelihoods_match(self):
         # identical class-conditional fits, priors 0.9 / 0.1
-        inliers = _obs([-1.0, 1.0] * 9, truth=0)
-        anomalies = _obs([-1.0, 1.0], truth=1)
-        model = fit_supervised_score(inliers + anomalies)
+        inliers = table([-1.0, 1.0] * 9, truth=0)
+        anomalies = table([-1.0, 1.0], truth=1)
+        model = fit_supervised_score(concat(inliers, anomalies))
         assert model.score([0.3], 0) == pytest.approx(0.1, rel=1e-9)
 
     def test_class_absent_raises(self):
         with pytest.raises(ValueError, match="class 1"):
-            fit_supervised_score(_obs([0.0, 1.0], truth=0))
+            fit_supervised_score(table([0.0, 1.0], truth=0))
 
     def test_label_required(self):
-        rows = [observation([0.0], 0, None), observation([1.0], 0, 1)]
-        with pytest.raises(ValueError):
-            fit_supervised_score(rows)
+        # every row's 0/1 label is checked where the rows become a Table
+        with pytest.raises(ValueError, match="truth"):
+            fit_supervised_score(Table(np.zeros((2, 1)), [0, 0], [2, 1]))
+
+    def test_rejects_unseen_context(self):
+        # a row past the declared contexts belongs to no fitted slot
+        train = concat(table([0.0, 1.0], truth=0), table([2.0], truth=1),
+                       table([3.0], context=2))
+        with pytest.raises(ValueError, match="context 2 outside"):
+            fit_supervised_score(train, n_contexts=2)
 
     def test_scores_in_unit_interval(self):
-        train = _obs([-1.0, -0.5, 0.0], truth=0) + _obs([3.0, 4.0], truth=1)
+        train = concat(table([-1.0, -0.5, 0.0], truth=0),
+                       table([3.0, 4.0], truth=1))
         model = fit_supervised_score(train)
         for x in np.linspace(-10, 10, 50):
             assert 0.0 <= model.score([x], 0) <= 1.0
@@ -175,35 +184,35 @@ class _IdentityScore(ScoreModel):
 
 class TestFixedThreshold:
     def test_quantile_of_1_to_100(self):
-        train = _obs([float(v) for v in range(1, 101)])
+        train = table([float(v) for v in range(1, 101)])
         thr = fit_fixed_threshold(_IdentityScore(), train, alpha=0.1)
         assert thr.thresholds[0] == 90.0
         assert thr.flag(90.5, 0) and not thr.flag(90.0, 0)
 
     def test_alpha_to_zero_gives_max(self):
-        train = _obs([float(v) for v in range(1, 101)])
+        train = table([float(v) for v in range(1, 101)])
         with pytest.warns(UserWarning):  # quantile needs ~1/alpha points
             thr = fit_fixed_threshold(_IdentityScore(), train, alpha=1e-9)
         assert thr.thresholds[0] == 100.0
 
     def test_constant_scores(self):
         with pytest.warns(UserWarning):
-            thr = fit_fixed_threshold(_IdentityScore(), _obs([5.0] * 3),
+            thr = fit_fixed_threshold(_IdentityScore(), table([5.0] * 3),
                                       alpha=0.1)
         assert thr.thresholds[0] == 5.0
         assert thr.flag(5.1, 0) and not thr.flag(5.0, 0)
 
     def test_small_context_warns(self):
         with pytest.warns(UserWarning, match="quantile"):
-            fit_fixed_threshold(_IdentityScore(), _obs([1.0, 2.0]), alpha=0.1)
+            fit_fixed_threshold(_IdentityScore(), table([1.0, 2.0]), alpha=0.1)
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
-            fit_fixed_threshold(_IdentityScore(), _obs([1.0] * 20), alpha=0.0)
+            fit_fixed_threshold(_IdentityScore(), table([1.0] * 20), alpha=0.0)
 
     def test_per_context_thresholds(self):
-        train = (_obs([float(v) for v in range(10)], context=0)
-                 + _obs([float(v + 100) for v in range(10)], context=1))
+        train = concat(table([float(v) for v in range(10)], context=0),
+                       table([float(v + 100) for v in range(10)], context=1))
         thr = fit_fixed_threshold(_IdentityScore(n_contexts=2), train,
                                   alpha=0.2)
         assert thr.thresholds[0] < thr.thresholds[1]
@@ -212,7 +221,7 @@ class TestFixedThreshold:
 def test_fit_determinism_bit_identical():
     rng = np.random.default_rng(0)
     pts = rng.normal(0, 1, (60, 3))
-    a = fit_density_score(_obs(pts))
-    b = fit_density_score(_obs(pts))
+    a = fit_density_score(table(pts))
+    b = fit_density_score(table(pts))
     assert np.array_equal(a.means, b.means)
     assert np.array_equal(a.variances, b.variances)

@@ -7,20 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coad.conformal import GAMMA_MAX
-from coad.core import EPS_VAR, observation
+from coad.core import EPS_VAR
 from coad.twin import (ValidityReport, fit_twin, gamma_of_context,
                        positive_ecdf_gap, proxy_pvalues, sample_synthetic,
                        superuniformity_gap)
-
-
-def _obs(values, context=0):
-    return [observation(np.atleast_1d(v).astype(float), context, 0)
-            for v in values]
+from tables import concat, table
 
 
 class TestFitTwin:
     def test_single_component_fixed_point(self):
-        model = fit_twin(_obs([1.0, 2.0, 3.0]), k=1,
+        model = fit_twin(table([1.0, 2.0, 3.0]), k=1,
                          rng=np.random.default_rng(0))
         assert model.means[0][0, 0] == pytest.approx(2.0, abs=1e-12)
         expected_var = np.var([1.0, 2.0, 3.0]) + EPS_VAR
@@ -28,28 +24,40 @@ class TestFitTwin:
                                                          rel=1e-12)
 
     def test_constant_data_floor_engages(self):
-        model = fit_twin(_obs([5.0] * 6), k=1, rng=np.random.default_rng(0))
+        model = fit_twin(table([5.0] * 6), k=1, rng=np.random.default_rng(0))
         assert model.variances[0][0, 0] == EPS_VAR
 
     def test_separated_clusters_recovered(self):
         rng = np.random.default_rng(42)
         pts = np.concatenate([rng.normal(0.0, 1.0, 50),
                               rng.normal(100.0, 1.0, 50)])
-        model = fit_twin(_obs(pts), k=2, rng=np.random.default_rng(1))
+        model = fit_twin(table(pts), k=2, rng=np.random.default_rng(1))
         means = sorted(model.means[0].ravel())
         assert abs(means[0] - 0.0) < 0.5 and abs(means[1] - 100.0) < 0.5
         assert np.all(np.abs(model.weights[0] - 0.5) < 0.1)
 
     def test_too_few_points_names_context(self):
-        train = _obs([1.0, 2.0, 3.0], context=0) + _obs([9.0], context=1)
+        train = concat(table([1.0, 2.0, 3.0], context=0),
+                       table([9.0], context=1))
         with pytest.raises(ValueError, match="context 1"):
             fit_twin(train, k=2, rng=np.random.default_rng(0))
+
+    def test_pooled_fit_ignores_context(self):
+        # the context-unaware generator is one mixture over every row
+        pts = np.random.default_rng(4).normal(0, 1, (30, 2))
+        train = concat(table(pts[:10], context=0), table(pts[10:], context=1))
+        pooled = fit_twin(train, k=2, rng=np.random.default_rng(5),
+                          n_contexts=1, context_aware=False)
+        single = fit_twin(table(pts), k=2, rng=np.random.default_rng(5))
+        assert pooled.n_contexts == 1
+        assert np.array_equal(pooled.means[0], single.means[0])
+        assert np.array_equal(pooled.variances[0], single.variances[0])
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(8)
         pts = rng.normal(0, 1, (40, 2))
-        a = fit_twin(_obs(pts), k=2, rng=np.random.default_rng(3))
-        b = fit_twin(_obs(pts), k=2, rng=np.random.default_rng(3))
+        a = fit_twin(table(pts), k=2, rng=np.random.default_rng(3))
+        b = fit_twin(table(pts), k=2, rng=np.random.default_rng(3))
         assert all(np.array_equal(x, y) for x, y in zip(a.means, b.means))
         assert all(np.array_equal(x, y)
                    for x, y in zip(a.variances, b.variances))
@@ -66,7 +74,7 @@ def _sample(model, context, n_tilde, rng):
 class TestSampleSynthetic:
     def _unit_model(self):
         rng = np.random.default_rng(0)
-        return fit_twin(_obs(rng.normal(0.0, 1.0, 2000)), k=1,
+        return fit_twin(table(rng.normal(0.0, 1.0, 2000)), k=1,
                         rng=np.random.default_rng(0))
 
     def test_mean_concentrates(self):
