@@ -4,8 +4,10 @@ A CSV file becomes one Table through a schema that names feature columns
 (continuous or categorical), the label column, a numeric context column
 with bin boundaries, and the missing-value tokens.  Splits follow the
 benchmark protocol: shuffle the row indices, cut the inliers into
-score-training / generator-training / calibration parts, and serve the
-calibration part as disjoint per-timestep batches.  Every part is a Table.
+score-training / generator-training / calibration thirds, and serve the
+calibration part as disjoint per-timestep batches.  A split holds row
+positions into the dataset; a part becomes a Table only where a run reads
+it, through ``Table.rows``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .core import Table
 
 __all__ = [
     "DatasetSchema",
-    "SplitPlan",
     "Splits",
     "Imputer",
     "load_csv",
@@ -191,97 +192,73 @@ def _finite(token: str, what: str) -> float:
 SPLIT_KINDS = ("prediction_powered", "twinless", "prediction_only")
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    """How to cut a dataset for one run.
-
-    ``fractions`` applies to the inlier rows (after removing the test
-    reserve): score-training, generator-training, calibration.  Twinless
-    plans fold the generator part into calibration, doubling the per-step
-    batch; prediction-only plans fold calibration into generator training
-    and serve no real batches.  ``test_reserve`` inliers are carved out
-    first as null-step test candidates.
-    """
-
-    fractions: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
-    kind: str = "prediction_powered"
-    n_per_step: int | None = None
-    test_reserve: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in SPLIT_KINDS:
-            raise ValueError(f"unknown split kind {self.kind!r}")
-        if abs(sum(self.fractions) - 1.0) > 1e-9 or min(self.fractions) < 0:
-            raise ValueError("fractions must be non-negative and sum to 1")
-        if self.test_reserve < 0:
-            raise ValueError("test_reserve must be >= 0")
-
-
 @dataclass(frozen=True, eq=False)
 class Splits:
-    score_train: Table
-    twin_train: Table
-    calibration: Table
-    test_inliers: Table
-    anomaly_pool: Table
+    """The parts of one run's split as row positions into its dataset,
+    plus the per-step batch size n (0 when no real batch is served)."""
+
+    score_train: np.ndarray
+    twin_train: np.ndarray
+    calibration: np.ndarray
+    test_inliers: np.ndarray
+    anomaly_pool: np.ndarray
     n: int
 
 
-def make_splits(data: Table, plan: SplitPlan, steps: int,
-                rng: np.random.Generator) -> Splits:
+def make_splits(data: Table, kind: str, steps: int, rng: np.random.Generator,
+                n: int | None = None, test_reserve: int = 0) -> Splits:
     """Shuffle and cut a labeled dataset for one run of ``steps`` timesteps.
 
-    Inliers fill the three parts per the plan; anomalies give their
-    score-training share to the supervised scorer and the remainder to the
-    stream's anomaly pool.  The per-step batch size n is derived as
-    floor(|calibration| / steps) unless pinned by the plan.
+    ``test_reserve`` inliers are carved out first as null-step test points;
+    the rest are cut in thirds for score training, generator training and
+    calibration.  A twinless split folds the generator third into
+    calibration; a prediction-only split folds calibration into generator
+    training and serves no real batch (n = 0).  Anomalies give their first
+    third to the supervised scorer and the rest to the anomaly pool.  The
+    per-step batch size is ``n``, or floor(|calibration| / steps) if None.
     """
+    if kind not in SPLIT_KINDS:
+        raise ValueError(f"unknown split kind {kind!r}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if test_reserve < 0:
+        raise ValueError("test_reserve must be >= 0")
     inliers = np.flatnonzero(data.truth != 1)
     anomalies = np.flatnonzero(data.truth == 1)
     inliers = inliers[rng.permutation(inliers.size)]
     anomalies = anomalies[rng.permutation(anomalies.size)]
 
-    if inliers.size < plan.test_reserve:
-        raise ValueError(f"need at least {plan.test_reserve} inlier rows for "
+    if inliers.size < test_reserve:
+        raise ValueError(f"need at least {test_reserve} inlier rows for "
                          f"the test reserve, got {inliers.size}")
-    test_inliers = inliers[:plan.test_reserve]
-    rest = inliers[plan.test_reserve:]
-
-    f_score, f_twin, _ = plan.fractions
-    cut1 = math.floor(f_score * rest.size)
-    cut2 = math.floor((f_score + f_twin) * rest.size)
-    score_in, twin_part, cal_part = rest[:cut1], rest[cut1:cut2], rest[cut2:]
-
-    if plan.kind == "twinless":
+    rest = inliers[test_reserve:]
+    cut1, cut2 = rest.size // 3, 2 * rest.size // 3
+    twin_part, cal_part = rest[cut1:cut2], rest[cut2:]
+    if kind == "twinless":
         twin_part, cal_part = rest[:0], rest[cut1:]
-    elif plan.kind == "prediction_only":
+    elif kind == "prediction_only":
         twin_part, cal_part = rest[cut1:], rest[:0]
+    anom_cut = anomalies.size // 3
 
-    anom_cut = math.floor(f_score * anomalies.size)
-    score_train = np.concatenate([score_in, anomalies[:anom_cut]])
-
-    if plan.kind == "prediction_only":
+    if kind == "prediction_only":
         n = 0
     else:
-        n = plan.n_per_step if plan.n_per_step is not None \
-            else cal_part.size // steps
+        minimum = steps * max(1, n or 1)
+        n = cal_part.size // steps if n is None else n
         if n < 1 or n * steps > cal_part.size:
-            minimum = steps * max(1, plan.n_per_step or 1)
             raise ValueError(
                 f"calibration part has {cal_part.size} rows; need at least "
                 f"{minimum} for {steps} fresh batches")
 
-    return Splits(score_train=data.rows(score_train),
-                  twin_train=data.rows(twin_part),
-                  calibration=data.rows(cal_part),
-                  test_inliers=data.rows(test_inliers),
-                  anomaly_pool=data.rows(anomalies[anom_cut:]), n=n)
+    return Splits(score_train=np.concatenate([rest[:cut1],
+                                              anomalies[:anom_cut]]),
+                  twin_train=twin_part, calibration=cal_part,
+                  test_inliers=inliers[:test_reserve],
+                  anomaly_pool=anomalies[anom_cut:], n=n)
 
 
-def build_stream(splits: Splits, steps: int, rng: np.random.Generator,
-                 anomaly_rate: float = 0.1) -> Table:
+def build_stream(data: Table, splits: Splits, steps: int,
+                 rng: np.random.Generator, anomaly_rate: float = 0.1) -> Table:
     """The stream's test points, one per timestep, in step order.
 
     Anomaly steps (a count-controlled share of ``steps``) draw their test
@@ -291,22 +268,16 @@ def build_stream(splits: Splits, steps: int, rng: np.random.Generator,
     """
     if not 0.0 <= anomaly_rate < 1.0:
         raise ValueError("anomaly_rate must lie in [0, 1)")
-    k = min(len(splits.anomaly_pool), round(steps * anomaly_rate))
-    if len(splits.test_inliers) < steps - k:
+    k = min(splits.anomaly_pool.size, round(steps * anomaly_rate))
+    if splits.test_inliers.size < steps - k:
         raise ValueError(f"need {steps - k} reserved inlier test points, "
-                         f"got {len(splits.test_inliers)}")
+                         f"got {splits.test_inliers.size}")
     anomalous = np.zeros(steps, dtype=bool)
     anomalous[rng.choice(steps, size=k, replace=False)] = True
-    pool, null_pool = splits.anomaly_pool, splits.test_inliers
-    columns = []
-    for anomaly, null in zip((pool.features, pool.context, pool.truth),
-                             (null_pool.features, null_pool.context,
-                              null_pool.truth)):
-        column = np.empty((steps, *null.shape[1:]), dtype=null.dtype)
-        column[anomalous] = anomaly[:k]
-        column[~anomalous] = null[:steps - k]
-        columns.append(column)
-    return Table(*columns)
+    index = np.empty(steps, dtype=np.intp)
+    index[anomalous] = splits.anomaly_pool[:k]
+    index[~anomalous] = splits.test_inliers[:steps - k]
+    return data.rows(index)
 
 
 # --- missingness ------------------------------------------------------------

@@ -10,12 +10,14 @@ shift when a method skips a query.
 The benchmark runs run-major.  A run's methods form split groups (all of
 them on the Gaussian oracle, the methods of one split kind on a table).  A
 group builds its data once, as columnar ``Table``s of its training and
-validation sets and its stream's test points; it fits each model once per
-distinct input -- the imputer once, a score model and a generator once per
-context awareness -- and draws its stream once, chunk by chunk; every
-method of the group reads those shared arrays in lock-step.  Since each
-shared object is a function of (seed, run, purpose, sub-stream) alone, a
-method's outputs do not depend on which methods share its runs.
+validation sets and its stream's test points; a table's split is row
+positions, gathered only where the run reads them.  The group fits each
+model once per distinct input -- the imputer once, a score model and a
+generator once per context awareness -- and draws its stream once, chunk
+by chunk; every method of the group reads those shared arrays in
+lock-step.  Since each shared object is a function of (seed, run, purpose,
+sub-stream) alone, a method's outputs do not depend on which methods share
+its runs.
 
 A run has two phases.  No step's statistic -- proxy p-value, acquisition
 draw, real p-value, test statistic -- reads the detector's past, so the
@@ -45,8 +47,8 @@ from . import fdr
 from .conformal import (GAMMA_MAX, acquisition_probability, active_pvalues,
                         conformal_pvalues)
 from .core import Table
-from .data import (DatasetSchema, Imputer, SplitPlan, apply_mcar_mask,
-                   build_stream, impute, load_csv, make_splits, parse_kv_file)
+from .data import (DatasetSchema, Imputer, apply_mcar_mask, build_stream,
+                   impute, load_csv, make_splits)
 # The run engine calls ``fdr.threshold_walk``, not the single-step ``step``;
 # the name stays because perfbench/spans.py patches it here.
 from .fdr import StepRecord, step  # noqa: F401
@@ -211,9 +213,18 @@ class RunConfig:
         for size in (self.n, self.n_tilde):
             if size is not None and size < 1:
                 raise ValueError("n and n_tilde must be >= 1 when set")
-        for key in ("contexts", "dim", "gmm_components", "synth_pool"):
+        for key in ("contexts", "dim", "gmm_components", "kmeans_k",
+                    "oran_samples", "synth_pool"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
+        for key in ("score_train_size", "twin_train_size", "val_size"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0")
+        for key in ("context_spread", "anomaly_shift", "twin_mean_shift"):
+            if not np.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite")
+        if not 0.0 <= self.twin_var_scale < np.inf:
+            raise ValueError("twin_var_scale must be finite and >= 0")
         if self.gamma_override is not None and \
                 not 0.0 < self.gamma_override <= GAMMA_MAX:
             raise ValueError(f"gamma_override must lie in (0, {GAMMA_MAX}]")
@@ -289,10 +300,6 @@ def config_from(mapping: dict[str, str] | None = None, **overrides) -> RunConfig
     return cfg
 
 
-def load_config(path) -> RunConfig:
-    return config_from(parse_kv_file(path))
-
-
 # --- per-run data assembly ---------------------------------------------------
 
 
@@ -318,42 +325,6 @@ class RunData:
     n_tilde: int
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianOracle:
-    """Known per-context nominal law: unit-variance Gaussians on a mean grid.
-
-    Anomalies are mean-shifted; the generator-training law may be perturbed
-    (variance scale, mean shift) to emulate sim-to-real mismatch.
-    """
-
-    means: np.ndarray  # (C, d)
-    anomaly_shift: float
-    twin_var_scale: float
-    twin_mean_shift: float
-
-    @classmethod
-    def from_config(cls, cfg: RunConfig) -> "GaussianOracle":
-        means = (np.arange(cfg.contexts)[:, None]
-                 * cfg.context_spread * np.ones(cfg.dim)[None, :])
-        return cls(means, cfg.anomaly_shift, cfg.twin_var_scale,
-                   cfg.twin_mean_shift)
-
-    def sample_nominal(self, context: int, size: int,
-                       rng: np.random.Generator) -> np.ndarray:
-        return self.means[context] + rng.standard_normal((size, self.means.shape[1]))
-
-    def sample_anomaly(self, context: int, size: int,
-                       rng: np.random.Generator) -> np.ndarray:
-        return (self.means[context] + self.anomaly_shift
-                + rng.standard_normal((size, self.means.shape[1])))
-
-    def sample_twin_law(self, context: int, size: int,
-                        rng: np.random.Generator) -> np.ndarray:
-        scale = np.sqrt(self.twin_var_scale)
-        return (self.means[context] + self.twin_mean_shift
-                + scale * rng.standard_normal((size, self.means.shape[1])))
-
-
 def gaussian_synthetic_stream(cfg: RunConfig,
                               methods: Sequence[MethodVariant],
                               run_idx: int) -> RunData:
@@ -368,9 +339,19 @@ def gaussian_synthetic_stream(cfg: RunConfig,
     draws whichever methods share the run.  The test points' contexts,
     anomaly flags and noise, and the real batches' noise, are read in step
     order, whether or not a method queries real data at a step.
+
+    Context c's inliers are unit-variance Gaussians at c * context_spread;
+    anomalies shift by anomaly_shift; the twin's training law shifts by
+    twin_mean_shift and scales the variance by twin_var_scale.
     """
-    oracle = GaussianOracle.from_config(cfg)
     contexts = cfg.contexts
+    means = (np.arange(contexts)[:, None] * cfg.context_spread
+             * np.ones(cfg.dim)[None, :])
+
+    def draw(c: int, size: int, rng: np.random.Generator,
+             shift: float = 0.0, scale: float = 1.0) -> np.ndarray:
+        return means[c] + shift + scale * rng.standard_normal((size, cfg.dim))
+
     n = cfg.n if cfg.n is not None else 200
     n_tilde = cfg.n_tilde if cfg.n_tilde is not None else n
 
@@ -380,19 +361,20 @@ def gaussian_synthetic_stream(cfg: RunConfig,
     for c in range(contexts):
         k_anom = max(1, round(per_ctx * cfg.anomaly_rate))
         score_train += [
-            (c, 0, oracle.sample_nominal(c, per_ctx - k_anom, data_rng)),
-            (c, 1, oracle.sample_anomaly(c, k_anom, data_rng))]
+            (c, 0, draw(c, per_ctx - k_anom, data_rng)),
+            (c, 1, draw(c, k_anom, data_rng, cfg.anomaly_shift))]
 
     twin_train = []
     if any(m.uses_twin for m in methods):
-        per_ctx_twin = cfg.twin_train_size // contexts
-        twin_train = [(c, 0, oracle.sample_twin_law(c, per_ctx_twin, data_rng))
+        twin_train = [(c, 0, draw(c, cfg.twin_train_size // contexts,
+                                  data_rng, cfg.twin_mean_shift,
+                                  np.sqrt(cfg.twin_var_scale)))
                       for c in range(contexts)]
 
     validation = []
     if cfg.gamma_override is None and \
             any(m.acquisition == "active" for m in methods):
-        validation = [(c, 0, oracle.sample_nominal(c, cfg.val_size, derive_rng(
+        validation = [(c, 0, draw(c, cfg.val_size, derive_rng(
                           cfg.seed, run_idx, _Purpose.VALIDATION, c)))
                       for c in range(contexts)]
 
@@ -401,7 +383,7 @@ def gaussian_synthetic_stream(cfg: RunConfig,
 
     ctx = stream_rng(0).integers(contexts, size=cfg.steps)
     truth = (stream_rng(1).random(cfg.steps) < cfg.anomaly_rate).astype(int)
-    tests = (oracle.means[ctx] + oracle.anomaly_shift * truth[:, None]
+    tests = (means[ctx] + cfg.anomaly_shift * truth[:, None]
              + stream_rng(2).standard_normal((cfg.steps, cfg.dim)))
 
     real_batches = None
@@ -409,7 +391,7 @@ def gaussian_synthetic_stream(cfg: RunConfig,
         real_rng = derive_rng(cfg.seed, run_idx, _Purpose.REAL_CAL, 0)
 
         def real_batches(lo: int, hi: int) -> np.ndarray:
-            return (oracle.means[ctx[lo:hi], None, :]
+            return (means[ctx[lo:hi], None, :]
                     + real_rng.standard_normal((hi - lo, n, cfg.dim)))
 
     return RunData(score_train=_blocks_table(score_train, cfg.dim),
@@ -459,13 +441,13 @@ def table_run(cfg: RunConfig, split_kind: str, run_idx: int,
               dataset: _Dataset) -> RunData:
     """Per-run data from a finite dataset via the split protocol, for the
     methods whose split is ``split_kind``."""
-    plan = SplitPlan(kind=split_kind, n_per_step=cfg.n,
-                     test_reserve=cfg.steps)
+    data = dataset.table
     rng = derive_rng(cfg.seed, run_idx, _Purpose.SPLITS, 0)
-    splits = make_splits(dataset.table, plan, cfg.steps, rng)
-    stream = build_stream(splits, cfg.steps, rng, cfg.anomaly_rate)
-
-    score_train, twin_train = splits.score_train, splits.twin_train
+    splits = make_splits(data, split_kind, cfg.steps, rng, n=cfg.n,
+                         test_reserve=cfg.steps)
+    stream = build_stream(data, splits, cfg.steps, rng, cfg.anomaly_rate)
+    score_train = data.rows(splits.score_train)
+    twin_train = data.rows(splits.twin_train)
     n_contexts = dataset.n_contexts
     if dataset.graph is not None:
         # context bins come from this run's training portion; boundaries that
@@ -487,19 +469,18 @@ def table_run(cfg: RunConfig, split_kind: str, run_idx: int,
         np.flatnonzero(score_train.truth[:carve] == 0))
     score_train = score_train.rows(slice(carve, None))
 
-    if cfg.n_tilde is not None:
-        n_tilde = cfg.n_tilde
-    elif splits.n > 0:
-        n_tilde = splits.n
-    else:
-        # generator-only split: match the batch a generator-backed split
-        # would have served (its calibration share is half the twin part)
-        n_tilde = max(1, len(twin_train) // 2 // cfg.steps)
+    # n_tilde is the configured size, else n; a generator-only split
+    # matches the batch a generator-backed split would have served (its
+    # calibration share is half the twin part)
+    n_tilde = cfg.n_tilde or splits.n or \
+        max(1, len(twin_train) // 2 // cfg.steps)
 
     real_batches = None
     if splits.n > 0:
-        # the fresh per-step batches are consecutive slices of the part
-        n, part = splits.n, splits.calibration.features
+        # the fresh per-step batches are consecutive n-row slices of the
+        # calibration part; only the first steps * n rows are ever read
+        n = splits.n
+        part = data.features[splits.calibration[:cfg.steps * n]]
 
         def real_batches(lo: int, hi: int) -> np.ndarray:
             return part[lo * n:hi * n].reshape(hi - lo, n, part.shape[1])

@@ -175,7 +175,7 @@ def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator,
 class KMeansScore(ScoreModel):
     """Euclidean distance to the nearest cluster centroid."""
 
-    centroids: tuple[np.ndarray, ...]  # one (k, d) array per context slot
+    centroids: np.ndarray  # (slots, k, d)
     context_aware: bool
     n_contexts: int
 
@@ -193,8 +193,8 @@ def fit_kmeans_score(train: Table, k: int = 5,
     if rng is None:
         rng = np.random.default_rng(0)
     groups = _context_groups(train, n_contexts, context_aware)
-    return KMeansScore(tuple(_lloyd(group.observed(), k, rng, tol, max_iter)
-                             for group in groups), context_aware, len(groups))
+    centroids = [_lloyd(g.observed(), k, rng, tol, max_iter) for g in groups]
+    return KMeansScore(np.stack(centroids), context_aware, len(groups))
 
 
 @dataclass(frozen=True, eq=False)

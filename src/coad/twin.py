@@ -31,17 +31,25 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TwinModel:
-    """Per-context Gaussian mixture with diagonal covariances."""
+    """Per-context Gaussian mixtures with diagonal covariances, stacked:
+    K components in each of C contexts."""
 
-    weights: tuple[np.ndarray, ...]    # (K,) per context
-    means: tuple[np.ndarray, ...]      # (K, d) per context
-    variances: tuple[np.ndarray, ...]  # (K, d) per context
+    weights: np.ndarray    # (C, K)
+    means: np.ndarray      # (C, K, d)
+    variances: np.ndarray  # (C, K, d)
 
     def __post_init__(self) -> None:
-        for c, w in enumerate(self.weights):
-            if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
+        w, mu, var = self.weights, self.means, self.variances
+        if mu.ndim != 3 or mu.shape != var.shape or mu.shape[:2] != w.shape:
+            # the first context one of them lacks, else every context
+            sizes = {len(w), len(mu), len(var)}
+            c = min(sizes) if len(sizes) > 1 else 0
+            raise ValueError(f"context {c}: weights {w.shape}, means "
+                             f"{mu.shape} and variances {var.shape} disagree")
+        for c in range(len(w)):
+            if np.any(w[c] <= 0) or abs(w[c].sum() - 1.0) > 1e-9:
                 raise ValueError(f"context {c}: weights must be positive and sum to 1")
-            if np.any(self.variances[c] < EPS_VAR * (1.0 - 1e-12)):
+            if np.any(var[c] < EPS_VAR * (1.0 - 1e-12)):
                 raise ValueError(f"context {c}: variances fell below the floor")
 
     @property
@@ -50,7 +58,7 @@ class TwinModel:
 
     @property
     def dim(self) -> int:
-        return int(self.means[0].shape[1])
+        return self.means.shape[2]
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -104,18 +112,15 @@ def fit_twin(train: Table, k: int = 2,
     one on all of it when not ``context_aware``."""
     if rng is None:
         rng = np.random.default_rng(0)
-    weights, means, variances = [], [], []
+    fits = []  # (weights, means, variances) per context
     for c, group in enumerate(_context_groups(train, n_contexts,
                                               context_aware)):
         if len(group) < k:
             raise ValueError(f"context {c} has {len(group)} points; "
                              f"need at least k={k} to fit the mixture")
-        w, mu, var = _em_diag(group.observed(), k, rng, max_iter, tol,
-                              eps_var)
-        weights.append(w)
-        means.append(mu)
-        variances.append(var)
-    return TwinModel(tuple(weights), tuple(means), tuple(variances))
+        fits.append(_em_diag(group.observed(), k, rng, max_iter, tol,
+                             eps_var))
+    return TwinModel(*(np.stack(part) for part in zip(*fits)))
 
 
 def sample_synthetic(model: TwinModel, context, uniforms: np.ndarray,
@@ -143,22 +148,18 @@ def sample_synthetic(model: TwinModel, context, uniforms: np.ndarray,
                          f"[0, {model.n_contexts})")
     # as Generator.choice(p=weights) picks it, the component is the count of
     # normalized cumulative weights at or below the uniform; the last one is
-    # 1, above every uniform, and so is the padding of a smaller mixture
-    width = max(w.size for w in model.weights)
-    bounds = np.full((model.n_contexts, width - 1), np.inf)
-    params = np.zeros((model.n_contexts, width, 2, model.dim))
-    for c, weights in enumerate(model.weights):
-        cdf = np.cumsum(weights)
-        cdf /= cdf[-1]
-        bounds[c, :weights.size - 1] = cdf[:-1]
-        params[c, :weights.size, 0] = model.means[c]
-        params[c, :weights.size, 1] = np.sqrt(model.variances[c])
+    # 1, above every uniform
+    _, width, dim = model.means.shape
+    cdf = np.cumsum(model.weights, axis=1)
+    cdf /= cdf[:, -1:]
     slot = contexts[:, None] * width  # first component of each row's context
     for j in range(width - 1):
-        slot = slot + (uniforms >= bounds[contexts, j][:, None])
-    drawn = np.take(params.reshape(-1, 2, model.dim), slot, axis=0)
+        slot = slot + (uniforms >= cdf[contexts, j][:, None])
+    # one take on (C * K, 2, d) picks each row's mean and scale together
+    params = np.stack([model.means, np.sqrt(model.variances)], axis=2)
+    drawn = np.take(params.reshape(-1, 2, dim), slot, axis=0)
     rows = drawn[..., 0, :] + drawn[..., 1, :] * noise
-    return rows.reshape(-1, model.dim)
+    return rows.reshape(-1, dim)
 
 
 def proxy_pvalues(synthetic_scores, validation_scores,

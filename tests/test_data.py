@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coad.core import Table
-from coad.data import (DatasetSchema, Imputer, SplitPlan, apply_mcar_mask,
+from coad.data import (DatasetSchema, Imputer, apply_mcar_mask,
                        build_stream, impute, load_csv, make_splits,
                        parse_kv_file)
 from tables import concat, table
@@ -168,88 +167,96 @@ def _anomalies(count, d=2):
     return table([np.full(d, 1000.0 + i) for i in range(count)], truth=1)
 
 
+PP = "prediction_powered"
+
+
 class TestMakeSplits:
     def test_thirds_arithmetic(self):
-        splits = make_splits(_inliers(90), SplitPlan(), steps=10,
+        splits = make_splits(_inliers(90), PP, steps=10,
                              rng=np.random.default_rng(0))
         assert (len(splits.score_train), len(splits.twin_train),
                 len(splits.calibration)) == (30, 30, 30)
         assert splits.n == 3
 
+    def test_integer_thirds_equal_float_cuts(self):
+        # the cuts were floor(1/3 * size) and floor((1/3 + 1/3) * size)
+        # in floats; the integer thirds agree for every size below 200,000
+        sizes = np.arange(200_000)
+        assert np.array_equal(sizes // 3, np.floor((1 / 3) * sizes))
+        assert np.array_equal(2 * sizes // 3,
+                              np.floor((1 / 3 + 1 / 3) * sizes))
+
     def test_twinless_doubles(self):
-        splits = make_splits(_inliers(90), SplitPlan(kind="twinless"),
+        splits = make_splits(_inliers(90), "twinless",
                              steps=10, rng=np.random.default_rng(0))
         assert (len(splits.score_train), len(splits.twin_train),
                 len(splits.calibration)) == (30, 0, 60)
         assert splits.n == 6
 
     def test_prediction_only_folds_calibration(self):
-        splits = make_splits(_inliers(90), SplitPlan(kind="prediction_only"),
+        splits = make_splits(_inliers(90), "prediction_only",
                              steps=10, rng=np.random.default_rng(0))
         assert (len(splits.score_train), len(splits.twin_train)) == (30, 60)
         assert splits.n == 0 and len(splits.calibration) == 0
 
     def test_replay_identical(self):
         data = concat(_inliers(60), _anomalies(12))
-        a = make_splits(data, SplitPlan(test_reserve=5), 5,
-                        np.random.default_rng(77))
-        b = make_splits(data, SplitPlan(test_reserve=5), 5,
-                        np.random.default_rng(77))
-        assert np.array_equal(a.score_train.features, b.score_train.features)
-        assert np.array_equal(a.anomaly_pool.features,
-                              b.anomaly_pool.features)
+        a = make_splits(data, PP, 5, np.random.default_rng(77),
+                        test_reserve=5)
+        b = make_splits(data, PP, 5, np.random.default_rng(77),
+                        test_reserve=5)
+        assert np.array_equal(a.score_train, b.score_train)
+        assert np.array_equal(a.anomaly_pool, b.anomaly_pool)
 
     def test_matches_list_shuffle(self):
         # the row order of the shuffle the columnar split replaced: each
         # class list permuted in turn by one generator
         data = concat(_inliers(40), _anomalies(9), _inliers(5))
-        splits = make_splits(data, SplitPlan(test_reserve=4), 4,
-                             np.random.default_rng(5))
+        splits = make_splits(data, PP, 4, np.random.default_rng(5),
+                             test_reserve=4)
         rng = np.random.default_rng(5)
         inl = [i for i in range(len(data)) if data.truth[i] != 1]
         anom = [i for i in range(len(data)) if data.truth[i] == 1]
         inl = [inl[i] for i in rng.permutation(len(inl))]
         anom = [anom[i] for i in rng.permutation(len(anom))]
         third = (len(inl) - 4) // 3
-        assert splits.test_inliers.features[:, 0].tolist() == \
-            data.features[inl[:4], 0].tolist()
-        assert splits.score_train.features[:, 0].tolist() == \
-            data.features[inl[4:4 + third] + anom[:3], 0].tolist()
+        assert splits.test_inliers.tolist() == inl[:4]
+        assert splits.score_train.tolist() == inl[4:4 + third] + anom[:3]
 
     def test_partition_disjoint_and_complete(self):
         data = concat(_inliers(75), _anomalies(15))
-        splits = make_splits(data, SplitPlan(test_reserve=6), 6,
-                             np.random.default_rng(3))
-        parts = concat(splits.score_train, splits.twin_train,
-                       splits.calibration, splits.test_inliers,
-                       splits.anomaly_pool)
-        assert len(parts) == len(data)
-        assert Counter(parts.features[:, 0].tolist()) == \
-            Counter(data.features[:, 0].tolist())
+        splits = make_splits(data, PP, 6, np.random.default_rng(3),
+                             test_reserve=6)
+        parts = np.concatenate([splits.score_train, splits.twin_train,
+                                splits.calibration, splits.test_inliers,
+                                splits.anomaly_pool])
+        assert sorted(parts.tolist()) == list(range(len(data)))
 
     def test_anomalies_only_in_score_or_pool(self):
         data = concat(_inliers(60), _anomalies(30))
-        splits = make_splits(data, SplitPlan(), 5, np.random.default_rng(0))
-        assert not splits.twin_train.truth.any()
-        assert not splits.calibration.truth.any()
-        assert splits.anomaly_pool.truth.all()
+        splits = make_splits(data, PP, 5, np.random.default_rng(0))
+        assert not data.truth[splits.twin_train].any()
+        assert not data.truth[splits.calibration].any()
+        assert data.truth[splits.anomaly_pool].all()
         assert len(splits.anomaly_pool) == 20  # score share is 10 of 30
 
     def test_insufficient_rows(self):
         with pytest.raises(ValueError, match="at least"):
-            make_splits(_inliers(12), SplitPlan(), steps=10,
+            make_splits(_inliers(12), PP, steps=10,
                         rng=np.random.default_rng(0))
 
     def test_pinned_n_validated(self):
         with pytest.raises(ValueError):
-            make_splits(_inliers(90), SplitPlan(n_per_step=10), steps=10,
-                        rng=np.random.default_rng(0))
+            make_splits(_inliers(90), PP, steps=10,
+                        rng=np.random.default_rng(0), n=10)
 
     def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            SplitPlan(kind="mystery")
-        with pytest.raises(ValueError):
-            SplitPlan(fractions=(0.5, 0.2, 0.2))
+        with pytest.raises(ValueError, match="split kind"):
+            make_splits(_inliers(90), "mystery", steps=10,
+                        rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="test_reserve"):
+            make_splits(_inliers(90), PP, steps=10,
+                        rng=np.random.default_rng(0), test_reserve=-1)
 
 
 class TestBuildStream:
@@ -257,52 +264,53 @@ class TestBuildStream:
         # the step-t real batch is the t-th n-row slice of the calibration
         # part; no row serves twice, as a batch row or as a test point
         data = concat(_inliers(100), _anomalies(10))
-        splits = make_splits(data, SplitPlan(test_reserve=10), 9,
-                             np.random.default_rng(1))
-        stream = build_stream(splits, 9, np.random.default_rng(2),
+        splits = make_splits(data, PP, 9, np.random.default_rng(1),
+                             test_reserve=10)
+        stream = build_stream(data, splits, 9, np.random.default_rng(2),
                               anomaly_rate=0.3)
-        seen = stream.features[:, 0].tolist() \
-            + splits.calibration.features[:9 * splits.n, 0].tolist()
+        seen = stream.features[:, 0].tolist() + data.features[
+            splits.calibration[:9 * splits.n], 0].tolist()
         assert len(seen) == len(set(seen)) == 9 + 9 * splits.n
 
     def test_test_points_in_step_order(self):
         # anomaly steps take the pool's rows in order, the rest the
         # reserved inliers in order
         data = concat(_inliers(100), _anomalies(10))
-        splits = make_splits(data, SplitPlan(test_reserve=10), 9,
-                             np.random.default_rng(1))
-        stream = build_stream(splits, 9, np.random.default_rng(2),
+        splits = make_splits(data, PP, 9, np.random.default_rng(1),
+                             test_reserve=10)
+        stream = build_stream(data, splits, 9, np.random.default_rng(2),
                               anomaly_rate=0.3)
         chosen = np.random.default_rng(2).choice(9, size=3, replace=False)
         anomalous = np.isin(np.arange(9), chosen)
         assert stream.truth.tolist() == anomalous.astype(int).tolist()
         assert np.array_equal(stream.features[anomalous],
-                              splits.anomaly_pool.features[:3])
+                              data.features[splits.anomaly_pool[:3]])
         assert np.array_equal(stream.features[~anomalous],
-                              splits.test_inliers.features[:6])
+                              data.features[splits.test_inliers[:6]])
 
     def test_count_controlled_anomaly_steps(self):
         data = concat(_inliers(100), _anomalies(20))
-        splits = make_splits(data, SplitPlan(test_reserve=10), 10,
-                             np.random.default_rng(1))
-        stream = build_stream(splits, 10, np.random.default_rng(2),
+        splits = make_splits(data, PP, 10, np.random.default_rng(1),
+                             test_reserve=10)
+        stream = build_stream(data, splits, 10, np.random.default_rng(2),
                               anomaly_rate=0.3)
         assert len(stream) == 10 and stream.truth.sum() == 3
 
     def test_reserve_shortage(self):
         data = _inliers(100)
-        splits = make_splits(data, SplitPlan(test_reserve=2), 10,
-                             np.random.default_rng(1))
+        splits = make_splits(data, PP, 10, np.random.default_rng(1),
+                             test_reserve=2)
         with pytest.raises(ValueError, match="test points"):
-            build_stream(splits, 10, np.random.default_rng(2),
+            build_stream(data, splits, 10, np.random.default_rng(2),
                          anomaly_rate=0.0)
 
     def test_rate_domain(self):
         data = _inliers(100)
-        splits = make_splits(data, SplitPlan(test_reserve=10), 5,
-                             np.random.default_rng(1))
+        splits = make_splits(data, PP, 5, np.random.default_rng(1),
+                             test_reserve=10)
         with pytest.raises(ValueError):
-            build_stream(splits, 5, np.random.default_rng(2), anomaly_rate=1.0)
+            build_stream(data, splits, 5, np.random.default_rng(2),
+                         anomaly_rate=1.0)
 
 
 class TestMcar:

@@ -9,9 +9,9 @@ import pytest
 
 from coad import harness
 from coad.conformal import EPS_GAMMA
+from coad.data import parse_kv_file
 from coad.harness import (AGG_HEADER, STEP_HEADER, MethodVariant, RunConfig,
-                          config_from, derive_rng, emit, load_config,
-                          run_benchmark)
+                          config_from, derive_rng, emit, run_benchmark)
 
 FAST = {"runs": "3", "steps": "25", "dataset": "gaussian", "seed": "11",
         "n": "60", "score_train_size": "200", "twin_train_size": "200",
@@ -40,7 +40,7 @@ class TestConfig:
         assert cfg.lam == 2.5
         assert cfg.alpha == 0.05  # override wins
         assert cfg.seed == 9
-        assert load_config(path).lam == 2.5
+        assert config_from(parse_kv_file(path)).lam == 2.5
 
     def test_method_all(self):
         cfg = config_from({"method": "all", "runs": "1"})
@@ -57,6 +57,7 @@ class TestConfig:
         ({"n": "none"}, "n", None), ({"plus_one": "false"}, "plus_one", False),
         ({"method": "COAD, FIXED"}, "methods", ("COAD", "FIXED")),
         ({"runs": 4}, "runs", 4), ({"seed": None}, "seed", 0),
+        ({"val_size": "0"}, "val_size", 0),  # the gamma-fallback path
     ])
     def test_overrides_parsed_by_type(self, overrides, name, expected):
         assert getattr(config_from(**overrides), name) == expected
@@ -117,18 +118,39 @@ class TestConfig:
         {"anomaly_rate": "-0.5"}, {"anomaly_rate": "1.0"},
         {"anomaly_rate": "1.5"}, {"eta": "0"}, {"n": "0"}, {"n_tilde": "0"},
         {"contexts": "0"}, {"dim": "0"}, {"gmm_components": "0"},
-        {"synth_pool": "0"},
+        {"synth_pool": "0"}, {"kmeans_k": "0"}, {"oran_samples": "0"},
+        {"oran_samples": "-3"}, {"score_train_size": "-1"},
+        {"twin_train_size": "-1"}, {"val_size": "-1"},
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             config_from(bad)
 
-    @pytest.mark.parametrize("key", ["contexts", "dim", "gmm_components",
-                                     "synth_pool"])
-    def test_sizes_fail_at_config_time_by_name(self, key):
+    @pytest.mark.parametrize("key, value, bound", [
+        *(pytest.param(key, "0", 1, id=key) for key in (
+            "contexts", "dim", "gmm_components", "synth_pool", "kmeans_k",
+            "oran_samples")),
+        pytest.param("oran_samples", "-3", 1, id="oran_samples-3"),
+        *(pytest.param(key, "-1", 0, id=f"{key}-1") for key in (
+            "score_train_size", "twin_train_size", "val_size")),
+    ])
+    def test_sizes_fail_at_config_time_by_name(self, key, value, bound):
         # left to run 0, these failed with causes that named no key
-        with pytest.raises(ValueError, match=f"^{key} must be >= 1$"):
-            config_from({key: "0"})
+        with pytest.raises(ValueError, match=f"^{key} must be >= {bound}$"):
+            config_from({key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("context_spread", "nan"), ("context_spread", "inf"),
+        ("anomaly_shift", "nan"), ("anomaly_shift", "-inf"),
+        ("twin_mean_shift", "inf"), ("twin_var_scale", "-1"),
+        ("twin_var_scale", "nan"), ("twin_var_scale", "inf"),
+    ])
+    def test_oracle_reals_rejected(self, key, value):
+        # left to run time, these give NaN or infinite rows that the
+        # imputer fills, and the run reports a power computed from the fill
+        bound = " and >= 0" if key == "twin_var_scale" else ""
+        with pytest.raises(ValueError, match=f"^{key} must be finite{bound}$"):
+            config_from({key: value})
 
     def test_csv_requires_paths(self):
         with pytest.raises(ValueError, match="csv"):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from coad.conformal import GAMMA_MAX
 from coad.core import EPS_VAR
-from coad.twin import (ValidityReport, fit_twin, gamma_of_context,
+from coad.twin import (TwinModel, ValidityReport, fit_twin, gamma_of_context,
                        positive_ecdf_gap, proxy_pvalues, sample_synthetic,
                        superuniformity_gap)
 from tables import concat, table
@@ -100,6 +100,70 @@ class TestSampleSynthetic:
     def test_bad_size(self):
         with pytest.raises(ValueError):
             _sample(self._unit_model(), 0, 0, np.random.default_rng(0))
+
+    def test_matches_per_row_reference(self):
+        # row (i, r) of context c takes component j, the count of the
+        # normalized cumulative weights at or below its uniform, and is
+        # means[c, j] + sqrt(variances[c, j]) * noise
+        rng = np.random.default_rng(21)
+        weights = rng.random((3, 3)) + 0.1
+        weights /= weights.sum(axis=1, keepdims=True)
+        model = TwinModel(weights, rng.normal(0, 5, (3, 3, 2)),
+                          rng.random((3, 3, 2)) + 0.5)
+        contexts = np.array([2, 0, 2, 1, 1, 0, 2])
+        uniforms = rng.random((contexts.size, 40))
+        noise = rng.standard_normal((contexts.size, 40, 2))
+        rows = sample_synthetic(model, contexts, uniforms, noise)
+        assert rows.shape == (contexts.size * 40, 2)
+        expected, picked = [], set()
+        for i, c in enumerate(contexts):
+            cdf = np.cumsum(weights[c])
+            cdf /= cdf[-1]
+            for r in range(40):
+                j = np.searchsorted(cdf[:-1], uniforms[i, r], side="right")
+                picked.add((c, j))
+                expected.append(model.means[c, j] + np.sqrt(
+                    model.variances[c, j]) * noise[i, r])
+        assert np.array_equal(rows, np.array(expected))
+        assert len(picked) == 9  # every component of every context drawn
+
+
+def _model(weights=((0.5, 0.5), (0.25, 0.75)), variances=1.0, contexts=2,
+           means_contexts=None):
+    weights = np.asarray(weights, dtype=float)
+    k = weights.shape[1]
+    means = np.zeros((means_contexts or contexts, k, 2))
+    return TwinModel(weights, means,
+                     np.full((contexts, k, 2), variances, dtype=float))
+
+
+class TestTwinModelChecks:
+    def test_valid(self):
+        model = _model()
+        assert (model.n_contexts, model.dim) == (2, 2)
+
+    def test_bad_weights_name_context(self):
+        with pytest.raises(ValueError, match="^context 1: weights"):
+            _model(weights=((0.5, 0.5), (0.5, 0.6)))
+        with pytest.raises(ValueError, match="^context 0: weights"):
+            _model(weights=((1.0, 0.0), (0.5, 0.5)))
+
+    def test_variance_under_floor_names_context(self):
+        variances = np.ones((2, 2, 2))
+        variances[1, 0, 1] = EPS_VAR / 2
+        with pytest.raises(ValueError, match="^context 1: variances fell "
+                                             "below the floor"):
+            TwinModel(np.full((2, 2), 0.5), np.zeros((2, 2, 2)), variances)
+
+    def test_mismatched_shapes_name_context(self):
+        with pytest.raises(ValueError, match="^context 2: .* disagree$"):
+            _model(weights=np.full((3, 2), 0.5), contexts=3,
+                   means_contexts=2)
+        with pytest.raises(ValueError, match="^context 0: .* disagree$"):
+            TwinModel(np.full((2, 2), 0.5), np.zeros((2, 2, 2)),
+                      np.ones((2, 2, 3)))
+        with pytest.raises(ValueError, match="^context 0: .* disagree$"):
+            TwinModel(np.full(2, 0.5), np.zeros((2, 2)), np.ones((2, 2)))
 
 
 class TestEcdfGap:
