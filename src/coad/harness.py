@@ -190,8 +190,7 @@ class RunConfig:
     def validate(self) -> None:
         if not self.methods:
             raise ValueError("at least one method is required")
-        for name in self.methods:
-            MethodVariant(name)  # raises on unknown names
+        methods = [MethodVariant(name) for name in self.methods]
         if self.score not in SCORE_KINDS:
             raise ValueError(f"score must be one of {SCORE_KINDS}")
         if self.dataset not in DATASETS:
@@ -208,13 +207,15 @@ class RunConfig:
             raise ValueError("steps and runs must be >= 1")
         if not 0.0 <= self.q_miss < 1.0:
             raise ValueError("q_miss must lie in [0, 1)")
-        if not 0.0 <= self.anomaly_rate < 1.0:
-            raise ValueError("anomaly_rate must lie in [0, 1)")
+        for key in ("anomaly_rate", "oran_anomaly_frac"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ValueError(f"{key} must lie in [0, 1)")
         for size in (self.n, self.n_tilde):
             if size is not None and size < 1:
                 raise ValueError("n and n_tilde must be >= 1 when set")
         for key in ("contexts", "dim", "gmm_components", "kmeans_k",
-                    "oran_samples", "synth_pool"):
+                    "oran_samples", "oran_xapps", "oran_params", "oran_kpis",
+                    "synth_pool"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
         for key in ("score_train_size", "twin_train_size", "val_size"):
@@ -228,6 +229,19 @@ class RunConfig:
         if self.gamma_override is not None and \
                 not 0.0 < self.gamma_override <= GAMMA_MAX:
             raise ValueError(f"gamma_override must lie in (0, {GAMMA_MAX}]")
+        if self.dataset == "gaussian":
+            # each fit's rows as gaussian_synthetic_stream draws them
+            per_ctx = max(2, self.score_train_size // self.contexts)
+            inliers = per_ctx - max(1, round(per_ctx * self.anomaly_rate))
+            for m in methods:
+                pooled = 1 if m.context_aware else self.contexts  # per fit
+                if self.score == "semi_supervised" and inliers * pooled < 2:
+                    raise ValueError("score_train_size leaves fewer than 2 "
+                                     "inliers per context to fit the score")
+                if m.uses_twin and self.twin_train_size // self.contexts \
+                        * pooled < self.gmm_components:
+                    raise ValueError("twin_train_size leaves fewer than "
+                                     "gmm_components rows per context")
         if self.dataset == "csv" and not (self.csv_path and self.schema_path):
             raise ValueError("csv dataset needs csv_path and schema_path")
 

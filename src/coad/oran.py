@@ -11,12 +11,16 @@ per node; three conflict types can occur:
   direct   - two or more active xApps control a common parameter,
   indirect - two distinct changed parameters affect a common KPI,
   implicit - two changed parameters are joined by a coupling edge.
+
+Samples are repaired on Python-int bitmasks of the graph, built once per
+``generate_oran`` call.  Each uniform pick makes ``rng.choice``'s draw, so
+the samples equal a per-sample numpy repair's, draw for draw.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,97 +119,90 @@ def check_conflicts(graph: OranGraph, xapp_active, param_changed,
     return found
 
 
+def _witnesses(graph: OranGraph) -> dict[str, np.ndarray]:
+    """Per feasible conflict type, what an injection of it picks from."""
+    found = {"direct": np.flatnonzero(graph.xapp_param.sum(axis=0) >= 2),
+             "indirect": np.flatnonzero(graph.param_kpi.sum(axis=0) >= 2),
+             "implicit": np.argwhere(graph.param_param)}
+    return {kind: picks for kind, picks in found.items() if len(picks)}
+
+
 def feasible_conflicts(graph: OranGraph) -> tuple[str, ...]:
     """Conflict types the graph can express at all."""
-    feasible = []
-    if np.any(graph.xapp_param.sum(axis=0) >= 2):
-        feasible.append("direct")
-    if np.any(graph.param_kpi.sum(axis=0) >= 2):
-        feasible.append("indirect")
-    if np.any(graph.param_param):
-        feasible.append("implicit")
-    return tuple(feasible)
+    return tuple(_witnesses(graph))
 
 
-def _propagate_params(graph: OranGraph, xa: np.ndarray) -> np.ndarray:
-    """A parameter changes iff at least one active xApp controls it."""
-    return (xa[:, None] & graph.xapp_param).any(axis=0)
+def _row_masks(adjacency: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int whose bit j is column j."""
+    packed = np.packbits(adjacency, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _propagate_kpis(graph: OranGraph, pc: np.ndarray) -> np.ndarray:
-    """A KPI changes iff at least one changed parameter affects it."""
-    return (pc[:, None] & graph.param_kpi).any(axis=0)
+def _bits(masks: list[int], width: int) -> np.ndarray:
+    """Bits 0..width-1 of each mask, one boolean row per mask."""
+    size = (width + 7) // 8
+    raw = b"".join(m.to_bytes(size, "little") for m in masks)
+    return np.unpackbits(np.frombuffer(raw, np.uint8).reshape(-1, size),
+                         axis=1, count=width, bitorder="little").view(bool)
 
 
-def _nominal_sample(graph: OranGraph, rng: np.random.Generator) -> OranSample:
-    """Draw node states and repair until no conflict remains.
-
-    Direct conflicts are repaired by deactivating one participating xApp
-    (re-propagating parameter changes); implicit and indirect conflicts by
-    reverting one offending parameter's change.  Reversion keeps xApp
-    activity -- and hence the activity-based contexts -- diverse.
-    """
-    xa = rng.random(graph.n_xapps) < 0.5
-    pc = _propagate_params(graph, xa)
-    while True:
-        controllers = (xa[:, None] & graph.xapp_param).sum(axis=0)
-        clashed = np.flatnonzero(controllers >= 2)
-        if clashed.size == 0:
-            break
-        participants = np.flatnonzero(
-            xa & graph.xapp_param[:, clashed].any(axis=1))
-        xa = xa.copy()
-        xa[rng.choice(participants)] = False
-        pc = _propagate_params(graph, xa)
-    pc = pc.copy()
-    while True:
-        coupled = pc[:, None] & pc[None, :] & graph.param_param
-        if not coupled.any():
-            break
-        offenders = np.flatnonzero(coupled.any(axis=0) | coupled.any(axis=1))
-        pc[rng.choice(offenders)] = False
-    while True:
-        influencers = (pc[:, None] & graph.param_kpi).sum(axis=0)
-        clashed_kpis = np.flatnonzero(influencers >= 2)
-        if clashed_kpis.size == 0:
-            break
-        offenders = np.flatnonzero(
-            pc & graph.param_kpi[:, clashed_kpis].any(axis=1))
-        pc[rng.choice(offenders)] = False
-    kc = _propagate_kpis(graph, pc)
-    return OranSample(xa, pc, kc, "none")
+def _reach(members: list[int], masks: list[int]) -> tuple[int, int]:
+    """The bits that at least one, and at least two, members' masks set."""
+    once = twice = 0
+    for m in members:
+        twice |= once & masks[m]
+        once |= masks[m]
+    return once, twice
 
 
-def _anomaly_sample(graph: OranGraph, rng: np.random.Generator,
-                    feasible: tuple[str, ...]) -> OranSample:
-    """Inject a minimal witness of a uniformly drawn feasible conflict type."""
-    base = _nominal_sample(graph, rng)
-    kind = feasible[rng.integers(len(feasible))]
-    xa = base.xapp_active.copy()
-    pc = base.param_changed.copy()
+def _pick(cands, rng: np.random.Generator):
+    """One uniform pick: the draw that ``rng.choice(cands)`` makes."""
+    return cands[rng.integers(len(cands))]
+
+
+def _repair(masks: tuple[list[int], list[int], list[int]],
+            rng: np.random.Generator) -> tuple[int, int, int]:
+    """Draw the xApp, parameter and KPI state masks with no conflict left:
+    direct ones repaired by deactivating one participating xApp, implicit
+    and indirect ones by reverting one offending parameter's change, which
+    keeps xApp activity -- and hence the contexts -- diverse."""
+    controls, affects, couples = masks
+    active = (rng.random(len(controls)) < 0.5).nonzero()[0].tolist()
+    while (hit := _reach(active, controls))[1]:  # parameters hit once, twice
+        active.remove(_pick([a for a in active if controls[a] & hit[1]], rng))
+    changed = hit[0]
+    params = [p for p in range(len(couples)) if changed >> p & 1]
+    while offenders := [p for p in params if couples[p] & changed]:
+        params.remove(p := _pick(offenders, rng))
+        changed ^= 1 << p
+    while (hit := _reach(params, affects))[1]:  # KPIs hit once, twice
+        params.remove(_pick([p for p in params if affects[p] & hit[1]], rng))
+    return sum(1 << a for a in active), sum(1 << p for p in params), hit[0]
+
+
+def _anomaly_sample(graph: OranGraph, masks, witnesses: dict[str, np.ndarray],
+                    rng: np.random.Generator) -> tuple[int, int, int, str]:
+    """Inject a minimal witness of a uniformly drawn feasible conflict type
+    into a repaired draw; returns its state masks and the type."""
+    xa, pc, _ = _repair(masks, rng)
+    kind = _pick(tuple(witnesses), rng)
+    pick = _pick(witnesses[kind], rng)
     if kind == "direct":
-        candidates = np.flatnonzero(graph.xapp_param.sum(axis=0) >= 2)
-        param = rng.choice(candidates)
-        controllers = np.flatnonzero(graph.xapp_param[:, param])
-        pair = rng.choice(controllers, size=2, replace=False)
-        xa[pair] = True
-        pc[param] = True
+        controllers = np.flatnonzero(graph.xapp_param[:, pick])
+        xa |= sum(1 << int(a) for a in rng.choice(controllers, size=2,
+                                                  replace=False))
+        pc |= 1 << int(pick)
     elif kind == "indirect":
-        candidates = np.flatnonzero(graph.param_kpi.sum(axis=0) >= 2)
-        kpi = rng.choice(candidates)
-        influencers = np.flatnonzero(graph.param_kpi[:, kpi])
-        pair = rng.choice(influencers, size=2, replace=False)
-        pc[pair] = True
-    else:  # implicit
-        edges = np.argwhere(graph.param_param)
-        p, q = edges[rng.integers(edges.shape[0])]
-        pc[p] = True
-        pc[q] = True
-    kc = _propagate_kpis(graph, pc)
-    sample = OranSample(xa, pc, kc, kind)
-    assert kind in check_conflicts(graph, xa, pc, kc), \
+        influencers = np.flatnonzero(graph.param_kpi[:, pick])
+        pc |= sum(1 << int(p) for p in rng.choice(influencers, size=2,
+                                                  replace=False))
+    else:  # implicit: pick is a coupling edge
+        pc |= (1 << int(pick[0])) | (1 << int(pick[1]))
+    assert kind in check_conflicts(graph, _bits([xa], graph.n_xapps)[0],
+                                   _bits([pc], graph.n_params)[0]), \
         "injected conflict not visible to the checker"
-    return sample
+    params = [p for p in range(graph.n_params) if pc >> p & 1]
+    return xa, pc, _reach(params, masks[1])[0], kind
 
 
 def generate_oran(graph_seed: int, sample_seed: int, n_samples: int = 10000,
@@ -222,23 +219,27 @@ def generate_oran(graph_seed: int, sample_seed: int, n_samples: int = 10000,
         raise ValueError("anomaly_frac must lie in [0, 1)")
     graph = OranGraph.random(np.random.default_rng(graph_seed),
                              n_xapps, n_params, n_kpis)
-    feasible = feasible_conflicts(graph)
-    if not feasible:
+    witnesses = _witnesses(graph)
+    if not witnesses:
         raise ValueError("graph admits no conflict type at all; "
                          "try another graph_seed")
+    masks = (_row_masks(graph.xapp_param), _row_masks(graph.param_kpi),
+             _row_masks(graph.param_param | graph.param_param.T))
     rng = np.random.default_rng(sample_seed)
     n_anom = round(n_samples * anomaly_frac)
     labels = np.zeros(n_samples, dtype=bool)
     labels[rng.permutation(n_samples)[:n_anom]] = True
-    samples = [
-        _anomaly_sample(graph, rng, feasible) if is_anom
-        else _nominal_sample(graph, rng)
-        for is_anom in labels
-    ]
-    acts = activity(graph, np.stack([s.xapp_active for s in samples]))
+    drawn = [_anomaly_sample(graph, masks, witnesses, rng) if is_anom
+             else (*_repair(masks, rng), "none") for is_anom in labels]
+    split = n_xapps + n_params
+    rows = _bits([xa | pc << n_xapps | kc << split
+                  for xa, pc, kc, _ in drawn], split + n_kpis)
+    acts = activity(graph, rows)
     boundaries = [lower_quantile(acts, q) for q in (0.25, 0.5, 0.75)]
-    return graph, [replace(s, context=int(c)) for s, c in
-                   zip(samples, activity_context(acts, boundaries))]
+    return graph, [
+        OranSample(row[:n_xapps], row[n_xapps:split], row[split:], kind, c)
+        for row, (*_, kind), c in zip(
+            rows, drawn, activity_context(acts, boundaries).tolist())]
 
 
 def activity(graph: OranGraph, features: np.ndarray) -> np.ndarray:
@@ -276,12 +277,12 @@ def graph_to_json(graph: OranGraph) -> str:
 
 def samples_to_csv(graph: OranGraph, samples) -> str:
     """One binary column per node plus conflict_type and context."""
-    header = ([f"xapp_{i}" for i in range(graph.n_xapps)]
-              + [f"param_{i}" for i in range(graph.n_params)]
-              + [f"kpi_{i}" for i in range(graph.n_kpis)]
-              + ["conflict_type", "context"])
-    lines = [",".join(header)]
-    for s in samples:
-        bits = [str(int(v)) for v in s.features()]
-        lines.append(",".join(bits + [s.conflict, str(s.context)]))
+    header = [f"{node}_{i}" for node, count in (
+        ("xapp", graph.n_xapps), ("param", graph.n_params),
+        ("kpi", graph.n_kpis)) for i in range(count)]
+    rows = np.fromiter((s.features() for s in samples), count=len(samples),
+                       dtype=(np.uint8, len(header)))
+    lines = [",".join(header + ["conflict_type", "context"])] + [
+        ",".join([*map(str, row.tolist()), s.conflict, str(s.context)])
+        for row, s in zip(rows, samples)]
     return "\n".join(lines) + "\n"

@@ -129,7 +129,7 @@ class TestConfig:
     @pytest.mark.parametrize("key, value, bound", [
         *(pytest.param(key, "0", 1, id=key) for key in (
             "contexts", "dim", "gmm_components", "synth_pool", "kmeans_k",
-            "oran_samples")),
+            "oran_samples", "oran_xapps", "oran_params", "oran_kpis")),
         pytest.param("oran_samples", "-3", 1, id="oran_samples-3"),
         *(pytest.param(key, "-1", 0, id=f"{key}-1") for key in (
             "score_train_size", "twin_train_size", "val_size")),
@@ -138,6 +138,45 @@ class TestConfig:
         # left to run 0, these failed with causes that named no key
         with pytest.raises(ValueError, match=f"^{key} must be >= {bound}$"):
             config_from({key: value})
+
+    @pytest.mark.parametrize("value", ["1.0", "nan", "-0.1"])
+    def test_oran_anomaly_frac_named(self, value):
+        # left to the generator, these failed as "anomaly_frac must lie in
+        # [0, 1)", which names no config key
+        with pytest.raises(ValueError,
+                           match=r"^oran_anomaly_frac must lie in \[0, 1\)$"):
+            config_from({"dataset": "oran", "oran_anomaly_frac": value})
+
+    @pytest.mark.parametrize("key, value", [
+        # 2 contexts: 0 or 4 rows leave 1 inlier per context for the
+        # density score, 0 or 3 rows fewer twin rows than 2 components
+        ("score_train_size", "0"), ("score_train_size", "4"),
+        ("twin_train_size", "0"), ("twin_train_size", "3"),
+    ])
+    def test_gaussian_train_sizes_fail_at_config_time_by_name(self, key,
+                                                              value):
+        # left to run 0, these failed inside the score or generator fit
+        mapping = {"method": "C_PP_COAD,C_COAD", "runs": "1", "steps": "5",
+                   "n": "50", "contexts": "2"}
+        with pytest.raises(ValueError, match=f"^{key} leaves fewer than"):
+            config_from(dict(mapping, **{key: value}))
+
+    @pytest.mark.parametrize("mapping", [
+        {"score_train_size": "6"}, {"twin_train_size": "4"},
+        # context-blind fits pool both contexts' rows
+        {"method": "COAD,PP_COAD", "score_train_size": "4"},
+        {"method": "COAD,PP_COAD", "twin_train_size": "2"},
+        # the twin rows are drawn only for methods that fit a generator,
+        # and the inlier bound is the density score's
+        {"method": "C_COAD", "twin_train_size": "0"},
+        {"score": "supervised", "score_train_size": "4"},
+    ])
+    def test_smallest_gaussian_train_sizes_run(self, mapping):
+        cfg = config_from(dict({"method": "C_PP_COAD,C_COAD", "runs": "1",
+                                "steps": "5", "n": "50", "contexts": "2",
+                                "alpha": "0.2", "delta": "0.5"}, **mapping))
+        arts = run_benchmark(cfg)
+        assert all(len(r.records) == 5 for r in arts.per_method.values())
 
     @pytest.mark.parametrize("key, value", [
         ("context_spread", "nan"), ("context_spread", "inf"),
@@ -355,10 +394,13 @@ class TestBehavior:
         assert arts.per_method["C_COAD"].summary.power_mean[-1] < 0.15
 
     @pytest.mark.parametrize("methods", ["C_PP_COAD", "C_COAD,C_PP_COAD"])
-    def test_failed_run_reports_context(self, methods):
+    def test_failed_run_reports_context(self, methods, tmp_path):
         # C_COAD shares the run's data and score model but fits no twin, so
-        # the failing twin fit belongs to C_PP_COAD
-        cfg = _cfg(method=methods)
+        # the failing twin fit belongs to C_PP_COAD.  On the Gaussian oracle
+        # the config already rejects more components than twin rows, so the
+        # rows come from a dataset split, sized only at run time
+        cfg = config_from(_toy_csv(tmp_path, method=methods, seed="11",
+                                   runs="1", steps="8"))
         cfg.gmm_components = 10**6  # far more components than data
         with pytest.raises(RuntimeError,
                            match=r"method C_PP_COAD, run 0 \(master seed 11\)"):

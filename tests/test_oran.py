@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from collections import Counter
@@ -130,6 +131,28 @@ class TestGenerate:
         no_edges = _graph(np.zeros((2, 2)), np.zeros((2, 2)),
                           np.zeros((2, 2)))
         assert feasible_conflicts(no_edges) == ()
+
+
+class TestGoldenBytes:
+    """SHA-256 of the generated CSV text: the graph, every sample's node
+    states, conflict type and context, and so every draw made for them."""
+
+    @pytest.mark.parametrize("args, digest", [
+        # the csv-oran benchmark workload's set-up at seed 1
+        ((0, 1, 5000),
+         "9ea0cca08212eb8b146c7732cf6b3c15cab0a30e0a30baae000c0f747bca660c"),
+        # half anomalies: many injections of all three kinds
+        ((3, 4, 3000, 0.5),
+         "d45866c419db9c1f3869ea0bc849b811ce023611ed0b1c2740ca2c7794677063"),
+        ((7, 8, 10, 0.1, 3, 3, 3),
+         "af7abfaf452990978e063f5507a2f2930e92a768f73ff00f0a8869b45b7935f5"),
+        # more parameters than a 64-bit word holds
+        ((11, 12, 400, 0.2, 8, 80, 6),
+         "f148dbf5bc367eb3f84c9d6c71243801b3466e3b40c95aadfc49c1af342a8c44"),
+    ])
+    def test_csv_digest(self, args, digest):
+        text = samples_to_csv(*generate_oran(*args))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestContexts:
