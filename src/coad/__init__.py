@@ -10,7 +10,7 @@ from .harness import (MethodVariant, RunConfig, config_from, derive_rng, emit,
 from .metrics import MetricsTracker, RunTrace, aggregate
 from .scoring import (fit_density_score, fit_fixed_threshold,
                       fit_kmeans_score, fit_supervised_score)
-from .twin import (TwinModel, ValidityReport, fit_twin, gamma_of_context,
-                   sample_synthetic, superuniformity_gap)
+from .twin import (TwinModel, fit_twin, gamma_of_context, sample_synthetic,
+                   superuniformity_gap)
 
 __version__ = "0.1.0"

@@ -11,11 +11,12 @@ The benchmark runs run-major.  A run's methods form split groups (all of
 them on the Gaussian oracle, the methods of one split kind on a table).  A
 group builds its data once, as columnar ``Table``s of its training and
 validation sets and its stream's test points; a table's split is row
-positions, gathered only where the run reads them.  The group fits each
-model once per distinct input -- the imputer once, a score model and a
-generator once per context awareness -- and draws its stream once, chunk
-by chunk; every method of the group reads those shared arrays in
-lock-step.  Since each shared object is a function of (seed, run, purpose,
+positions, gathered only where the run reads them.  One fit pass over the
+group fits each model once per distinct input -- the imputer once, a score
+model and a generator once per context awareness, FIXED's threshold and an
+active method's gammas once per method -- and the group draws its stream
+once, chunk by chunk; every method of the group reads those shared arrays
+in lock-step.  Since each shared object is a function of (seed, run, purpose,
 sub-stream) alone, a method's outputs do not depend on which methods share
 its runs.
 
@@ -58,8 +59,8 @@ from .oran import (OranGraph, activity, activity_context, generate_oran,
 from .scoring import (QuantileThreshold, ScoreModel, fit_density_score,
                       fit_fixed_threshold, fit_kmeans_score,
                       fit_supervised_score, lower_quantile)
-from .twin import (TwinModel, ValidityReport, fit_twin, gamma_of_context,
-                   positive_ecdf_gap, proxy_pvalues, sample_synthetic)
+from .twin import (TwinModel, fit_twin, gamma_of_context, positive_ecdf_gap,
+                   proxy_pvalues, sample_synthetic)
 
 __all__ = [
     "MethodVariant",
@@ -233,11 +234,17 @@ class RunConfig:
             # each fit's rows as gaussian_synthetic_stream draws them
             per_ctx = max(2, self.score_train_size // self.contexts)
             inliers = per_ctx - max(1, round(per_ctx * self.anomaly_rate))
+            # the rows per context that the score kind fits on, and its need
+            rows, need, what = {
+                "semi_supervised": (inliers, 2, "2 inliers"),
+                "supervised": (inliers, 1, "1 inlier"),
+                "unsupervised": (per_ctx, self.kmeans_k, "kmeans_k rows"),
+            }[self.score]
             for m in methods:
                 pooled = 1 if m.context_aware else self.contexts  # per fit
-                if self.score == "semi_supervised" and inliers * pooled < 2:
-                    raise ValueError("score_train_size leaves fewer than 2 "
-                                     "inliers per context to fit the score")
+                if rows * pooled < need:
+                    raise ValueError(f"score_train_size leaves fewer than "
+                                     f"{what} per context to fit the score")
                 if m.uses_twin and self.twin_train_size // self.contexts \
                         * pooled < self.gmm_components:
                     raise ValueError("twin_train_size leaves fewer than "
@@ -523,22 +530,19 @@ def _fit_score_model(cfg: RunConfig, aware: bool, run_idx: int,
 
 def _calibrate_gammas(cfg: RunConfig, method: MethodVariant, run_idx: int,
                       n_eff: int, score_model: ScoreModel,
-                      twin_model: TwinModel | None, validation: Table
-                      ) -> tuple[np.ndarray, ValidityReport | None]:
+                      twin_model: TwinModel, validation: Table) -> np.ndarray:
+    """An active method's trust gamma(c) per effective context, from its
+    validation inliers' p-values against a synthetic pool, or the override."""
     if cfg.gamma_override is not None:
-        return np.full(n_eff, cfg.gamma_override), None
-    if method.acquisition != "active":
-        return np.full(n_eff, GAMMA_MAX), None
+        return np.full(n_eff, cfg.gamma_override)
     groups = [validation] if not method.context_aware else \
         [validation.rows(validation.context == c) for c in range(n_eff)]
-    gaps, gammas, pools = [], [], []
+    gammas = []
     for c, group in enumerate(groups):
         if not len(group):
             warnings.warn(f"no validation inliers for context {c}; "
                           "falling back to gamma = 0.5", stacklevel=2)
-            gaps.append(float("nan"))
             gammas.append(0.5)
-            pools.append(np.array([]))
             continue
         srng = derive_rng(cfg.seed, run_idx, _Purpose.VALIDITY, n_eff + c)
         uniforms = srng.random((1, cfg.synth_pool))
@@ -547,78 +551,55 @@ def _calibrate_gammas(cfg: RunConfig, method: MethodVariant, run_idx: int,
         synth_scores = score_model.scores(synth, c)
         val_scores = score_model.scores(group.observed(), c)
         pvals = proxy_pvalues(synth_scores, val_scores, cfg.plus_one)
-        gap = positive_ecdf_gap(pvals)
-        gaps.append(gap)
-        gammas.append(gamma_of_context(gap, cfg.lam))
-        pools.append(pvals)
-    report = ValidityReport(tuple(gaps), tuple(gammas), tuple(pools), cfg.lam)
-    return np.asarray(gammas), report
+        gammas.append(gamma_of_context(positive_ecdf_gap(pvals), cfg.lam))
+    return np.asarray(gammas)
 
 
 @dataclass(eq=False)
 class _FittedRun:
     """What one method fits before its stream starts."""
 
-    imputer: Imputer
     score_model: ScoreModel
     threshold: QuantileThreshold | None  # FIXED only
     twin_model: TwinModel | None
-    gammas: np.ndarray  # (n_eff,) per effective context
+    gammas: np.ndarray | None  # (n_eff,) per effective context; active only
 
 
-class _RunFits:
-    """The fits of one run's split group, each made once.
-
-    The imputer and the imputed tables depend only on the group's data and
-    are made with the object.  A score model and a generator also depend on
-    context awareness; each is fit when the first method that needs it
-    asks.  FIXED's threshold and the gammas are fit per method, by ``fit``.
-    """
-
-    def __init__(self, cfg: RunConfig, run_idx: int, rundata: RunData):
-        self.cfg, self.run_idx, self.rundata = cfg, run_idx, rundata
-        self.imputer = Imputer.fit(rundata.score_train, rundata.kinds)
-        self.score_train, self.twin_train, self.validation = (
-            replace(rows, features=impute(self.imputer, rows.features))
-            for rows in (rundata.score_train, rundata.twin_train,
-                         rundata.validation))
-        self._score_models: dict[bool, ScoreModel] = {}
-        self._twin_models: dict[bool, TwinModel] = {}
-
-    def _n_eff(self, aware: bool) -> int:
-        return self.rundata.n_contexts if aware else 1
-
-    def score_model(self, aware: bool) -> ScoreModel:
-        if aware not in self._score_models:
-            self._score_models[aware] = _fit_score_model(
-                self.cfg, aware, self.run_idx, self.score_train,
-                self._n_eff(aware))
-        return self._score_models[aware]
-
-    def twin_model(self, aware: bool) -> TwinModel:
-        if aware not in self._twin_models:
-            self._twin_models[aware] = fit_twin(
-                self.twin_train, k=self.cfg.gmm_components,
-                rng=derive_rng(self.cfg.seed, self.run_idx,
-                               _Purpose.TWIN_FIT, 0),
-                n_contexts=self._n_eff(aware), context_aware=aware)
-        return self._twin_models[aware]
-
-    def fit(self, method: MethodVariant) -> _FittedRun:
-        """The imputer, score model, FIXED's threshold, the generator and
-        the per-context trust that ``method`` runs with."""
-        aware = method.context_aware
-        score_model = self.score_model(aware)
-        threshold = None
-        if method is MethodVariant.FIXED:
-            threshold = fit_fixed_threshold(score_model, self.score_train,
-                                            self.cfg.alpha)
-        twin_model = self.twin_model(aware) if method.uses_twin else None
-        gammas, _report = _calibrate_gammas(
-            self.cfg, method, self.run_idx, self._n_eff(aware), score_model,
-            twin_model, self.validation)
-        return _FittedRun(self.imputer, score_model, threshold, twin_model,
-                          gammas)
+def _fit_group(cfg: RunConfig, group: Sequence[MethodVariant], run_idx: int,
+               rundata: RunData
+               ) -> tuple[Imputer, dict[MethodVariant, _FittedRun]]:
+    """The imputer of one run's split group, fit once, and each method's
+    fits, in config order: a score model and a generator are fit once per
+    context awareness, when a method first needs them, FIXED's threshold
+    and an active method's gammas per method."""
+    imputer = Imputer.fit(rundata.score_train, rundata.kinds)
+    score_train, twin_train, validation = (
+        replace(rows, features=impute(imputer, rows.features))
+        for rows in (rundata.score_train, rundata.twin_train,
+                     rundata.validation))
+    scorers, twins, fitted = {}, {}, {}  # models by context awareness
+    for method in group:
+        aware, rule = method.context_aware, method.acquisition
+        n_eff = rundata.n_contexts if aware else 1
+        with _failing_as(cfg, method, run_idx):
+            if aware not in scorers:
+                scorers[aware] = _fit_score_model(cfg, aware, run_idx,
+                                                  score_train, n_eff)
+            scorer, threshold, twin, gammas = scorers[aware], None, None, None
+            if rule is None:
+                threshold = fit_fixed_threshold(scorer, score_train, cfg.alpha)
+            if method.uses_twin:
+                if aware not in twins:
+                    twins[aware] = fit_twin(
+                        twin_train, k=cfg.gmm_components, rng=derive_rng(
+                            cfg.seed, run_idx, _Purpose.TWIN_FIT, 0),
+                        n_contexts=n_eff, context_aware=aware)
+                twin = twins[aware]
+            if rule == "active":
+                gammas = _calibrate_gammas(cfg, method, run_idx, n_eff,
+                                           scorer, twin, validation)
+        fitted[method] = _FittedRun(scorer, threshold, twin, gammas)
+    return imputer, fitted
 
 
 # --- the run engine ---------------------------------------------------------
@@ -707,7 +688,8 @@ def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData,
 
 
 def _statistics(cfg: RunConfig, method: MethodVariant, fitted: _FittedRun,
-                rundata: RunData, chunk: _Chunk, columns) -> None:
+                imputer: Imputer, rundata: RunData, chunk: _Chunk,
+                columns) -> None:
     """The statistic phase of one chunk for one method: write each step's
     (q, u, p, z) into ``columns``, NaN where a value does not apply, or
     FIXED's score-above-threshold flags as z.
@@ -736,7 +718,7 @@ def _statistics(cfg: RunConfig, method: MethodVariant, fitted: _FittedRun,
         queried = u[at]
         if queried.any():
             p[at][queried] = conformal_pvalues(_score_batches(
-                model, impute(fitted.imputer, chunk.real[queried]),
+                model, impute(imputer, chunk.real[queried]),
                 c[queried]), s[queried], cfg.plus_one)
     z[at] = active_pvalues(q[at], u[at], p[at], fitted.gammas[c]) \
         if rule == "active" else (p[at] if rule == "always" else q[at])
@@ -801,21 +783,17 @@ def _run_group(cfg: RunConfig, group: Sequence[MethodVariant], run_idx: int,
 
     Shared work that fails names the first method that needed it.
     """
-    fits = _RunFits(cfg, run_idx, rundata)
-    fitted: dict[MethodVariant, _FittedRun] = {}
-    for method in group:
-        with _failing_as(cfg, method, run_idx):
-            fitted[method] = fits.fit(method)
+    imputer, fitted = _fit_group(cfg, group, run_idx, rundata)
     steps = len(rundata.stream)
     columns = {method: (np.full(steps, np.nan),
                         np.full(steps, method.acquisition == "always"),
                         np.full(steps, np.nan), np.full(steps, np.nan))
                for method in group}
-    for chunk in _chunks(cfg, run_idx, rundata, group, fits.imputer):
+    for chunk in _chunks(cfg, run_idx, rundata, group, imputer):
         for method in group:
             with _failing_as(cfg, method, run_idx):
-                _statistics(cfg, method, fitted[method], rundata, chunk,
-                            columns[method])
+                _statistics(cfg, method, fitted[method], imputer, rundata,
+                            chunk, columns[method])
     del chunk  # so that no chunk outlives the statistic phase
     results = {}
     for method in group:

@@ -215,6 +215,8 @@ def generate_oran(graph_seed: int, sample_seed: int, n_samples: int = 10000,
     positions are shuffled.  Contexts bin each sample's activity at the
     batch's lower activity quartiles (callers may re-bin on a subset).
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     if not 0.0 <= anomaly_frac < 1.0:
         raise ValueError("anomaly_frac must lie in [0, 1)")
     graph = OranGraph.random(np.random.default_rng(graph_seed),

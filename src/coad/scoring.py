@@ -249,7 +249,6 @@ class QuantileThreshold:
     """Per-context score threshold at the empirical (1 - alpha) quantile."""
 
     thresholds: np.ndarray  # (C,)
-    alpha: float
     context_aware: bool
 
     def flag(self, score, context):
@@ -275,4 +274,4 @@ def fit_fixed_threshold(model: ScoreModel, train: Table,
                 stacklevel=2)
         scores = model.scores(group.observed(), slot)
         thresholds[slot] = lower_quantile(scores, 1.0 - alpha)
-    return QuantileThreshold(thresholds, alpha, model.context_aware)
+    return QuantileThreshold(thresholds, model.context_aware)

@@ -19,7 +19,6 @@ from .scoring import _context_groups, _kmeans_pp
 
 __all__ = [
     "TwinModel",
-    "ValidityReport",
     "fit_twin",
     "sample_synthetic",
     "proxy_pvalues",
@@ -206,28 +205,3 @@ def gamma_of_context(d: float, lam: float) -> float:
     if lam <= 0.0:
         raise ValueError("lam must be positive")
     return min(GAMMA_MAX, float(np.exp(-lam * max(0.0, d))))
-
-
-@dataclass(frozen=True, eq=False)
-class ValidityReport:
-    """Per-context trust summary: gap, gamma, and the p-value sample."""
-
-    gaps: tuple[float, ...]
-    gammas: tuple[float, ...]
-    pvalues: tuple[np.ndarray, ...]
-    lam: float
-
-    def __post_init__(self) -> None:
-        for c, g in enumerate(self.gammas):
-            if not 0.0 < g <= GAMMA_MAX:
-                raise ValueError(f"context {c}: gamma outside (0, {GAMMA_MAX}]")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "contexts": [
-                {"gap": self.gaps[c], "gamma": self.gammas[c],
-                 "pvalues": self.pvalues[c].tolist()}
-                for c in range(len(self.gaps))
-            ],
-        }

@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 
 from coad import harness
+from coad.conformal import GAMMA_MAX
 from coad.core import Observation
 from coad.fdr import DetectorState, StepRecord, step
-from coad.harness import (MethodVariant, _load_dataset, _Purpose, _RunFits,
+from coad.harness import (MethodVariant, _fit_group, _load_dataset, _Purpose,
                           config_from, derive_rng, emit,
                           gaussian_synthetic_stream, run_benchmark, table_run)
 from coad.metrics import MetricsTracker
@@ -34,8 +35,9 @@ CSV_METHODS = "C_COAD,C_PP_COAD,C_PO_COAD,FIXED"  # csv-oran's four
 def oracle_records(cfg, method, run_idx, rundata) -> list[StepRecord]:
     """One run's step records, computed one step at a time from the data of
     ``method`` alone, on generators of its own."""
-    fitted = _RunFits(cfg, run_idx, rundata).fit(method)
-    model, fill = fitted.score_model, fitted.imputer.fill_values
+    imputer, fits = _fit_group(cfg, (method,), run_idx, rundata)
+    fitted = fits[method]
+    model, fill = fitted.score_model, imputer.fill_values
     draw = partial(derive_rng, cfg.seed, run_idx)
     test_mask, real_mask = draw(_Purpose.MASK, 0), draw(_Purpose.MASK, 1)
     comps, noise = draw(_Purpose.TWIN_SAMPLE, 0), draw(_Purpose.TWIN_SAMPLE, 1)
@@ -46,6 +48,9 @@ def oracle_records(cfg, method, run_idx, rundata) -> list[StepRecord]:
             x = np.where(mask_rng.random(x.shape) < cfg.q_miss, np.nan, x)
         return np.where(np.isnan(x), fill, x)
 
+    # fdr.step reads gamma only under "active", the one rule fitted with one
+    gammas = fitted.gammas if fitted.gammas is not None else \
+        np.full(rundata.n_contexts, GAMMA_MAX)
     state = DetectorState.fresh(cfg.alpha, cfg.delta, cfg.eta)
     records = []
     stream = rundata.stream
@@ -69,7 +74,7 @@ def oracle_records(cfg, method, run_idx, rundata) -> list[StepRecord]:
             batch = rundata.real_batches(i, i + 1)[0]
             real = partial(model.scores, observed(batch, real_mask), c)
         record, state = step(
-            state, score, context, rng=acquire, gamma=float(fitted.gammas[c]),
+            state, score, context, rng=acquire, gamma=float(gammas[c]),
             synthetic_scores=synthetic, real_scores=real,
             acquisition=method.acquisition, plus_one=cfg.plus_one,
             truth=truth)

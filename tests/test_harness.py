@@ -147,19 +147,30 @@ class TestConfig:
                            match=r"^oran_anomaly_frac must lie in \[0, 1\)$"):
             config_from({"dataset": "oran", "oran_anomaly_frac": value})
 
-    @pytest.mark.parametrize("key, value", [
+    # score: the score kind and any other key a case needs
+    @pytest.mark.parametrize("key, value, score", [
         # 2 contexts: 0 or 4 rows leave 1 inlier per context for the
         # density score, 0 or 3 rows fewer twin rows than 2 components
-        ("score_train_size", "0"), ("score_train_size", "4"),
-        ("twin_train_size", "0"), ("twin_train_size", "3"),
+        ("score_train_size", "0", {}), ("score_train_size", "4", {}),
+        ("twin_train_size", "0", {}), ("twin_train_size", "3", {}),
+        # 8 or 9 rows leave 4 per context for k-means' kmeans_k = 5, and
+        # 5 rows leave 2 per context, 4 pooled
+        ("score_train_size", "8", {"score": "unsupervised"}),
+        ("score_train_size", "9", {"score": "unsupervised"}),
+        ("score_train_size", "5", {"score": "unsupervised",
+                                   "method": "COAD"}),
+        # 2 rows per context, both anomalies: no inlier class to fit
+        ("score_train_size", "0", {"score": "supervised",
+                                   "anomaly_rate": "0.9",
+                                   "method": "C_COAD,COAD,FIXED"}),
     ])
     def test_gaussian_train_sizes_fail_at_config_time_by_name(self, key,
-                                                              value):
+                                                              value, score):
         # left to run 0, these failed inside the score or generator fit
         mapping = {"method": "C_PP_COAD,C_COAD", "runs": "1", "steps": "5",
                    "n": "50", "contexts": "2"}
         with pytest.raises(ValueError, match=f"^{key} leaves fewer than"):
-            config_from(dict(mapping, **{key: value}))
+            config_from(dict(mapping, **{key: value}, **score))
 
     @pytest.mark.parametrize("mapping", [
         {"score_train_size": "6"}, {"twin_train_size": "4"},
@@ -170,6 +181,12 @@ class TestConfig:
         # and the inlier bound is the density score's
         {"method": "C_COAD", "twin_train_size": "0"},
         {"score": "supervised", "score_train_size": "4"},
+        # k-means' kmeans_k = 5 rows per fit, and one inlier per context
+        # for the supervised score
+        {"score": "unsupervised", "score_train_size": "10"},
+        {"score": "unsupervised", "method": "COAD", "score_train_size": "6"},
+        {"score": "supervised", "method": "C_COAD,COAD,FIXED",
+         "anomaly_rate": "0.7", "score_train_size": "0"},
     ])
     def test_smallest_gaussian_train_sizes_run(self, mapping):
         cfg = config_from(dict({"method": "C_PP_COAD,C_COAD", "runs": "1",
@@ -392,6 +409,29 @@ class TestBehavior:
         arts = run_benchmark(_cfg(method="C_COAD", runs=5, steps=60,
                                   anomaly_shift=0.0))
         assert arts.per_method["C_COAD"].summary.power_mean[-1] < 0.15
+
+    def test_gamma_falls_back_without_validation_inliers(self):
+        # no validation inliers: every context of an active method runs with
+        # gamma = 0.5, so a queried step's statistic is min(1, p / 0.5)
+        cfg = config_from({"method": "C_PP_COAD,PP_COAD", "val_size": "0",
+                           "runs": "2", "steps": "40", "n": "50",
+                           "alpha": "0.2", "delta": "0.5", "seed": "3"})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            arts = run_benchmark(cfg)
+        fallbacks = [str(w.message) for w in caught
+                     if "no validation inliers" in str(w.message)]
+        # per run: both contexts of C_PP_COAD, the pooled context of PP_COAD
+        assert sorted(fallbacks) == sorted(
+            [f"no validation inliers for context {c}; falling back to "
+             f"gamma = 0.5" for c in (0, 0, 1)] * 2)
+        for name in cfg.methods:
+            for s in arts.per_method[name].runs:
+                queried = s.u == 1
+                assert 0 < queried.sum() < queried.size
+                assert np.array_equal(s.z[queried],
+                                      np.minimum(1.0, s.p[queried] / 0.5))
+                assert np.array_equal(s.z[~queried], s.q[~queried])
 
     @pytest.mark.parametrize("methods", ["C_PP_COAD", "C_COAD,C_PP_COAD"])
     def test_failed_run_reports_context(self, methods, tmp_path):

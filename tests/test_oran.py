@@ -120,6 +120,13 @@ class TestGenerate:
         kinds = Counter(s.conflict for s in samples)
         assert set(kinds) == {"none", "direct", "indirect", "implicit"}
 
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_sample_count_named(self, n_samples):
+        # left to the generator, 0 failed as "cannot take a quantile of no
+        # values" and -1 inside the shuffle, naming neither the count
+        with pytest.raises(ValueError, match=r"^n_samples must be >= 1$"):
+            generate_oran(0, 1, n_samples)
+
     def test_infeasible_graph_rejected(self):
         # one xapp, one param, one kpi: no conflict type is expressible
         with pytest.raises(ValueError, match="graph_seed"):

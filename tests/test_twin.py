@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,9 +7,8 @@ from hypothesis import strategies as st
 
 from coad.conformal import GAMMA_MAX
 from coad.core import EPS_VAR
-from coad.twin import (TwinModel, ValidityReport, fit_twin, gamma_of_context,
-                       positive_ecdf_gap, proxy_pvalues, sample_synthetic,
-                       superuniformity_gap)
+from coad.twin import (TwinModel, fit_twin, gamma_of_context, positive_ecdf_gap,
+                       proxy_pvalues, sample_synthetic, superuniformity_gap)
 from tables import concat, table
 
 
@@ -247,14 +245,3 @@ class TestGamma:
         for d in (0.05, 0.3, 0.9):
             vals = [gamma_of_context(d, lam) for lam in lams]
             assert all(b <= a for a, b in zip(vals, vals[1:]))
-
-
-def test_validity_report_roundtrip():
-    report = ValidityReport(gaps=(0.12,), gammas=(math.exp(-0.6),),
-                            pvalues=(np.array([0.1, 0.9]),), lam=5.0)
-    payload = report.to_json_dict()
-    json.dumps(payload)
-    assert payload["contexts"][0]["gamma"] == pytest.approx(math.exp(-0.6))
-    with pytest.raises(ValueError):
-        ValidityReport(gaps=(0.0,), gammas=(1.0,), pvalues=(np.array([]),),
-                       lam=5.0)
