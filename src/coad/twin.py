@@ -1,10 +1,11 @@
 """Per-context synthetic-data generator and trust calibration.
 
-A diagonal-covariance Gaussian mixture is fit per context and used to mint
-synthetic calibration batches.  Trust in the generator is quantified by the
-largest positive gap between the empirical CDF of generator-based p-values
-on held-out inliers and the uniform CDF; the gap maps to the acquisition
-parameter gamma through a decaying exponential.
+A diagonal-covariance Gaussian mixture is fit per context by EM, one
+whole-array step over all components per iteration (see ``_em_diag``), and
+used to mint synthetic calibration batches.  Trust in the generator is
+quantified by the largest positive gap between the empirical CDF of
+generator-based p-values on held-out inliers and the uniform CDF; the gap
+maps to the acquisition parameter gamma through a decaying exponential.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ class TwinModel:
     weights: np.ndarray    # (C, K)
     means: np.ndarray      # (C, K, d)
     variances: np.ndarray  # (C, K, d)
+    iterations: np.ndarray | None = None  # (C,) EM iterations (fit_twin)
+    converged: np.ndarray | None = None   # (C,) tol met before max_iter
 
     def __post_init__(self) -> None:
         w, mu, var = self.weights, self.means, self.variances
@@ -67,39 +70,46 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 def _em_diag(x: np.ndarray, k: int, rng: np.random.Generator,
              max_iter: int, tol: float, eps_var: float):
-    """EM for a diagonal-covariance mixture, seeded by k-means++ assignment."""
+    """EM for a diagonal-covariance mixture, seeded by k-means++ assignment.
+
+    One whole-array E/M step per iteration, on the (k, m, d) squared
+    deviations from the new means (E[x^2] - mean^2 would cancel on offset or
+    binary data).  A component with nk <= 1e-12 keeps its mean and variance.
+    Stops once the summed log-likelihood moves less than ``tol``; returns the
+    fit, the iterations run and whether that test fired."""
     m, d = x.shape
     centers = _kmeans_pp(x, k, rng)
     assign = ((x[:, None, :] - centers[None]) ** 2).sum(-1).argmin(axis=1)
-    resp = np.zeros((m, k))
-    resp[np.arange(m), assign] = 1.0
+    resp = np.zeros((k, m))
+    resp[assign, np.arange(m)] = 1.0
 
     weights = np.full(k, 1.0 / k)
     means = centers.copy()
     variances = np.full((k, d), x.var(axis=0) + eps_var)
+    dev = np.empty((k, m, d))  # the one (k, m, d) buffer of the fit
     prev_ll = -np.inf
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         # M step
-        nk = resp.sum(axis=0)
-        for j in range(k):
-            if nk[j] > 1e-12:
-                means[j] = resp[:, j] @ x / nk[j]
-                variances[j] = resp[:, j] @ (x - means[j]) ** 2 / nk[j] + eps_var
+        nk = resp.sum(axis=1)
+        live = (nk > 1e-12)[:, None]
+        denom = np.where(live, nk[:, None], 1.0)
+        means = np.where(live, resp @ x / denom, means)
+        np.square(np.subtract(x, means[:, None], out=dev), out=dev)
+        variances = np.where(live, (resp[:, None, :] @ dev)[:, 0] / denom
+                             + eps_var, variances)
         weights = np.maximum(nk, 1e-12)
         weights = weights / weights.sum()
         # E step
-        comp_ll = np.empty((m, k))
-        for j in range(k):
-            comp_ll[:, j] = (np.log(weights[j])
-                             - 0.5 * np.log(2.0 * np.pi * variances[j]).sum()
-                             - 0.5 * ((x - means[j]) ** 2 / variances[j]).sum(axis=1))
-        row_ll = _logsumexp(comp_ll, axis=1)
-        resp = np.exp(comp_ll - row_ll[:, None])
+        norm = np.log(weights) - 0.5 * np.log(2.0 * np.pi * variances).sum(1)
+        quad = (dev @ (1.0 / variances)[:, :, None])[:, :, 0]
+        comp_ll = norm[:, None] - 0.5 * quad
+        row_ll = _logsumexp(comp_ll, axis=0)
+        resp = np.exp(comp_ll - row_ll)
         ll = float(row_ll.sum())
         if abs(ll - prev_ll) < tol:
-            break
+            return weights, means, variances, it, True
         prev_ll = ll
-    return weights, means, variances
+    return weights, means, variances, max_iter, False
 
 
 def fit_twin(train: Table, k: int = 2,
@@ -111,7 +121,7 @@ def fit_twin(train: Table, k: int = 2,
     one on all of it when not ``context_aware``."""
     if rng is None:
         rng = np.random.default_rng(0)
-    fits = []  # (weights, means, variances) per context
+    fits = []  # one _em_diag result per context
     for c, group in enumerate(_context_groups(train, n_contexts,
                                               context_aware)):
         if len(group) < k:

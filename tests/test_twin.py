@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from coad.conformal import GAMMA_MAX
 from coad.core import EPS_VAR
+from coad.scoring import _kmeans_pp
 from coad.twin import (TwinModel, fit_twin, gamma_of_context, positive_ecdf_gap,
                        proxy_pvalues, sample_synthetic, superuniformity_gap)
 from tables import concat, table
@@ -59,6 +60,118 @@ class TestFitTwin:
         assert all(np.array_equal(x, y) for x, y in zip(a.means, b.means))
         assert all(np.array_equal(x, y)
                    for x, y in zip(a.variances, b.variances))
+
+
+def _em_loop(x, k, rng, max_iter=100, tol=1e-6, eps_var=EPS_VAR):
+    """The per-component EM loop the whole-array fit replaced, kept as its
+    oracle: the same k-means++ seeding, empty-component rule, floors and
+    stopping test, one component at a time."""
+    m, d = x.shape
+    centers = _kmeans_pp(x, k, rng)
+    assign = ((x[:, None, :] - centers[None]) ** 2).sum(-1).argmin(axis=1)
+    resp = np.zeros((m, k))
+    resp[np.arange(m), assign] = 1.0
+    weights = np.full(k, 1.0 / k)
+    means = centers.copy()
+    variances = np.full((k, d), x.var(axis=0) + eps_var)
+    prev_ll = -np.inf
+    for _ in range(max_iter):
+        nk = resp.sum(axis=0)
+        for j in range(k):
+            if nk[j] > 1e-12:
+                means[j] = resp[:, j] @ x / nk[j]
+                variances[j] = resp[:, j] @ (x - means[j]) ** 2 / nk[j] + eps_var
+        weights = np.maximum(nk, 1e-12)
+        weights = weights / weights.sum()
+        comp_ll = np.empty((m, k))
+        for j in range(k):
+            comp_ll[:, j] = (np.log(weights[j])
+                             - 0.5 * np.log(2.0 * np.pi * variances[j]).sum()
+                             - 0.5 * ((x - means[j]) ** 2 / variances[j]).sum(axis=1))
+        top = comp_ll.max(axis=1, keepdims=True)
+        row_ll = (top + np.log(np.exp(comp_ll - top).sum(axis=1,
+                                                         keepdims=True)))[:, 0]
+        resp = np.exp(comp_ll - row_ll[:, None])
+        ll = float(row_ll.sum())
+        if abs(ll - prev_ll) < tol:
+            break
+        prev_ll = ll
+    return weights, means, variances
+
+
+def _data(kind, m, d, rng):
+    if kind == "gaussian":
+        return rng.normal(0.0, 1.0, (m, d))
+    if kind == "offset":
+        return 1e3 + rng.normal(0.0, 1.0, (m, d))
+    if kind == "binary":  # O-RAN-like 0/1 features
+        return (rng.random((m, d)) < 0.3).astype(float)
+    # bimodal: two unit clusters 8 apart
+    return rng.normal(0.0, 1.0, (m, d)) + np.where(rng.random((m, 1)) < 0.4,
+                                                   -4.0, 4.0)
+
+
+def _assert_matches_loop(x, k, seed, **kwargs):
+    model = fit_twin(table(x), k=k, rng=np.random.default_rng(seed), **kwargs)
+    expected = _em_loop(x, k, np.random.default_rng(seed), **kwargs)
+    for got, want in zip((model.weights, model.means, model.variances),
+                         expected):
+        np.testing.assert_allclose(got[0], want, rtol=1e-9, atol=0.0)
+    return model
+
+
+class TestEmMatchesLoop:
+    @pytest.mark.parametrize("kind", ["gaussian", "offset", "binary",
+                                      "bimodal"])
+    @pytest.mark.parametrize("d", [1, 2, 30])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_fit_matches_per_component_loop(self, kind, d, k):
+        x = _data(kind, 240, d, np.random.default_rng(100 * k + d))
+        _assert_matches_loop(x, k, seed=k + d)
+
+    def test_constant_data_empty_component_keeps_its_start(self):
+        # k-means++ falls back to equal centers, so every row goes to
+        # component 0 and component 1 keeps its start: the center and the
+        # zero spread plus the floor
+        model = _assert_matches_loop(np.full((6, 1), 5.0), 2, seed=0)
+        assert not np.isnan(model.variances).any()
+        assert not np.isnan(model.means).any()
+        assert model.weights[0, 1] < 1e-12
+        assert model.means[0, 1, 0] == 5.0
+        assert np.all(model.variances[0] == EPS_VAR)
+
+    def test_constant_binary_feature_sits_at_floor(self):
+        x = _data("binary", 240, 30, np.random.default_rng(6))
+        x[:, 11] = 0.0  # a feature that never fires
+        model = _assert_matches_loop(x, 2, seed=6)
+        assert not np.isnan(model.variances).any()
+        assert not np.isnan(model.means).any()
+        assert np.all(model.variances[0, :, 11] == EPS_VAR)
+        assert np.all(model.means[0, :, 11] == 0.0)
+
+
+class TestEmIterations:
+    def test_fit_at_cap_is_not_converged(self):
+        x = _data("gaussian", 240, 2, np.random.default_rng(3))
+        train = concat(table(x[:120], context=0), table(x[120:], context=1))
+        model = fit_twin(train, k=2, rng=np.random.default_rng(3),
+                         max_iter=5)
+        assert model.iterations.shape == model.converged.shape == (2,)
+        assert model.iterations.tolist() == [5, 5]
+        assert model.converged.tolist() == [False, False]
+        _assert_matches_loop(x, 2, seed=3, max_iter=5)
+
+    def test_converged_fit_records_where_tol_fired(self):
+        # one component converges at the second iteration, when the
+        # log-likelihood repeats; a cap of one iteration stops it short
+        x = _data("gaussian", 60, 2, np.random.default_rng(4))
+        model = fit_twin(table(x), k=1, rng=np.random.default_rng(4))
+        assert model.iterations.tolist() == [2]
+        assert model.converged.tolist() == [True]
+        short = fit_twin(table(x), k=1, rng=np.random.default_rng(4),
+                         max_iter=1)
+        assert short.iterations.tolist() == [1]
+        assert short.converged.tolist() == [False]
 
 
 def _sample(model, context, n_tilde, rng):
