@@ -9,11 +9,13 @@ Run from the repository root:
 For each workload of perfbench/workloads.py it runs perfbench/run.py twice,
 with ``--trace 0`` for the end-to-end metrics and with ``--trace 1`` for
 the per-layer split, one run after another.  It then times the tier-1
-suite and probes how peak memory grows with stream length: the
-``long-stream`` config at each of STREAM_LENGTHS steps, each in a fresh
-interpreter.  It uses only the standard library; the benchmark runs
-measure themselves, the suite is timed with ``time.perf_counter``, and a
-probe reads its own peak RSS.
+suite and probes peak memory, each probe in a fresh interpreter: the fixed
+footprint of set-up alone (``import coad``, ``config_from`` of the
+``long-stream`` config and ``build_zeta()``), and how the peak grows with
+stream length: the ``long-stream`` config at each of STREAM_LENGTHS steps.
+It uses only the standard library; the benchmark runs measure themselves,
+the suite is timed with ``time.perf_counter``, and a probe reads its own
+peak RSS.
 """
 
 from __future__ import annotations
@@ -44,6 +46,15 @@ from coad import config_from, emit, run_benchmark
 cfg = config_from(json.loads(sys.argv[1]))
 with tempfile.TemporaryDirectory() as out:
     emit(run_benchmark(cfg), out)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+"""
+# The same up to the run: what every run holds before its first step.
+SETUP_PROBE = """
+import json, resource, sys
+from coad import config_from
+from coad.fdr import build_zeta
+config_from(json.loads(sys.argv[1]))
+build_zeta()
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
 """
 
@@ -86,10 +97,10 @@ def tier1() -> dict:
             "summary": lines[-1] if lines else proc.stderr.strip()[-500:]}
 
 
-def peak_rss_mb(mapping: dict[str, str]) -> float:
-    """Peak RSS of one single-threaded PROBE of the config ``mapping``."""
+def peak_rss_mb(mapping: dict[str, str], probe: str = PROBE) -> float:
+    """Peak RSS of one single-threaded ``probe`` of the config ``mapping``."""
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(mapping)], cwd=ROOT,
+        [sys.executable, "-c", probe, json.dumps(mapping)], cwd=ROOT,
         env=source_env(**SINGLE_THREAD), capture_output=True, text=True,
         check=True)
     return float(proc.stdout.split()[-1])
@@ -105,6 +116,12 @@ def stream_memory(seed: int) -> dict:
     return {"peak_rss_mb": {str(steps): mb for steps, mb in peaks.items()},
             "bytes_per_step": (peaks[long] - peaks[short]) * 2**20
             / (long - short)}
+
+
+def fixed_memory(seed: int) -> dict:
+    """Peak RSS of set-up alone, the footprint a run starts from."""
+    mapping = WORKLOADS["long-stream"].mapping(seed)
+    return {"peak_rss_mb": peak_rss_mb(mapping, SETUP_PROBE)}
 
 
 def src_lines() -> int:
@@ -149,6 +166,7 @@ def main() -> int:
         "seed": args.seed,
         "seconds": args.seconds,
         "src_lines": src_lines(),
+        "fixed_memory": fixed_memory(args.seed),
         "stream_memory": stream_memory(args.seed),
         "tier1": tier1(),
         "workloads": workloads,

@@ -7,10 +7,14 @@ The threshold at time t is
 
 where rho_j are past detection times (strictly before t, so the threshold
 is measurable before the current statistic is seen) and {zeta_t} is a
-non-increasing sequence summing to 1 over t <= 10^6 and zero beyond.  The
-memory term is a convolution with k_l = delta^l * zeta_l, whose tail past
-W(delta) lags sums to less than KERNEL_TAIL, so only the detections of the
-last W steps count, however long the stream runs.  The memory term is a
+non-increasing sequence summing to 1 over t <= ZETA_HORIZON = 10^6 and zero
+beyond.  The terms are normalized by ZETA_SUM, the pinned sum of the raw
+terms over the horizon, so each is computed on demand from its own t: a run
+computes the terms of its steps and of the kernel's lags, and no table of
+the horizon is kept.  The memory term is a convolution with
+k_l = delta^l * zeta_l, whose tail past W(delta) lags sums to less than
+KERNEL_TAIL, so only the detections of the last W steps count, however long
+the stream runs.  The memory term is a
 left fold in ascending rho_j: ((k_(t - rho_1) + k_(t - rho_2)) + ...), in
 floating point too, so the scalar schedule (``DetectorState`` and
 ``next_threshold``) and the whole-stream walk (``threshold_walk``) give the
@@ -27,7 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -35,10 +39,15 @@ import numpy as np
 from .conformal import GAMMA_MAX, active_outcome, conformal_pvalue
 
 KERNEL_TAIL = 1e-17
-ZETA_CHUNK = 2**16
+ZETA_HORIZON = 10**6
+# numpy's (pairwise) np.sum of the raw terms over t <= ZETA_HORIZON, pinned:
+# a sum taken chunk by chunk differs from it in the last bit
+ZETA_SUM = float.fromhex("0x1.b07c456f124e4p+2")
 
 __all__ = [
     "KERNEL_TAIL",
+    "ZETA_HORIZON",
+    "ZETA_SUM",
     "DetectorState",
     "StepRecord",
     "build_zeta",
@@ -49,34 +58,34 @@ __all__ = [
 ]
 
 
-@cache
-def build_zeta() -> np.ndarray:
-    """Read-only zeta_1..zeta_(10^6): log(max(t, 2)) / (t * exp(sqrt(log t)))
-    normalized to sum to 1.
+def _zeta_terms(t: np.ndarray) -> np.ndarray:
+    """zeta_t at the float steps 1 <= t <= ZETA_HORIZON.  numpy's elementwise
+    formula gives a term the same bits wherever it sits in the array."""
+    return (np.log(np.maximum(t, 2.0)) / (t * np.exp(np.sqrt(np.log(t))))
+            / ZETA_SUM)
 
-    The terms are filled in chunks of ZETA_CHUNK, which bounds the
-    temporaries of the elementwise formula; every term is computed as the
-    one-shot formula computes it.
+
+def build_zeta(steps: int = 0) -> np.ndarray:
+    """zeta_1..zeta_steps: log(max(t, 2)) / (t * exp(sqrt(log t))) / ZETA_SUM,
+    which sums to 1 over t <= ZETA_HORIZON, and zero past the horizon.
+
+    The terms are computed on demand and no table is kept, so the call
+    without arguments (an empty head) costs nothing.
     """
-    values = np.empty(10**6)
-    for lo in range(0, values.size, ZETA_CHUNK):
-        t = np.arange(lo + 1, min(values.size, lo + ZETA_CHUNK) + 1,
-                      dtype=float)
-        values[lo:lo + t.size] = (np.log(np.maximum(t, 2.0))
-                                  / (t * np.exp(np.sqrt(np.log(t)))))
-    values /= values.sum()
-    values.flags.writeable = False
-    return values
+    zeta = np.zeros(steps)
+    head = min(steps, ZETA_HORIZON)
+    zeta[:head] = _zeta_terms(np.arange(1, head + 1, dtype=float))
+    return zeta
 
 
 @lru_cache(maxsize=8)
 def decay_kernel(delta: float) -> np.ndarray:
-    """Read-only k_l = delta^l * zeta_l for lags 1..W, W <= 10^6 the first with
-    delta^W / (1 - delta) <= KERNEL_TAIL, which bounds the dropped tail."""
-    zetas = build_zeta()
-    width = min(zetas.size, math.ceil(
+    """Read-only k_l = delta^l * zeta_l for lags 1..W, W <= ZETA_HORIZON the
+    first with delta^W / (1 - delta) <= KERNEL_TAIL, which bounds the dropped
+    tail; only these W terms of zeta are computed."""
+    width = min(ZETA_HORIZON, math.ceil(
         math.log(KERNEL_TAIL * (1.0 - delta)) / math.log(delta)))
-    kernel = delta ** np.arange(1, width + 1) * zetas[:width]
+    kernel = delta ** np.arange(1, width + 1) * build_zeta(width)
     kernel.flags.writeable = False
     return kernel
 
@@ -123,8 +132,8 @@ class DetectorState:
 
 def next_threshold(state: DetectorState) -> float:
     """Threshold for the current step, from past detections only."""
-    zetas = build_zeta()
-    zeta_t = float(zetas[state.t - 1]) if state.t <= zetas.size else 0.0
+    zeta_t = float(_zeta_terms(np.array([float(state.t)]))[0]) \
+        if state.t <= ZETA_HORIZON else 0.0
     alpha_t = state.alpha * state.eta * max(zeta_t, 1.0 - state.delta)
     if state.detection_times:
         kernel = decay_kernel(state.delta)
@@ -159,10 +168,7 @@ def threshold_walk(z, alpha: float, delta: float,
         raise ValueError(f"statistic z_t must lie in [0, 1]; step "
                          f"{bad[0] + 1} has {z[bad[0]]}")
     steps = z.size
-    zeta = np.zeros(steps)
-    head = build_zeta()[:steps]
-    zeta[:head.size] = head
-    base = alpha * eta * np.maximum(zeta, 1.0 - delta)
+    base = alpha * eta * np.maximum(build_zeta(steps), 1.0 - delta)
     kernel = decay_kernel(delta)
     memory = np.zeros(steps)
     decisions = np.zeros(steps, dtype=int)

@@ -16,7 +16,9 @@ group fits each model once per distinct input -- the imputer once, a score
 model and a generator once per context awareness, FIXED's threshold and an
 active method's gammas once per method -- and the group draws its stream
 once, chunk by chunk; every method of the group reads those shared arrays
-in lock-step.  Since each shared object is a function of (seed, run, purpose,
+in lock-step, and the methods of one context awareness score each of them
+once: they share the test scores, the proxy p-values and the real p-values.
+Since each shared object is a function of (seed, run, purpose,
 sub-stream) alone, a method's outputs do not depend on which methods share
 its runs.
 
@@ -689,34 +691,50 @@ def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData,
 
 def _statistics(cfg: RunConfig, method: MethodVariant, fitted: _FittedRun,
                 imputer: Imputer, rundata: RunData, chunk: _Chunk,
-                columns) -> None:
+                columns, shared: dict, real_in_full: bool) -> None:
     """The statistic phase of one chunk for one method: write each step's
     (q, u, p, z) into ``columns``, NaN where a value does not apply, or
     FIXED's score-above-threshold flags as z.
 
     No step's statistic reads the detector's past, so a chunk of steps is
-    computed at once, from the arrays the chunk shares.
+    computed at once, from the arrays the chunk shares.  The methods of one
+    context awareness share their score model and generator, so the first
+    of them computes each array of ``shared`` (contexts, test scores, proxy
+    and real p-values) and the others read it.  With ``real_in_full`` (an
+    "always" method of this awareness is in the group) every real batch is
+    scored once; otherwise an active method scores those it queries.
     """
     q, u, p, z = columns
     at, rule, model = chunk.at, method.acquisition, fitted.score_model
-    c = rundata.stream.context[at] if method.context_aware \
-        else np.zeros(at.stop - at.start, dtype=int)
-    s = _score_batches(model, chunk.tests[:, None], c)[:, 0]
+    aware = method.context_aware
+
+    def once(name: str, compute: Callable[[], np.ndarray]) -> np.ndarray:
+        if (aware, name) not in shared:
+            shared[aware, name] = compute()
+        return shared[aware, name]
+
+    c = once("c", lambda: rundata.stream.context[at] if aware
+             else np.zeros(at.stop - at.start, dtype=int))
+    s = once("s", lambda: _score_batches(model, chunk.tests[:, None], c)[:, 0])
     if rule is None:
         z[at] = fitted.threshold.flag(s, c)
         return
     if method.uses_twin:
-        synth = sample_synthetic(fitted.twin_model, c, chunk.uniforms,
-                                 chunk.noise)
-        q[at] = conformal_pvalues(_score_batches(
-            model, synth.reshape(c.size, -1, chunk.tests.shape[1]), c),
-            s, cfg.plus_one)
+        q[at] = once("q", lambda: conformal_pvalues(_score_batches(
+            model, sample_synthetic(
+                fitted.twin_model, c, chunk.uniforms, chunk.noise
+            ).reshape(c.size, -1, chunk.tests.shape[1]), c),
+            s, cfg.plus_one))
     if rule == "active":
         u[at] = chunk.acquire < \
             acquisition_probability(q[at], fitted.gammas[c])
     if method.uses_real:
         queried = u[at]
-        if queried.any():
+        if real_in_full:
+            p[at][queried] = once("p", lambda: conformal_pvalues(
+                _score_batches(model, impute(imputer, chunk.real), c),
+                s, cfg.plus_one))[queried]
+        elif queried.any():
             p[at][queried] = conformal_pvalues(_score_batches(
                 model, impute(imputer, chunk.real[queried]),
                 c[queried]), s[queried], cfg.plus_one)
@@ -789,12 +807,15 @@ def _run_group(cfg: RunConfig, group: Sequence[MethodVariant], run_idx: int,
                         np.full(steps, method.acquisition == "always"),
                         np.full(steps, np.nan), np.full(steps, np.nan))
                for method in group}
+    in_full = {m.context_aware for m in group if m.acquisition == "always"}
     for chunk in _chunks(cfg, run_idx, rundata, group, imputer):
+        shared = {}  # by (context awareness, name); lives for one chunk
         for method in group:
             with _failing_as(cfg, method, run_idx):
                 _statistics(cfg, method, fitted[method], imputer, rundata,
-                            chunk, columns[method])
-    del chunk  # so that no chunk outlives the statistic phase
+                            chunk, columns[method], shared,
+                            method.context_aware in in_full)
+    del chunk, shared  # so that no chunk outlives the statistic phase
     results = {}
     for method in group:
         with _failing_as(cfg, method, run_idx):

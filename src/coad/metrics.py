@@ -2,10 +2,10 @@
 
 A run's metrics come from five decayed masses, each following the plain
 recursion m <- delta * m + x of the decaying-memory FDR.  ``run_trace``
-folds them over a run's decision, truth and acquisition columns and takes
-the per-timestep ratios as vectors; ``MetricsTracker`` folds one timestep
-at a time with the same arithmetic.  Traces are averaged pointwise across
-Monte Carlo runs.
+folds them over a run's decision, truth and acquisition columns a block of
+steps at a time and takes the per-timestep ratios as vectors;
+``MetricsTracker`` folds one timestep at a time with the same arithmetic.
+Traces are averaged pointwise across Monte Carlo runs.
 """
 
 from __future__ import annotations
@@ -97,9 +97,14 @@ class TraceSummary:
     cdar_se: np.ndarray
 
 
-def _decayed(inputs, delta: float) -> np.ndarray:
-    """m_t = delta * m_(t-1) + x_t from m_0 = 0, in step order."""
-    masses = accumulate(inputs, lambda m, x: delta * m + x, initial=0.0)
+# run_trace folds this many steps at a time, so its transients stay a few
+# hundred KB however long the run is.
+TRACE_BLOCK = 2**12
+
+
+def _decayed(inputs: list, delta: float, start: float) -> np.ndarray:
+    """m_t = delta * m_(t-1) + x_t from m_0 = ``start``, in step order."""
+    masses = accumulate(inputs, lambda m, x: delta * m + x, initial=start)
     return np.fromiter(masses, float, count=len(inputs) + 1)[1:]
 
 
@@ -107,15 +112,28 @@ def run_trace(decision, truth, acquired, delta: float,
               eta: float = 1.0) -> RunTrace:
     """The trace of one run from its 0/1 decision, truth and acquisition
     columns; equal, bit for bit, to folding ``MetricsTracker.update`` over
-    the steps."""
-    decision, truth, acquired = (np.asarray(c, dtype=int)
-                                 for c in (decision, truth, acquired))
-    false_anomalies, detections, true_detections, anomalies, acquisitions = (
-        _decayed(x.tolist(), delta) for x in (
-            decision * (1 - truth), decision, decision * truth, truth,
-            acquired))
-    return RunTrace(false_anomalies / (detections + eta),
-                    true_detections / (anomalies + eta), acquisitions)
+    the steps.
+
+    The five masses are folded one block of TRACE_BLOCK steps at a time,
+    each block starting from the masses the last one ended with, and the
+    block's ratios are written straight into the trace.
+    """
+    columns = [np.asarray(c) for c in (decision, truth, acquired)]
+    steps = columns[0].size
+    sfdr, power, cdar = np.empty(steps), np.empty(steps), np.empty(steps)
+    masses = [0.0] * 5
+    for lo in range(0, steps, TRACE_BLOCK):
+        at = slice(lo, lo + TRACE_BLOCK)
+        d, t, a = (np.asarray(c[at], dtype=int) for c in columns)
+        folded = [_decayed(x.tolist(), delta, start) for x, start in zip(
+            (d * (1 - t), d, d * t, t, a), masses)]
+        false_anomalies, detections, true_detections, anomalies, \
+            acquisitions = folded
+        sfdr[at] = false_anomalies / (detections + eta)
+        power[at] = true_detections / (anomalies + eta)
+        cdar[at] = acquisitions
+        masses = [float(m[-1]) for m in folded]
+    return RunTrace(sfdr, power, cdar)
 
 
 def _mean_se(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

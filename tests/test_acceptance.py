@@ -21,10 +21,11 @@ import numpy as np
 import coad
 from coad.conformal import (GAMMA_MAX, active_pvalue, conformal_pvalue,
                             draw_acquisition)
-from coad.fdr import DetectorState, build_zeta, next_threshold
+from coad.fdr import DetectorState, next_threshold
 from coad.harness import config_from, run_benchmark
 from coad.oran import check_conflicts, generate_oran
 from coad.twin import gamma_of_context, superuniformity_gap
+from test_fdr import zeta_table
 
 A4_BASE = {
     "dataset": "gaussian", "seed": "1", "alpha": "0.1", "delta": "0.99",
@@ -203,7 +204,7 @@ def test_a7_cdar_extremes():
 
 
 def test_a8_threshold_identities():
-    zetas = build_zeta()
+    zetas = zeta_table()
     worst = 0.0
     for alpha, delta, eta in ((0.1, 0.99, 1.0), (0.2, 0.95, 1.0),
                               (0.05, 0.9, 0.5)):

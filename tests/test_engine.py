@@ -26,6 +26,7 @@ from coad.harness import (MethodVariant, _fit_group, _load_dataset, _Purpose,
                           gaussian_synthetic_stream, run_benchmark, table_run)
 from coad.metrics import MetricsTracker
 from coad.oran import generate_oran, samples_to_csv
+from coad.scoring import DensityScore
 from coad.twin import sample_synthetic
 from test_golden import GOLDEN_CONFIG
 
@@ -238,7 +239,29 @@ def test_memory_per_step_is_bounded(tmp_path):
             tracemalloc.stop()
         return retained, peak - start
 
-    measure(1000)  # fills the caches: the zeta table, the decay kernel
+    measure(1000)  # fills the cache of the decay kernel
     (small, small_emit), (large, large_emit) = measure(4000), measure(16000)
     assert (large - small) / 12000 <= 256
     assert large_emit < 2 * small_emit and large_emit < 2**20
+
+
+def test_shared_arrays_are_scored_once(monkeypatch):
+    # C_COAD and C_PP_COAD share a score model: the test points are scored
+    # once, every real batch once (C_COAD queries them all), and C_PP_COAD
+    # adds only its synthetic batches and its gamma calibration's pools
+    cfg = config_from({"method": "C_COAD,C_PP_COAD", "runs": "2",
+                       "steps": "30", "n": "20", "n_tilde": "15",
+                       "val_size": "40", "synth_pool": "50", "alpha": "0.2",
+                       "delta": "0.5", "seed": "2"})
+    rows = []
+    scores = DensityScore.scores
+
+    def counted(self, xs, context):
+        rows.append(len(xs))
+        return scores(self, xs, context)
+
+    monkeypatch.setattr(DensityScore, "scores", counted)
+    run_benchmark(cfg)
+    per_run = cfg.steps * (1 + cfg.n + cfg.n_tilde) \
+        + cfg.contexts * (cfg.synth_pool + cfg.val_size)
+    assert sum(rows) == cfg.runs * per_run

@@ -1,20 +1,39 @@
 import math
+import tracemalloc
+from functools import cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coad.fdr import (KERNEL_TAIL, DetectorState, StepRecord, build_zeta,
-                      decay_kernel, next_threshold, step, threshold_walk)
+from coad.fdr import (KERNEL_TAIL, ZETA_HORIZON, ZETA_SUM, DetectorState,
+                      StepRecord, build_zeta, decay_kernel, next_threshold,
+                      step, threshold_walk)
 
 HORIZON = 10**6
+
+
+def raw_zeta() -> np.ndarray:
+    """The unnormalized terms over 1..10^6, by the one-shot formula."""
+    t = np.arange(1, HORIZON + 1, dtype=float)
+    return np.log(np.maximum(t, 2.0)) / (t * np.exp(np.sqrt(np.log(t))))
+
+
+@cache
+def zeta_table() -> np.ndarray:
+    """zeta_1..zeta_(10^6) as one normalized table: the one-shot formula
+    over the whole horizon, divided by its np.sum."""
+    raw = raw_zeta()
+    table = raw / raw.sum()
+    table.flags.writeable = False
+    return table
 
 
 def reference_threshold(t, detections, alpha, delta, eta=1.0):
     """The full-history schedule: every past detection, no window, with the
     memory term summed left to right in ascending detection time."""
-    zetas = build_zeta()
+    zetas = zeta_table()
     alpha_t = alpha * eta * max(float(zetas[t - 1]), 1.0 - delta)
     if detections:
         lags = t - np.asarray(detections)
@@ -46,30 +65,47 @@ class TestZeta:
     def test_first_two_terms_ratio(self):
         # normalization cancels: zeta_1 / zeta_2 = 2 * exp(sqrt(log 2))
         expected = 2.0 * math.exp(math.sqrt(math.log(2.0)))
-        zetas = build_zeta()
+        zetas = build_zeta(2)
         assert zetas[0] / zetas[1] == pytest.approx(expected, rel=1e-12)
 
+    def test_pinned_sum_is_the_one_shot_sum(self):
+        assert ZETA_SUM == np.sum(raw_zeta())
+
+    @pytest.mark.parametrize("steps", [1, 200, 4354, 65537, HORIZON,
+                                       HORIZON + 3])
+    def test_head_matches_one_shot_formula(self, steps):
+        zetas = build_zeta(steps)
+        assert zetas.size == steps
+        head = min(steps, HORIZON)
+        assert zetas[:head].tobytes() == zeta_table()[:head].tobytes()
+        assert not zetas[head:].any()
+
+    @settings(deadline=None, max_examples=200)
+    @given(t=st.integers(1, HORIZON + 5))
+    def test_single_terms_match_table(self, t):
+        # next_threshold computes its one term alone; with alpha = eta = 1
+        # and the floor 1 - delta = 2^-53 below every term, it is alpha_t
+        delta = float(np.nextafter(1.0, 0.0))
+        expected = zeta_table()[t - 1] if t <= HORIZON else 1.0 - delta
+        assert next_threshold(_state_at(t, alpha=1.0, delta=delta)) == \
+            expected
+
     def test_non_increasing(self):
-        assert np.all(np.diff(build_zeta()) <= 0)
+        assert np.all(np.diff(build_zeta(HORIZON)) <= 0)
 
     def test_sums_to_one(self):
-        assert abs(build_zeta().sum() - 1.0) <= 1e-9
+        assert abs(build_zeta(HORIZON).sum() - 1.0) <= 1e-9
 
     def test_default_horizon_sums_to_one(self):
-        # the one table there is spans the default horizon of 10^6 steps
-        assert build_zeta().size == HORIZON
-        assert abs(build_zeta().sum() - 1.0) <= 1e-9
+        # the terms span the default horizon of 10^6 steps
+        assert ZETA_HORIZON == HORIZON
+        assert abs(build_zeta(ZETA_HORIZON).sum() - 1.0) <= 1e-9
 
     def test_positive(self):
-        assert np.all(build_zeta() > 0)
-
-    def test_chunked_build_matches_one_shot_formula(self):
-        t = np.arange(1, HORIZON + 1, dtype=float)
-        raw = np.log(np.maximum(t, 2.0)) / (t * np.exp(np.sqrt(np.log(t))))
-        assert build_zeta().tobytes() == (raw / raw.sum()).tobytes()
+        assert np.all(build_zeta(HORIZON) > 0)
 
     def test_zero_beyond_horizon(self):
-        # zeta_t = 0 past the table, so the floor 1 - delta takes over
+        # zeta_t = 0 past the horizon, so the floor 1 - delta takes over
         alpha, delta, eta = 0.1, 0.99, 0.5
         state = DetectorState(t=HORIZON + 1, detection_times=(HORIZON,),
                               alpha=alpha, delta=delta, eta=eta)
@@ -79,11 +115,25 @@ class TestZeta:
         assert next_threshold(nxt) == \
             alpha * eta * (1 - delta) + alpha * decay_kernel(delta)[1]
 
+    def test_no_table_of_the_horizon_is_built(self):
+        # the 10^6 terms would take 8 MB; a 200-step walk computes its own
+        # terms and the kernel's 4,354
+        decay_kernel.cache_clear()
+        tracemalloc.start()
+        try:
+            build_zeta()
+            threshold_walk(np.full(200, 0.5), 0.1, 0.99)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_cached(self):
-        assert build_zeta() is build_zeta()
+        # the kernel is cached; the terms are computed on each call
         assert decay_kernel(0.9) is decay_kernel(0.9)
-        assert not build_zeta().flags.writeable
         assert not decay_kernel(0.9).flags.writeable
+        assert build_zeta(3) is not build_zeta(3)
+        assert build_zeta().size == 0
 
     @pytest.mark.parametrize("delta, width", [
         (0.5, 58), (0.9, 394), (0.99, 4354), (0.999, 46029)])
@@ -94,7 +144,7 @@ class TestZeta:
         assert delta ** width / (1 - delta) <= KERNEL_TAIL
         assert delta ** (width - 1) / (1 - delta) > KERNEL_TAIL
         lags = np.arange(1, width + 1)
-        assert np.array_equal(kernel, delta ** lags * build_zeta()[:width])
+        assert np.array_equal(kernel, delta ** lags * zeta_table()[:width])
 
 
 def _state_at(t, detections=(), alpha=0.1, delta=0.99, eta=1.0):
@@ -105,13 +155,13 @@ def _state_at(t, detections=(), alpha=0.1, delta=0.99, eta=1.0):
 class TestNextThreshold:
     def test_floor_dominates_without_detections(self):
         # once the sequence falls below 1 - delta the floor takes over
-        zetas = build_zeta()
+        zetas = zeta_table()
         t0 = next(t for t in range(1, 200) if zetas[t - 1] < 0.01)
         alpha_t = next_threshold(_state_at(t0))
         assert alpha_t == pytest.approx(0.1 * 1.0 * 0.01, abs=1e-12)
 
     def test_early_term_above_floor(self):
-        zeta_1 = build_zeta()[0]
+        zeta_1 = zeta_table()[0]
         assert zeta_1 > 0.01
         alpha_1 = next_threshold(_state_at(1))
         assert alpha_1 == pytest.approx(0.1 * zeta_1, abs=1e-12)
@@ -120,7 +170,7 @@ class TestNextThreshold:
         t = 10
         base = next_threshold(_state_at(t))
         with_det = next_threshold(_state_at(t, detections=(t - 1,)))
-        gain = 0.1 * 0.99 * build_zeta()[0]
+        gain = 0.1 * 0.99 * zeta_table()[0]
         assert with_det - base == pytest.approx(gain, abs=1e-12)
 
     def test_alpha_zero_never_rejects(self):
