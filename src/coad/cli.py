@@ -1,5 +1,9 @@
 """Command-line entry points: `run` executes a benchmark, `gen-oran` writes
-the synthetic conflict dataset to disk."""
+the synthetic conflict dataset to disk with a schema and a ready config.
+
+Two presets ship in ``configs/``: ``coad run --config configs/gaussian.cfg``
+and ``coad run --config configs/oran.cfg``.
+"""
 
 from __future__ import annotations
 
@@ -10,14 +14,22 @@ from pathlib import Path
 
 from .data import parse_kv_file
 from .harness import config_from, emit, run_benchmark
-from .oran import generate_oran, graph_to_json, samples_to_csv
+from .oran import generate_oran, graph_to_json, samples_to_csv, schema_text
 
-
-def _bool_flag(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    raise argparse.ArgumentTypeError("expected 'true' or 'false'")
+# (flag, config key, help); each value is parsed by config_from
+_RUN_FLAGS = (
+    ("--method", "method", "method name, comma list, or 'all'"),
+    ("--alpha", "alpha", "target error level"),
+    ("--delta", "delta", "memory decay factor"),
+    ("--lambda", "lam", "trust decay for the acquisition parameter"),
+    ("--seed", "seed", "master seed"),
+    ("--runs", "runs", "Monte Carlo replicates"),
+    ("--steps", "steps", "timesteps per run"),
+    ("--dataset", "dataset", "csv, oran or gaussian"),
+    ("--out", "out_dir", "output directory"),
+    ("--plus-one", "plus_one",
+     "use the offset p-value numerator: true|false (default true)"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -28,23 +40,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a configured benchmark")
     run_p.add_argument("--config", help="key=value config file")
-    run_p.add_argument("--method",
-                       help="method name, comma list, or 'all'")
-    run_p.add_argument("--alpha", type=float, help="target error level")
-    run_p.add_argument("--delta", type=float, help="memory decay factor")
-    run_p.add_argument("--lambda", dest="lam", type=float,
-                       help="trust decay for the acquisition parameter")
-    run_p.add_argument("--seed", type=int, help="master seed")
-    run_p.add_argument("--runs", type=int, help="Monte Carlo replicates")
-    run_p.add_argument("--steps", type=int, help="timesteps per run")
-    run_p.add_argument("--dataset", choices=("csv", "oran", "gaussian"))
-    run_p.add_argument("--out", dest="out_dir", help="output directory")
-    run_p.add_argument("--plus-one", dest="plus_one", type=_bool_flag,
-                       metavar="true|false",
-                       help="use the offset p-value numerator (default true)")
+    for flag, key, text in _RUN_FLAGS:
+        run_p.add_argument(flag, dest=key, help=text)
 
     gen_p = sub.add_parser("gen-oran", help="write the synthetic conflict "
-                                            "dataset as CSV plus graph JSON")
+                                            "dataset as CSV plus graph JSON, "
+                                            "schema and benchmark config")
     gen_p.add_argument("--graph-seed", type=int, default=0)
     gen_p.add_argument("--sample-seed", type=int, default=1)
     gen_p.add_argument("--samples", type=int, default=10000)
@@ -56,19 +57,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    mapping = parse_kv_file(args.config) if args.config else {}
-    overrides = {name: getattr(args, name) for name in
-                 ("method", "alpha", "delta", "lam", "seed", "runs", "steps",
-                  "dataset", "out_dir", "plus_one")
-                 if getattr(args, name, None) is not None}
-    cfg = config_from(mapping, **overrides)
+def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser
+             ) -> int:
+    try:
+        mapping = parse_kv_file(args.config) if args.config else {}
+        cfg = config_from(mapping, **{key: getattr(args, key)
+                                      for _, key, _ in _RUN_FLAGS})
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
     artifacts = run_benchmark(cfg)
     paths = emit(artifacts, cfg.out_dir)
     summary = json.loads(paths["summary"].read_text(encoding="utf-8"))
     for name in artifacts.per_method:
         s = summary["per_method"][name]
         print(f"{name}: final sfdr={s['final_sfdr']:.4f} "
+              f"max_sfdr={s['max_sfdr_t']:.4f} "
               f"power={s['final_power']:.4f} cdar={s['final_cdar']:.4f} "
               f"sfdr_controlled={s['sfdr_controlled']}")
     print(f"artifacts written to {paths['steps'].parent}")
@@ -81,20 +84,30 @@ def _cmd_gen_oran(args: argparse.Namespace) -> int:
         args.xapps, args.params, args.kpis)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "oran.csv").write_text(samples_to_csv(graph, samples),
-                                  encoding="utf-8")
-    (out / "graph.json").write_text(graph_to_json(graph) + "\n",
-                                    encoding="utf-8")
+    for name, text in (
+            ("oran.csv", samples_to_csv(graph, samples)),
+            ("graph.json", graph_to_json(graph) + "\n"),
+            ("oran.schema", schema_text(graph, samples)),
+            ("benchmark.cfg",
+             "method = C_PP_COAD,C_COAD,C_PO_COAD,FIXED\n"
+             "dataset = csv\n"
+             f"csv_path = {out / 'oran.csv'}\n"
+             f"schema_path = {out / 'oran.schema'}\n"
+             "delta = 0.95\nsteps = 50\nruns = 20\n")):
+        (out / name).write_text(text, encoding="utf-8")
     n_conflicts = sum(1 for s in samples if s.conflict != "none")
     print(f"wrote {len(samples)} samples ({n_conflicts} with conflicts) "
           f"to {out}")
+    print(f"next: coad run --config {out / 'benchmark.cfg'} "
+          f"--out {out / 'results'}")
     return 0
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "run":
-        return _cmd_run(args)
+        return _cmd_run(args, parser)
     return _cmd_gen_oran(args)
 
 

@@ -638,7 +638,7 @@ class _Chunk:
     uniforms: np.ndarray | None   # (k, n_tilde) twin component uniforms
     noise: np.ndarray | None      # (k, n_tilde, d) twin noise
     acquire: np.ndarray | None    # (k,) acquisition uniforms
-    real: np.ndarray | None       # (k, n, d) real batches, masked
+    real: np.ndarray | None       # (k, n, d) real batches, masked, filled
 
 
 def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData,
@@ -679,6 +679,8 @@ def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData,
             real = rundata.real_batches(lo, hi)
             if real_mask is not None:
                 real = apply_mcar_mask(real, cfg.q_miss, real_mask)
+            # CSV rows may hold missing values even at q_miss 0
+            real = impute(imputer, real)
         uniforms = twin_noise = None
         if uses_twin:
             uniforms = comps.random((hi - lo, rundata.n_tilde))
@@ -690,8 +692,8 @@ def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData,
 
 
 def _statistics(cfg: RunConfig, method: MethodVariant, fitted: _FittedRun,
-                imputer: Imputer, rundata: RunData, chunk: _Chunk,
-                columns, shared: dict, real_in_full: bool) -> None:
+                rundata: RunData, chunk: _Chunk, columns, shared: dict,
+                real_in_full: bool) -> None:
     """The statistic phase of one chunk for one method: write each step's
     (q, u, p, z) into ``columns``, NaN where a value does not apply, or
     FIXED's score-above-threshold flags as z.
@@ -732,12 +734,12 @@ def _statistics(cfg: RunConfig, method: MethodVariant, fitted: _FittedRun,
         queried = u[at]
         if real_in_full:
             p[at][queried] = once("p", lambda: conformal_pvalues(
-                _score_batches(model, impute(imputer, chunk.real), c),
+                _score_batches(model, chunk.real, c),
                 s, cfg.plus_one))[queried]
         elif queried.any():
             p[at][queried] = conformal_pvalues(_score_batches(
-                model, impute(imputer, chunk.real[queried]),
-                c[queried]), s[queried], cfg.plus_one)
+                model, chunk.real[queried], c[queried]), s[queried],
+                cfg.plus_one)
     z[at] = active_pvalues(q[at], u[at], p[at], fitted.gammas[c]) \
         if rule == "active" else (p[at] if rule == "always" else q[at])
 
@@ -812,8 +814,8 @@ def _run_group(cfg: RunConfig, group: Sequence[MethodVariant], run_idx: int,
         shared = {}  # by (context awareness, name); lives for one chunk
         for method in group:
             with _failing_as(cfg, method, run_idx):
-                _statistics(cfg, method, fitted[method], imputer, rundata,
-                            chunk, columns[method], shared,
+                _statistics(cfg, method, fitted[method], rundata, chunk,
+                            columns[method], shared,
                             method.context_aware in in_full)
     del chunk, shared  # so that no chunk outlives the statistic phase
     results = {}

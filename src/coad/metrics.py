@@ -136,27 +136,21 @@ def run_trace(decision, truth, acquired, delta: float,
     return RunTrace(sfdr, power, cdar)
 
 
-def _mean_se(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = rows.mean(axis=0)
-    if rows.shape[0] < 2:
-        return mean, np.zeros_like(mean)
-    se = rows.std(axis=0, ddof=1) / np.sqrt(rows.shape[0])
-    return mean, se
-
-
 def aggregate(traces) -> TraceSummary:
-    """Pointwise Monte Carlo mean and standard error over equal-length traces."""
+    """Pointwise Monte Carlo mean and standard error over equal-length
+    traces, one metric at a time, so that one (runs, T) stack is alive at
+    once."""
     traces = list(traces)
     if not traces:
         raise ValueError("need at least one trace to aggregate")
     length = traces[0].sfdr.size
     if any(tr.sfdr.size != length for tr in traces):
         raise ValueError("all traces must have the same length")
-    sfdr = np.stack([tr.sfdr for tr in traces])
-    power = np.stack([tr.power for tr in traces])
-    cdar = np.stack([tr.cdar for tr in traces])
-    sfdr_mean, sfdr_se = _mean_se(sfdr)
-    power_mean, power_se = _mean_se(power)
-    cdar_mean, cdar_se = _mean_se(cdar)
-    return TraceSummary(sfdr_mean, sfdr_se, power_mean, power_se,
-                        cdar_mean, cdar_se)
+    out = []
+    for name in ("sfdr", "power", "cdar"):
+        rows = np.stack([getattr(tr, name) for tr in traces])
+        out.append(rows.mean(axis=0))
+        out.append(rows.std(axis=0, ddof=1) / np.sqrt(len(traces))
+                   if len(traces) >= 2 else np.zeros(length))
+        del rows  # before the next metric's stack is built
+    return TraceSummary(*out)

@@ -41,6 +41,7 @@ __all__ = [
     "samples_to_table",
     "graph_to_json",
     "samples_to_csv",
+    "schema_text",
 ]
 
 
@@ -277,14 +278,45 @@ def graph_to_json(graph: OranGraph) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def samples_to_csv(graph: OranGraph, samples) -> str:
-    """One binary column per node plus conflict_type and context."""
-    header = [f"{node}_{i}" for node, count in (
+def _node_columns(graph: OranGraph) -> list[str]:
+    return [f"{node}_{i}" for node, count in (
         ("xapp", graph.n_xapps), ("param", graph.n_params),
         ("kpi", graph.n_kpis)) for i in range(count)]
+
+
+def samples_to_csv(graph: OranGraph, samples) -> str:
+    """One binary column per node plus conflict_type and context."""
+    header = _node_columns(graph)
     rows = np.fromiter((s.features() for s in samples), count=len(samples),
                        dtype=(np.uint8, len(header)))
     lines = [",".join(header + ["conflict_type", "context"])] + [
         ",".join([*map(str, row.tolist()), s.conflict, str(s.context)])
         for row, s in zip(rows, samples)]
+    return "\n".join(lines) + "\n"
+
+
+# A schema context holds at least this many rows, so that every context can
+# fit a scorer and a twin.
+MIN_CONTEXT_ROWS = 60
+
+
+def schema_text(graph: OranGraph, samples) -> str:
+    """The csv-dataset schema of ``samples_to_csv``'s output: every node a
+    categorical feature, conflict_type the label, and bins over the context
+    column in which a level of fewer than MIN_CONTEXT_ROWS rows joins the
+    level above it, and a short top tail joins the level below."""
+    bins, pending = [], 0
+    for context, count in enumerate(np.bincount([s.context for s in samples])):
+        pending += count
+        if pending >= MIN_CONTEXT_ROWS:
+            bins.append(context + 0.5)
+            pending = 0
+    if bins:  # closes the top group, or precedes a tail too short to stand
+        bins.pop()
+    lines = [f"feature.{name} = categorical" for name in _node_columns(graph)]
+    lines += ["label = conflict_type",
+              "label.anomaly_values = " + ",".join(CONFLICT_TYPES),
+              "context.column = context"]
+    if bins:
+        lines.append("context.bins = " + ",".join(f"{b:g}" for b in bins))
     return "\n".join(lines) + "\n"

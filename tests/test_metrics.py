@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -92,6 +95,21 @@ class TestAggregate:
     def test_single_trace_zero_se(self):
         agg = aggregate([_trace([0.3, 0.4])])
         assert np.allclose(agg.sfdr_se, 0.0)
+
+    def test_one_metric_stack_alive_at_once(self):
+        # the three (runs, T) stacks, alive together, held 24 B/step on top
+        # of the summary; stacked and reduced one at a time, they hold 8
+        steps = 200_000
+        trace = RunTrace(*np.random.default_rng(0).random((3, steps)))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            agg = aggregate([trace])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(getattr(agg, f.name).nbytes for f in fields(agg))
+        assert (peak - entry - returned) / steps <= 12
 
 
 def test_trace_shape_validation():
