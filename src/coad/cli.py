@@ -93,7 +93,7 @@ def _cmd_gen_oran(args: argparse.Namespace) -> int:
              "dataset = csv\n"
              f"csv_path = {out / 'oran.csv'}\n"
              f"schema_path = {out / 'oran.schema'}\n"
-             "delta = 0.95\nsteps = 50\nruns = 20\n")):
+             "delta = 0.8\nsteps = 50\nruns = 20\n")):
         (out / name).write_text(text, encoding="utf-8")
     n_conflicts = sum(1 for s in samples if s.conflict != "none")
     print(f"wrote {len(samples)} samples ({n_conflicts} with conflicts) "

@@ -29,9 +29,11 @@ The decision phase then walks the statistics through the threshold
 schedule, one vector compare per stretch between detections, and folds the
 decisions into the run's metric trace.
 
-A run's output stays columnar up to the files: ``RunSteps`` holds its
-per-step columns, ``MethodResult.records`` is a view built from them, and
-``emit`` writes the CSVs from them a block of EMIT_ROWS rows at a time.
+``_iter_runs`` yields each finished run, run-major, as (method, run index,
+``RunSteps``, ``RunTrace``); ``run_benchmark`` collects that stream per
+method.  A run's output stays columnar up to the files: ``RunSteps`` holds
+its per-step columns, ``MethodResult.records`` is a view built from them,
+and ``emit`` writes the CSVs a block of EMIT_ROWS rows at a time.
 """
 
 from __future__ import annotations
@@ -447,17 +449,28 @@ class _Dataset:
 def _load_dataset(cfg: RunConfig) -> _Dataset:
     if cfg.dataset == "csv":
         schema = DatasetSchema.from_file(cfg.schema_path)
-        table = load_csv(cfg.csv_path, schema)
-        if not len(table):
-            raise ValueError(f"{cfg.csv_path}: no rows")
-        return _Dataset(table, schema.kinds, schema.n_contexts)
-    graph_seed = int(derive_rng(cfg.seed, _Purpose.DATA, 1).integers(2**63))
-    sample_seed = int(derive_rng(cfg.seed, _Purpose.DATA, 2).integers(2**63))
-    graph, samples = generate_oran(
-        graph_seed, sample_seed, cfg.oran_samples, cfg.oran_anomaly_frac,
-        cfg.oran_xapps, cfg.oran_params, cfg.oran_kpis)
-    table = samples_to_table(samples)
-    return _Dataset(table, ("categorical",) * table.dim, 4, graph)
+        table, source = load_csv(cfg.csv_path, schema), cfg.csv_path
+        dataset = _Dataset(table, schema.kinds, schema.n_contexts)
+    else:
+        graph_seed, sample_seed = (int(derive_rng(
+            cfg.seed, _Purpose.DATA, sub).integers(2**63)) for sub in (1, 2))
+        shape = cfg.oran_xapps, cfg.oran_params, cfg.oran_kpis
+        try:
+            graph, samples = generate_oran(graph_seed, sample_seed,
+                                           cfg.oran_samples,
+                                           cfg.oran_anomaly_frac, *shape)
+        except ValueError as exc:  # validate has checked the other arguments
+            raise ValueError(f"seed = {cfg.seed} and (oran_xapps, oran_params,"
+                             f" oran_kpis) = {shape} draw a graph that admits"
+                             " no conflict type") from exc
+        table = samples_to_table(samples)
+        source = f"oran_samples = {cfg.oran_samples}"
+        dataset = _Dataset(table, ("categorical",) * table.dim, 4, graph)
+    inliers = int((table.truth == 0).sum())
+    if inliers < cfg.steps:  # each run reserves one inlier test point a step
+        raise ValueError(f"{source}: {inliers} inlier rows, fewer than the "
+                         f"steps = {cfg.steps} test points each run reserves")
+    return dataset
 
 
 def table_run(cfg: RunConfig, split_kind: str, run_idx: int,
@@ -468,6 +481,11 @@ def table_run(cfg: RunConfig, split_kind: str, run_idx: int,
     rng = derive_rng(cfg.seed, run_idx, _Purpose.SPLITS, 0)
     splits = make_splits(data, split_kind, cfg.steps, rng, n=cfg.n,
                          test_reserve=cfg.steps)
+    if not splits.score_train.size or \
+            split_kind != "twinless" and not splits.twin_train.size:
+        raise ValueError(f"the dataset leaves no score- or generator-training"
+                         f" rows beside the steps = {cfg.steps} reserved test "
+                         "points")
     stream = build_stream(data, splits, cfg.steps, rng, cfg.anomaly_rate)
     score_train = data.rows(splits.score_train)
     twin_train = data.rows(splits.twin_train)
@@ -526,8 +544,11 @@ def _fit_score_model(cfg: RunConfig, aware: bool, run_idx: int,
         rng = derive_rng(cfg.seed, run_idx, _Purpose.SCORE_FIT, 0)
         return fit_kmeans_score(train, k=cfg.kmeans_k, rng=rng,
                                 n_contexts=n_contexts, context_aware=aware)
-    return fit_density_score(train.rows(train.truth != 1),
-                             n_contexts=n_contexts, context_aware=aware)
+    inliers = train.rows(train.truth != 1)
+    if not len(inliers):  # the density score fits inliers only
+        raise ValueError("class 0 absent in the score-training data")
+    return fit_density_score(inliers, n_contexts=n_contexts,
+                             context_aware=aware)
 
 
 def _calibrate_gammas(cfg: RunConfig, method: MethodVariant, run_idx: int,
@@ -797,9 +818,10 @@ def _failing_as(cfg: RunConfig, method: MethodVariant, run_idx: int):
 
 def _run_group(cfg: RunConfig, group: Sequence[MethodVariant], run_idx: int,
                rundata: RunData
-               ) -> dict[MethodVariant, tuple[RunSteps, RunTrace]]:
+               ) -> Iterator[tuple[MethodVariant, int, RunSteps, RunTrace]]:
     """One run of a split group: fit, run every method's statistic phase
-    in lock-step over the shared chunks, then each decision phase.
+    in lock-step over the shared chunks, then yield each method's decision
+    phase as (method, run index, steps, trace), in group order.
 
     Shared work that fails names the first method that needed it.
     """
@@ -818,11 +840,10 @@ def _run_group(cfg: RunConfig, group: Sequence[MethodVariant], run_idx: int,
                             columns[method], shared,
                             method.context_aware in in_full)
     del chunk, shared  # so that no chunk outlives the statistic phase
-    results = {}
     for method in group:
         with _failing_as(cfg, method, run_idx):
-            results[method] = _decide(cfg, method, rundata, *columns[method])
-    return results
+            result = _decide(cfg, method, rundata, *columns[method])
+        yield (method, run_idx, *result)
 
 
 # --- orchestration and emission -----------------------------------------------
@@ -863,32 +884,23 @@ def _warn_unreachable(cfg: RunConfig, n: int) -> None:
             f"{cfg.alpha}, eta = {cfg.eta}, delta = {cfg.delta}: real "
             f"p-values never reach the threshold floor, so a detection "
             f"needs zeta_t > 1 - delta or a recent detection",
-            stacklevel=3)
+            stacklevel=4)
 
 
-def run_benchmark(cfg: RunConfig) -> RunArtifacts:
-    """Execute every configured method over `runs` seeded replicates.
-
-    Run-major: each run builds its data once per split group (every method
-    on the Gaussian oracle, the methods of one split kind on a table), and
-    the group's methods share its fits and stream draws.  A method's
-    records do not depend on which methods share its runs.  A failure
-    names the method, the run and the master seed; one in the group's
-    data names the group's first method in config order.
-
-    Warns once per batch size n with which a method that uses real batches
-    cannot reach the threshold floor; n is the one its split serves.
+def _iter_runs(cfg: RunConfig
+               ) -> Iterator[tuple[MethodVariant, int, RunSteps, RunTrace]]:
+    """Each finished run as (method, run index, steps, trace), run-major,
+    each split group's methods in config order; a run is built when it is
+    asked for.  Warns once per batch size n with which a method that uses
+    real batches cannot reach the threshold floor; n is its split's.
     """
     cfg.validate()
     dataset = _load_dataset(cfg) if cfg.dataset in ("csv", "oran") else None
-    methods = [MethodVariant(name) for name in dict.fromkeys(cfg.methods)]
     groups: dict[str | None, list[MethodVariant]] = {}
-    for method in methods:
+    for method in map(MethodVariant, dict.fromkeys(cfg.methods)):
         kind = None if dataset is None else method.split_kind
         groups.setdefault(kind, []).append(method)
     checked_n: set[int] = set()
-    runs = {method: [] for method in methods}
-    traces = {method: [] for method in methods}
     for run_idx in range(cfg.runs):
         for kind, group in groups.items():
             with _failing_as(cfg, group[0], run_idx):
@@ -900,15 +912,22 @@ def run_benchmark(cfg: RunConfig) -> RunArtifacts:
                     if method.uses_real and rundata.n not in checked_n:
                         checked_n.add(rundata.n)
                         _warn_unreachable(cfg, rundata.n)
-                results = _run_group(cfg, group, run_idx, rundata)
-            for method, (steps, trace) in results.items():
-                runs[method].append(steps)
-                traces[method].append(trace)
-    per_method = {
-        method.value: MethodResult(runs[method], traces[method],
-                                   aggregate(traces[method]))
-        for method in methods}
-    return RunArtifacts(cfg, per_method)
+                yield from _run_group(cfg, group, run_idx, rundata)
+
+
+def run_benchmark(cfg: RunConfig) -> RunArtifacts:
+    """Execute every configured method over `runs` seeded replicates by
+    collecting the ``_iter_runs`` stream per method, in config order.  A
+    failure names the method, the run and the master seed; one in a group's
+    shared data names the group's first method in config order.
+    """
+    collected = {MethodVariant(name): ([], []) for name in cfg.methods}
+    for method, _, steps, trace in _iter_runs(cfg):
+        collected[method][0].append(steps)
+        collected[method][1].append(trace)
+    return RunArtifacts(cfg, {
+        method.value: MethodResult(runs, traces, aggregate(traces))
+        for method, (runs, traces) in collected.items()})
 
 
 STEP_HEADER = "run,t,context,method,q,u,p,z,alpha_t,decision,truth"

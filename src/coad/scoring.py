@@ -144,14 +144,16 @@ def _kmeans_pp(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator,
-           tol: float, max_iter: int) -> np.ndarray:
+           tol: float, max_iter: int, slot: int) -> np.ndarray:
     if k < 1:
         raise ValueError("k must be >= 1")
     if x.shape[0] < k:
-        raise ValueError(f"need at least k={k} training points, got {x.shape[0]}")
+        raise ValueError(f"context slot {slot}: need at least k={k} "
+                         f"training points, got {x.shape[0]}")
     if np.unique(x, axis=0).shape[0] < k:
-        raise ValueError(f"k={k} exceeds the number of distinct points; "
-                         "duplicate centroids are not allowed")
+        raise ValueError(f"context slot {slot}: k={k} exceeds the number "
+                         "of distinct points; duplicate centroids are not "
+                         "allowed")
     centers = _kmeans_pp(x, k, rng)
     for _ in range(max_iter):
         d2 = ((x[:, None, :] - centers[None]) ** 2).sum(-1)
@@ -193,7 +195,8 @@ def fit_kmeans_score(train: Table, k: int = 5,
     if rng is None:
         rng = np.random.default_rng(0)
     groups = _context_groups(train, n_contexts, context_aware)
-    centroids = [_lloyd(g.observed(), k, rng, tol, max_iter) for g in groups]
+    centroids = [_lloyd(g.observed(), k, rng, tol, max_iter, slot)
+                 for slot, g in enumerate(groups)]
     return KMeansScore(np.stack(centroids), context_aware, len(groups))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import warnings
@@ -10,8 +11,12 @@ import pytest
 from coad import harness
 from coad.conformal import EPS_GAMMA
 from coad.data import parse_kv_file
-from coad.harness import (AGG_HEADER, STEP_HEADER, MethodVariant, RunConfig,
-                          config_from, derive_rng, emit, run_benchmark)
+from coad.harness import (AGG_HEADER, STEP_HEADER, MethodResult,
+                          MethodVariant, RunArtifacts, RunConfig, config_from,
+                          derive_rng, emit, run_benchmark)
+from coad.metrics import aggregate
+from tables import toy_csv
+from test_golden import AGGREGATE_SHA256, GOLDEN_CONFIG, STEPS_SHA256
 
 FAST = {"runs": "3", "steps": "25", "dataset": "gaussian", "seed": "11",
         "n": "60", "score_train_size": "200", "twin_train_size": "200",
@@ -79,6 +84,8 @@ class TestConfig:
                                    delta="0.99", runs="1", steps="3"))
             run_benchmark(cfg)
         assert len(caught) == 1
+        # the warning points at the caller of run_benchmark, not the harness
+        assert caught[0].filename == __file__
 
     @pytest.mark.parametrize("mapping", [
         {"n": "1100"},  # A4: 1/1101 <= 0.1 * (1 - 0.99)
@@ -101,7 +108,7 @@ class TestConfig:
     def test_split_batch_size_checked(self, tmp_path):
         # n unset: the twinless split serves len(calibration) // steps rows
         # per step, here 1/(n+1) > alpha * (1 - delta) = 0.001
-        cfg = config_from(_toy_csv(tmp_path, method="C_COAD", runs="1",
+        cfg = config_from(toy_csv(tmp_path, method="C_COAD", runs="1",
                                    steps="8", alpha="0.1", delta="0.99"))
         with pytest.warns(UserWarning, match=r"n = \d+, alpha = 0.1") \
                 as caught:
@@ -439,7 +446,7 @@ class TestBehavior:
         # the failing twin fit belongs to C_PP_COAD.  On the Gaussian oracle
         # the config already rejects more components than twin rows, so the
         # rows come from a dataset split, sized only at run time
-        cfg = config_from(_toy_csv(tmp_path, method=methods, seed="11",
+        cfg = config_from(toy_csv(tmp_path, method=methods, seed="11",
                                    runs="1", steps="8"))
         cfg.gmm_components = 10**6  # far more components than data
         with pytest.raises(RuntimeError,
@@ -459,7 +466,96 @@ class TestBehavior:
             run_benchmark(_cfg(method="COAD"))
 
 
+class TestRunStream:
+    """``_iter_runs`` yields each finished run, and ``run_benchmark`` is
+    its collector."""
+
+    def test_lazy(self, monkeypatch):
+        original, built = harness.gaussian_synthetic_stream, []
+
+        def counting(cfg, methods, run_idx):
+            built.append(run_idx)
+            return original(cfg, methods, run_idx)
+
+        monkeypatch.setattr(harness, "gaussian_synthetic_stream", counting)
+        method, run_idx, steps, _ = next(harness._iter_runs(
+            _cfg(method="C_COAD,FIXED", runs=3)))
+        assert built == [0]
+        assert (method, run_idx, steps.decision.size) == \
+            (MethodVariant.C_COAD, 0, 25)
+
+    def test_run_major_in_config_order(self, tmp_path):
+        gaussian = _cfg(method="FIXED,C_PP_COAD,COAD", runs=2, steps=5)
+        assert [(m.value, r) for m, r, _, _ in harness._iter_runs(gaussian)] \
+            == [(m, r) for r in range(2) for m in ("FIXED", "C_PP_COAD",
+                                                   "COAD")]
+        # on a table each split kind is a group, in order of first mention
+        table = config_from(toy_csv(
+            tmp_path, method="C_PP_COAD,C_COAD,C_PO_COAD,FIXED", runs="2",
+            steps="5", n="20"))
+        assert [(m.value, r) for m, r, _, _ in harness._iter_runs(table)] \
+            == [(m, r) for r in range(2) for m in ("C_PP_COAD", "C_COAD",
+                                                   "FIXED", "C_PO_COAD")]
+
+    def test_collected_stream_emits_the_golden_bytes(self, tmp_path):
+        cfg = config_from(GOLDEN_CONFIG)
+        runs, traces = defaultdict(list), defaultdict(list)
+        for method, _, steps, trace in harness._iter_runs(cfg):
+            runs[method.value].append(steps)
+            traces[method.value].append(trace)
+        artifacts = RunArtifacts(cfg, {
+            name: MethodResult(runs[name], traces[name],
+                               aggregate(traces[name])) for name in runs})
+        paths = emit(artifacts, tmp_path)
+        digest = {key: hashlib.sha256(paths[key].read_bytes()).hexdigest()
+                  for key in ("steps", "aggregate")}
+        assert digest == {"steps": STEPS_SHA256,
+                          "aggregate": AGGREGATE_SHA256}
+
+
 class TestOranPath:
+    def test_infeasible_graph_names_seed_and_shape(self):
+        # one xApp, one parameter and one KPI admit no conflict type; the
+        # generator's own message names its graph_seed argument, which is
+        # no config key
+        cfg = config_from({"dataset": "oran", "oran_xapps": "1",
+                           "oran_params": "1", "oran_kpis": "1",
+                           "runs": "1", "steps": "5", "seed": "4"})
+        with pytest.raises(ValueError, match=r"^seed = 4 and \(oran_xapps, "
+                           r"oran_params, oran_kpis\) = \(1, 1, 1\)"):
+            run_benchmark(cfg)
+
+    def test_too_few_samples_name_oran_samples_and_steps(self):
+        # one sample cannot fill a 3-step test reserve; left to the run,
+        # this failed inside make_splits naming no key
+        cfg = config_from({"dataset": "oran", "oran_samples": "1",
+                           "runs": "1", "steps": "3"})
+        with pytest.raises(ValueError, match=r"^oran_samples = 1: 1 inlier "
+                           r"rows, fewer than the steps = 3 test points"):
+            run_benchmark(cfg)
+
+    def test_empty_score_training_part_names_steps(self):
+        # 4 inliers, no anomaly: the 3-step test reserve leaves one row,
+        # and a third of it is none; this failed as "cannot take a
+        # quantile of no values" in the activity binning
+        cfg = config_from({"dataset": "oran", "oran_samples": "4",
+                           "method": "C_PO_COAD", "runs": "1", "steps": "3"})
+        with pytest.raises(RuntimeError, match=r"failed: the dataset leaves "
+                           r"no score- or generator-training rows beside "
+                           r"the steps = 3 reserved test points"):
+            run_benchmark(cfg)
+
+    def test_no_score_inliers_name_the_class(self):
+        # 3 inliers less the 1-step reserve leave 2, whose first third is
+        # none, so the score-training part holds one anomaly; the density
+        # score, fit on inliers only, failed as "training data is empty"
+        cfg = config_from({"dataset": "oran", "oran_samples": "6",
+                           "oran_anomaly_frac": "0.5", "method": "C_COAD",
+                           "runs": "1", "steps": "1"})
+        with pytest.raises(RuntimeError, match=r"failed: class 0 absent in "
+                           r"the score-training data$"):
+            run_benchmark(cfg)
+
     def test_benchmark_runs_and_replays(self):
         mapping = {"method": "C_PP_COAD", "dataset": "oran", "runs": "2",
                    "steps": "10", "seed": "3", "oran_samples": "1500",
@@ -476,33 +572,17 @@ class TestOranPath:
         assert len(arts.per_method["FIXED"].records) == 20
 
 
-def _toy_csv(tmp_path, **mapping):
-    """A two-context CSV dataset with its schema, as a config mapping."""
-    rng = np.random.default_rng(0)
-    lines = ["x0,x1,age,label"]
-    for i in range(400):
-        age = 25.0 if i % 2 == 0 else 75.0
-        mu = 0.0 if age < 50 else 5.0
-        x = rng.normal(mu, 1.0, 2)
-        label = 0
-        if i % 10 == 0:
-            x += 6.0
-            label = 1
-        lines.append(f"{x[0]:.6f},{x[1]:.6f},{age},{label}")
-    csv_path = tmp_path / "toy.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
-    schema_path = tmp_path / "toy.schema"
-    schema_path.write_text(
-        "feature.x0 = continuous\nfeature.x1 = continuous\n"
-        "label = label\nlabel.anomaly_values = 1\n"
-        "context.column = age\ncontext.bins = 50\n")
-    return dict({"dataset": "csv", "seed": "1", "csv_path": str(csv_path),
-                 "schema_path": str(schema_path)}, **mapping)
-
-
 class TestCsvPath:
+    def test_too_few_inliers_name_steps(self, tmp_path):
+        # the toy dataset holds 360 inliers, one short of the test reserve
+        cfg = config_from(toy_csv(tmp_path, method="C_COAD", runs="1",
+                                  steps="361"))
+        with pytest.raises(ValueError, match=r"toy\.csv: 360 inlier rows, "
+                           r"fewer than the steps = 361 test points"):
+            run_benchmark(cfg)
+
     def test_benchmark_from_files(self, tmp_path):
-        cfg = config_from(_toy_csv(tmp_path, method="C_COAD,FIXED", runs="2",
+        cfg = config_from(toy_csv(tmp_path, method="C_COAD,FIXED", runs="2",
                                    steps="8"))
         arts = run_benchmark(cfg)
         assert len(arts.per_method["C_COAD"].records) == 16

@@ -95,6 +95,18 @@ class TestKMeansScore:
         with pytest.raises(ValueError, match="[Dd]uplicate"):
             fit_kmeans_score(train, k=3, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("points, message", [
+        ([(0.0,), (9.0,)], "need at least k=3 training points, got 2"),
+        ([(0.0,), (0.0,), (9.0,)], "k=3 exceeds the number of distinct"),
+    ])
+    def test_failed_fit_names_the_context_slot(self, points, message):
+        # context 0 can hold three clusters; context 1's rows cannot
+        train = concat(table([(1.0,), (2.0,), (3.0,)], context=0),
+                       table(points, context=1))
+        with pytest.raises(ValueError, match=f"^context slot 1: {message}"):
+            fit_kmeans_score(train, k=3, n_contexts=2,
+                             rng=np.random.default_rng(0))
+
     def test_objective_non_increasing(self):
         # each Lloyd update keeps or lowers the k-means objective: the sum
         # of squared distances to the nearest centroid
