@@ -13,9 +13,11 @@ suite and probes peak memory, each probe in a fresh interpreter: the fixed
 footprint of set-up alone (``import coad``, ``config_from`` of the
 ``long-stream`` config and ``build_zeta()``), and how the peak grows with
 stream length: the ``long-stream`` config at each of STREAM_LENGTHS steps.
+Last, it times one many-contexts config at each of CONTEXT_COUNTS
+contexts, to show how the engine's cost grows with the context count.
 It uses only the standard library; the benchmark runs measure themselves,
-the suite is timed with ``time.perf_counter``, and a probe reads its own
-peak RSS.
+the suite is timed with ``time.perf_counter``, and a probe times its run
+and reads its own peak RSS.
 """
 
 from __future__ import annotations
@@ -38,15 +40,22 @@ from workloads import WORKLOADS  # noqa: E402
 # Steps of the long-stream config whose peak RSS the memory probe compares;
 # the growth between the two, per added step, is what a step costs at peak.
 STREAM_LENGTHS = (20_000, 200_000)
+# Context counts of the context-scaling probe.  Each context keeps the
+# same rows (see context_mapping), so only the number of contexts grows.
+CONTEXT_COUNTS = (2, 128)
 # One fresh interpreter's config_from, run_benchmark and emit of the JSON
-# config mapping in argv[1]; prints its peak RSS in MB.
+# config mapping in argv[1]; prints the seconds that run_benchmark and
+# emit took, then its peak RSS in MB.
 PROBE = """
 import json, resource, sys, tempfile
+from time import perf_counter
 from coad import config_from, emit, run_benchmark
 cfg = config_from(json.loads(sys.argv[1]))
+start = perf_counter()
 with tempfile.TemporaryDirectory() as out:
     emit(run_benchmark(cfg), out)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+print(perf_counter() - start,
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
 """
 # The same up to the run: what every run holds before its first step.
 SETUP_PROBE = """
@@ -97,20 +106,21 @@ def tier1() -> dict:
             "summary": lines[-1] if lines else proc.stderr.strip()[-500:]}
 
 
-def peak_rss_mb(mapping: dict[str, str], probe: str = PROBE) -> float:
-    """Peak RSS of one single-threaded ``probe`` of the config ``mapping``."""
+def probe(mapping: dict[str, str], code: str = PROBE) -> list[float]:
+    """The numbers that one single-threaded probe ``code`` of the config
+    ``mapping`` prints; the last is its peak RSS in MB."""
     proc = subprocess.run(
-        [sys.executable, "-c", probe, json.dumps(mapping)], cwd=ROOT,
+        [sys.executable, "-c", code, json.dumps(mapping)], cwd=ROOT,
         env=source_env(**SINGLE_THREAD), capture_output=True, text=True,
         check=True)
-    return float(proc.stdout.split()[-1])
+    return [float(value) for value in proc.stdout.split()]
 
 
 def stream_memory(seed: int) -> dict:
     """Peak RSS of the long-stream config at each of STREAM_LENGTHS, and
     its growth in bytes per added step."""
     mapping = WORKLOADS["long-stream"].mapping(seed)
-    peaks = {steps: peak_rss_mb(dict(mapping, steps=str(steps)))
+    peaks = {steps: probe(dict(mapping, steps=str(steps)))[-1]
              for steps in STREAM_LENGTHS}
     short, long = STREAM_LENGTHS
     return {"peak_rss_mb": {str(steps): mb for steps, mb in peaks.items()},
@@ -118,10 +128,32 @@ def stream_memory(seed: int) -> dict:
             / (long - short)}
 
 
+def context_mapping(seed: int, contexts: int) -> dict[str, str]:
+    """C_COAD and C_PP_COAD over one 5,000-step run at n = 1100, with 100
+    score- and 100 generator-training rows and 50 validation rows per
+    context."""
+    return {"method": "C_COAD,C_PP_COAD", "runs": "1", "steps": "5000",
+            "n": "1100", "seed": str(seed), "contexts": str(contexts),
+            "score_train_size": str(100 * contexts),
+            "twin_train_size": str(100 * contexts), "val_size": "50"}
+
+
+def context_scaling(seed: int) -> dict:
+    """Wall time and peak RSS of the context_mapping config at each of
+    CONTEXT_COUNTS contexts, each in a fresh interpreter."""
+    runs = {}
+    for contexts in CONTEXT_COUNTS:
+        mapping = context_mapping(seed, contexts)
+        wall, peak = probe(mapping)
+        runs[str(contexts)] = {"config": mapping, "wall_s": wall,
+                               "peak_rss_mb": peak}
+    return runs
+
+
 def fixed_memory(seed: int) -> dict:
     """Peak RSS of set-up alone, the footprint a run starts from."""
     mapping = WORKLOADS["long-stream"].mapping(seed)
-    return {"peak_rss_mb": peak_rss_mb(mapping, SETUP_PROBE)}
+    return {"peak_rss_mb": probe(mapping, SETUP_PROBE)[-1]}
 
 
 def src_lines() -> int:
@@ -168,6 +200,7 @@ def main() -> int:
         "src_lines": src_lines(),
         "fixed_memory": fixed_memory(args.seed),
         "stream_memory": stream_memory(args.seed),
+        "context_scaling": context_scaling(args.seed),
         "tier1": tier1(),
         "workloads": workloads,
     }

@@ -2,7 +2,7 @@
 
 A Table is the one form of a set of rows on the run path: a dataset, the
 parts of a split, a training or validation set, a stream's test points.
-Its columns make per-context selection a boolean index on the context
+Its columns make per-context selection one stable sort of the context
 column.  An Observation is the public single-point type.  Both are
 immutable, safe to share across threads and independent benchmark runs.
 """
@@ -80,6 +80,15 @@ class Table:
         """The rows at ``index``: a slice, positions or a boolean mask."""
         return Table(self.features[index], self.context[index],
                      self.truth[index])
+
+    def by_context(self, n: int) -> list["Table"]:
+        """The rows of each context 0..n-1, each in row order, from one
+        stable argsort of the context column; rows of a context past n are
+        left out."""
+        order = np.argsort(self.context, kind="stable")
+        bounds = np.searchsorted(self.context[order], np.arange(n + 1))
+        return [self.rows(order[lo:hi])
+                for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def observed(self) -> np.ndarray:
         """The feature matrix of fully observed (or already imputed) rows."""

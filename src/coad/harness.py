@@ -335,8 +335,10 @@ class RunData:
     ``stream`` holds one test point per step, NaN where a value is missing.
     ``real_batches(lo, hi)`` returns the (hi - lo, n, d) real calibration
     batches of steps lo..hi-1 (0-based); call it once per chunk, in step
-    order, since the Gaussian oracle draws them as it goes.  It is None when
-    the run serves no real batches.
+    order, since the Gaussian oracle draws them as it goes, into one buffer
+    held for the run.  So a call's array is valid only until the next call,
+    and nothing may hold it past that.  It is None when the run serves no
+    real batches.
     """
 
     score_train: Table
@@ -370,8 +372,8 @@ def gaussian_synthetic_stream(cfg: RunConfig,
     twin_mean_shift and scales the variance by twin_var_scale.
     """
     contexts = cfg.contexts
-    means = (np.arange(contexts)[:, None] * cfg.context_spread
-             * np.ones(cfg.dim)[None, :])
+    level = np.arange(contexts) * cfg.context_spread  # every feature's mean
+    means = level[:, None] * np.ones(cfg.dim)[None, :]
 
     def draw(c: int, size: int, rng: np.random.Generator,
              shift: float = 0.0, scale: float = 1.0) -> np.ndarray:
@@ -414,10 +416,17 @@ def gaussian_synthetic_stream(cfg: RunConfig,
     real_batches = None
     if any(m.uses_real for m in methods):
         real_rng = derive_rng(cfg.seed, run_idx, _Purpose.REAL_CAL, 0)
+        buffer = np.empty((0, n, cfg.dim))
 
         def real_batches(lo: int, hi: int) -> np.ndarray:
-            return (means[ctx[lo:hi], None, :]
-                    + real_rng.standard_normal((hi - lo, n, cfg.dim)))
+            nonlocal buffer
+            if len(buffer) < hi - lo:
+                buffer = np.empty((hi - lo, n, cfg.dim))
+            batches = real_rng.standard_normal(out=buffer[:hi - lo])
+            # every feature of a context has one mean, so each batch adds
+            # one value along its n * d contiguous values
+            batches += level[ctx[lo:hi], None, None]
+            return batches
 
     return RunData(score_train=_blocks_table(score_train, cfg.dim),
                    twin_train=_blocks_table(twin_train, cfg.dim),
@@ -558,8 +567,8 @@ def _calibrate_gammas(cfg: RunConfig, method: MethodVariant, run_idx: int,
     validation inliers' p-values against a synthetic pool, or the override."""
     if cfg.gamma_override is not None:
         return np.full(n_eff, cfg.gamma_override)
-    groups = [validation] if not method.context_aware else \
-        [validation.rows(validation.context == c) for c in range(n_eff)]
+    groups = validation.by_context(n_eff) if method.context_aware else \
+        [validation]
     gammas = []
     for c, group in enumerate(groups):
         if not len(group):
@@ -635,29 +644,25 @@ CHUNK_VALUES = 2**16
 def _score_batches(model: ScoreModel, batches: np.ndarray,
                    contexts: np.ndarray) -> np.ndarray:
     """Scores (k, m) of k batches (k, m, d), batch i of context contexts[i],
-    with one ``scores`` call per context on that context's stacked rows."""
+    with one ``scores`` call on their stacked rows.  A batch of a chunk is
+    valid only until the next chunk is drawn: the scores are new arrays,
+    and nothing may hold the batches past it."""
     k, m, d = batches.shape
-    out = np.empty((k, m))
-    for c in np.unique(contexts):
-        at = contexts == c
-        if at.all():
-            out[:] = model.scores(batches.reshape(k * m, d),
-                                  int(c)).reshape(k, m)
-        else:
-            rows = batches[at].reshape(-1, d)
-            out[at] = model.scores(rows, int(c)).reshape(-1, m)
-    return out
+    return model.scores(batches.reshape(k * m, d), contexts).reshape(k, m)
 
 
 @dataclass(eq=False)
 class _Chunk:
     """The stream arrays of the steps ``at`` that every method of a split
-    group reads; None where no method of the group needs one."""
+    group reads; None where no method of the group needs one.  The draws
+    land in buffers held for the run, so a chunk's arrays are valid only
+    until the next chunk is drawn, and nothing may hold them past it."""
 
     at: slice
     tests: np.ndarray             # (k, d) test points, masked, then filled
     uniforms: np.ndarray | None   # (k, n_tilde) twin component uniforms
     noise: np.ndarray | None      # (k, n_tilde, d) twin noise
+    work: np.ndarray | None       # (2, k, n_tilde, d) a twin samples into
     acquire: np.ndarray | None    # (k,) acquisition uniforms
     real: np.ndarray | None       # (k, n, d) real batches, masked, filled
 
@@ -669,7 +674,8 @@ def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData,
 
     Each stream-time generator is created once per run and yields one kind
     of draw in step order, so a step's values depend neither on the chunk
-    size nor on which methods share the run.  Nothing outlives its chunk.
+    size nor on which methods share the run.  Each kind of draw fills one
+    buffer held for the run, so nothing outlives its chunk.
     """
     steps, dim = rundata.stream.features.shape
     uses_twin = any(m.uses_twin for m in methods)
@@ -689,6 +695,13 @@ def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData,
         acquire = stream_rng(_Purpose.ACQUIRE)
     widest = max(rundata.n, rundata.n_tilde if uses_twin else 0, 1)
     chunk = max(1, CHUNK_VALUES // (widest * dim))
+    rows = min(chunk, steps)
+    if uses_twin:
+        uniforms = np.empty((rows, rundata.n_tilde))
+        twin_noise = np.empty((rows, rundata.n_tilde, dim))
+        work = np.empty((2, *twin_noise.shape))
+    if acquire is not None:
+        acquired = np.empty(rows)
     for lo in range(0, steps, chunk):
         hi = min(steps, lo + chunk)
         x = rundata.stream.features[lo:hi]
@@ -702,14 +715,14 @@ def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData,
                 real = apply_mcar_mask(real, cfg.q_miss, real_mask)
             # CSV rows may hold missing values even at q_miss 0
             real = impute(imputer, real)
-        uniforms = twin_noise = None
-        if uses_twin:
-            uniforms = comps.random((hi - lo, rundata.n_tilde))
-            twin_noise = noise.standard_normal((hi - lo, rundata.n_tilde, dim))
-        yield _Chunk(slice(lo, hi), impute(imputer, x), uniforms,
-                     twin_noise,
-                     None if acquire is None else acquire.random(hi - lo),
-                     real)
+        k = hi - lo
+        yield _Chunk(
+            slice(lo, hi), impute(imputer, x),
+            comps.random(out=uniforms[:k]) if uses_twin else None,
+            noise.standard_normal(out=twin_noise[:k]) if uses_twin else None,
+            work[:, :k] if uses_twin else None,
+            None if acquire is None else acquire.random(out=acquired[:k]),
+            real)
 
 
 def _statistics(cfg: RunConfig, method: MethodVariant, fitted: _FittedRun,
@@ -745,8 +758,8 @@ def _statistics(cfg: RunConfig, method: MethodVariant, fitted: _FittedRun,
     if method.uses_twin:
         q[at] = once("q", lambda: conformal_pvalues(_score_batches(
             model, sample_synthetic(
-                fitted.twin_model, c, chunk.uniforms, chunk.noise
-            ).reshape(c.size, -1, chunk.tests.shape[1]), c),
+                fitted.twin_model, c, chunk.uniforms, chunk.noise,
+                chunk.work).reshape(chunk.noise.shape), c),
             s, cfg.plus_one))
     if rule == "active":
         u[at] = chunk.acquire < \

@@ -46,29 +46,44 @@ def lower_quantile(values, level: float) -> float:
 
 
 class ScoreModel:
-    """Shared scaffolding: context dispatch and vectorized scoring."""
+    """Shared scaffolding: context dispatch and vectorized scoring.
+
+    ``scores(xs, context)`` scores the rows of an (m, d) array.  ``context``
+    is one context id for every row, or a (k,) array of ids, one per equal
+    block of m / k consecutive rows; each block is scored with its own
+    context's parameters.  A pooled model ignores it.
+    """
 
     context_aware: bool
     n_contexts: int
 
-    def _slot(self, context: int) -> int:
+    def _blocks(self, xs: np.ndarray, context) -> tuple[np.ndarray,
+                                                         np.ndarray]:
+        """``xs`` as (k, m / k, d) blocks, and each block's parameter slot."""
         if not self.context_aware:
-            return 0
-        if not 0 <= context < self.n_contexts:
-            raise ValueError(f"context {context} outside [0, {self.n_contexts})")
-        return context
+            return xs[None], np.zeros(1, dtype=int)
+        ids = np.atleast_1d(np.asarray(context))
+        outside = (ids < 0) | (ids >= self.n_contexts)
+        if outside.any():
+            raise ValueError(f"context {ids[outside][0]} outside "
+                             f"[0, {self.n_contexts})")
+        if len(xs) % ids.size:
+            raise ValueError(f"{len(xs)} rows do not split into {ids.size} "
+                             "equal context blocks")
+        return xs.reshape(ids.size, len(xs) // ids.size, xs.shape[1]), ids
 
     def score(self, x, context: int) -> float:
         return float(self.scores(np.asarray(x, dtype=float)[None, :], context)[0])
 
-    def scores(self, xs: np.ndarray, context: int) -> np.ndarray:
+    def scores(self, xs: np.ndarray, context) -> np.ndarray:
         raise NotImplementedError
 
 
 def _context_groups(train: Table, n_contexts: int | None,
                     context_aware: bool) -> list[Table]:
-    """The rows of each context slot of a fit, by a boolean index; a pooled
-    fit has one slot of every row.  Every declared context must be hit."""
+    """The rows of each context slot of a fit, by one stable sort of the
+    context column; a pooled fit has one slot of every row.  Every declared
+    context must be hit."""
     if not len(train):
         raise ValueError("training data is empty")
     if not context_aware:
@@ -76,8 +91,7 @@ def _context_groups(train: Table, n_contexts: int | None,
     top = int(train.context.max())
     if n_contexts is not None and top >= n_contexts:
         raise ValueError(f"context {top} outside declared range")
-    groups = [train.rows(train.context == c)
-              for c in range(top + 1 if n_contexts is None else n_contexts)]
+    groups = train.by_context(top + 1 if n_contexts is None else n_contexts)
     for c, group in enumerate(groups):
         if not len(group):
             raise ValueError(f"no training points for context {c}")
@@ -93,16 +107,25 @@ class DensityScore(ScoreModel):
     context_aware: bool
     n_contexts: int
 
-    def scores(self, xs: np.ndarray, context: int) -> np.ndarray:
-        slot = self._slot(context)
-        mu, var = self.means[slot], self.variances[slot]
+    def scores(self, xs: np.ndarray, context) -> np.ndarray:
+        blocks, slots = self._blocks(xs, context)
+        mu, var = self.means[slots], self.variances[slots]  # (k, d)
         # summed column by column: numpy sums rows of a few values along
-        # axis 1 about ten times slower, and for two features the sum is
-        # the same
-        quad = np.zeros(xs.shape[0])
-        for j in range(xs.shape[1]):
-            quad += (xs[:, j] - mu[j]) ** 2 / var[j]
-        return 0.5 * (np.log(2.0 * np.pi * var).sum() + quad)
+        # the last axis about ten times slower, and for two features the
+        # sum is the same.  Column 0 goes straight into the sum, since
+        # 0 + t is t for every t >= 0
+        quad = np.empty(blocks.shape[:2])
+        term = np.empty_like(quad) if blocks.shape[2] > 1 else None
+        for j in range(blocks.shape[2]):
+            into = term if j else quad
+            np.subtract(blocks[:, :, j], mu[:, j, None], out=into)
+            np.square(into, out=into)
+            np.divide(into, var[:, j, None], out=into)
+            if j:
+                quad += term
+        quad += np.log(2.0 * np.pi * var).sum(axis=1)[:, None]
+        quad *= 0.5
+        return quad.reshape(-1)
 
 
 def fit_density_score(train: Table, n_contexts: int | None = None,
@@ -181,10 +204,11 @@ class KMeansScore(ScoreModel):
     context_aware: bool
     n_contexts: int
 
-    def scores(self, xs: np.ndarray, context: int) -> np.ndarray:
-        centers = self.centroids[self._slot(context)]
-        d2 = ((xs[:, None, :] - centers[None]) ** 2).sum(-1)
-        return np.sqrt(d2.min(axis=1))
+    def scores(self, xs: np.ndarray, context) -> np.ndarray:
+        blocks, slots = self._blocks(xs, context)
+        centers = self.centroids[slots][:, None]  # (k, 1, clusters, d)
+        d2 = ((blocks[:, :, None, :] - centers) ** 2).sum(-1)
+        return np.sqrt(d2.min(axis=2)).reshape(-1)
 
 
 def fit_kmeans_score(train: Table, k: int = 5,
@@ -210,19 +234,19 @@ class NaiveBayesScore(ScoreModel):
     context_aware: bool
     n_contexts: int
 
-    def scores(self, xs: np.ndarray, context: int) -> np.ndarray:
-        slot = self._slot(context)
-        loglik = np.empty((xs.shape[0], 2))
+    def scores(self, xs: np.ndarray, context) -> np.ndarray:
+        blocks, slots = self._blocks(xs, context)
+        loglik = np.empty((*blocks.shape[:2], 2))
         for label in (0, 1):
-            mu = self.class_means[slot, label]
-            var = self.class_vars[slot, label]
-            loglik[:, label] = (
-                self.log_priors[slot, label]
-                - 0.5 * (np.log(2.0 * np.pi * var).sum()
-                         + ((xs - mu) ** 2 / var).sum(axis=1)))
-        top = loglik.max(axis=1, keepdims=True)
+            mu = self.class_means[slots, label][:, None]  # (k, 1, d)
+            var = self.class_vars[slots, label][:, None]
+            loglik[:, :, label] = (
+                self.log_priors[slots, label][:, None]
+                - 0.5 * (np.log(2.0 * np.pi * var).sum(axis=2)
+                         + ((blocks - mu) ** 2 / var).sum(axis=2)))
+        top = loglik.max(axis=2, keepdims=True)
         probs = np.exp(loglik - top)
-        return probs[:, 1] / probs.sum(axis=1)
+        return (probs[:, :, 1] / probs.sum(axis=2)).reshape(-1)
 
 
 def fit_supervised_score(train: Table, n_contexts: int | None = None,

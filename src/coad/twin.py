@@ -133,7 +133,8 @@ def fit_twin(train: Table, k: int = 2,
 
 
 def sample_synthetic(model: TwinModel, context, uniforms: np.ndarray,
-                     noise: np.ndarray) -> np.ndarray:
+                     noise: np.ndarray, work: np.ndarray | None = None
+                     ) -> np.ndarray:
     """Turn drawn randomness into synthetic feature vectors, i.i.d. per
     context; the caller draws.
 
@@ -141,7 +142,9 @@ def sample_synthetic(model: TwinModel, context, uniforms: np.ndarray,
     n_tilde rows: row j takes its mixture component from ``uniforms[i, j]``
     (uniforms is (k, n_tilde)) and its standard normal noise from
     ``noise[i, j]`` (noise is (k, n_tilde, d)).  The k batches come back
-    stacked into (k * n_tilde, d) rows.
+    stacked into (k * n_tilde, d) rows.  Given ``work``, a (2, k, n_tilde,
+    d) float array, nothing is allocated for them: the rows are a view of
+    work[0], and work[1] holds each row's mean on the way.
     """
     contexts = np.atleast_1d(np.asarray(context))
     k = contexts.size
@@ -164,10 +167,16 @@ def sample_synthetic(model: TwinModel, context, uniforms: np.ndarray,
     slot = contexts[:, None] * width  # first component of each row's context
     for j in range(width - 1):
         slot = slot + (uniforms >= cdf[contexts, j][:, None])
-    # one take on (C * K, 2, d) picks each row's mean and scale together
-    params = np.stack([model.means, np.sqrt(model.variances)], axis=2)
-    drawn = np.take(params.reshape(-1, 2, dim), slot, axis=0)
-    rows = drawn[..., 0, :] + drawn[..., 1, :] * noise
+    # (k, 1) when K = 1: broadcast, so that each take gives every row.  The
+    # ids are checked above, so every slot is in range and the takes skip
+    # the bounds check ("raise" would also copy through a temporary)
+    slot = np.broadcast_to(slot, uniforms.shape)
+    scale, mean = (None, None) if work is None else work
+    rows = np.take(np.sqrt(model.variances).reshape(-1, dim), slot, axis=0,
+                   out=scale, mode="clip")
+    rows *= noise
+    rows += np.take(model.means.reshape(-1, dim), slot, axis=0, out=mean,
+                    mode="clip")
     return rows.reshape(-1, dim)
 
 

@@ -21,7 +21,18 @@ def concat(*tables: Table) -> Table:
 
 def toy_csv(directory, **mapping) -> dict:
     """A two-context CSV dataset with its schema, written to ``directory``,
-    as a config mapping."""
+    as a config mapping.  Its 40 anomalies (every tenth row) all fall in
+    context 0."""
+    return _toy_csv(directory, lambda i: i % 10 == 0, mapping)
+
+
+def toy_csv_both_contexts(directory, **mapping) -> dict:
+    """``toy_csv`` with its 40 anomalies split evenly between the two
+    contexts, so that a context-aware supervised score can be fit."""
+    return _toy_csv(directory, lambda i: i % 20 in (0, 5), mapping)
+
+
+def _toy_csv(directory, anomalous, mapping) -> dict:
     rng = np.random.default_rng(0)
     lines = ["x0,x1,age,label"]
     for i in range(400):
@@ -29,7 +40,7 @@ def toy_csv(directory, **mapping) -> dict:
         mu = 0.0 if age < 50 else 5.0
         x = rng.normal(mu, 1.0, 2)
         label = 0
-        if i % 10 == 0:
+        if anomalous(i):
             x += 6.0
             label = 1
         lines.append(f"{x[0]:.6f},{x[1]:.6f},{age},{label}")

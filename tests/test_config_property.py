@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from coad.conformal import GAMMA_MAX
 from coad.harness import (SCORE_KINDS, MethodVariant, _RunFailure,
                           config_from, run_benchmark)
-from tables import toy_csv
+from tables import toy_csv_both_contexts
 
 
 def _around(valid, invalid):
@@ -100,7 +100,9 @@ def test_config_is_rejected_by_name_or_runs(mapping):
 
 @pytest.fixture(scope="module")
 def toy_paths(tmp_path_factory):
-    return toy_csv(tmp_path_factory.mktemp("toy"))
+    # anomalies in both contexts, so that context-aware supervised fits
+    # complete
+    return toy_csv_both_contexts(tmp_path_factory.mktemp("toy"))
 
 
 @settings(deadline=None, max_examples=200)

@@ -150,6 +150,19 @@ class TestTable:
         assert t.rows([2, 0]).features[:, 0].tolist() == [5.0, 1.0]
         assert len(t.rows(slice(0))) == 0
 
+    @given(st.lists(st.integers(0, 4), max_size=30), st.integers(0, 6))
+    def test_by_context_matches_a_boolean_index_per_context(self, ids, n):
+        # one stable sort keeps each context's rows in table order; rows of
+        # a context past n belong to no group
+        t = Table(np.arange(len(ids), dtype=float)[:, None], ids,
+                  np.zeros(len(ids)))
+        groups = t.by_context(n)
+        assert len(groups) == n
+        for c, group in enumerate(groups):
+            want = t.rows(t.context == c)
+            assert group.features.tolist() == want.features.tolist()
+            assert group.context.tolist() == [c] * len(want)
+
     def test_missing_value_read_before_imputation(self):
         t = self._table()
         with pytest.raises(ValueError, match="before imputation"):

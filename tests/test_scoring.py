@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coad.core import Table
 from coad.scoring import (DensityScore, KMeansScore, NaiveBayesScore,
@@ -181,6 +183,66 @@ class TestNaiveBayesScore:
         model = fit_supervised_score(train)
         for x in np.linspace(-10, 10, 50):
             assert 0.0 <= model.score([x], 0) <= 1.0
+
+
+def _model(kind: str, aware: bool, n_contexts: int, d: int,
+           rng: np.random.Generator) -> ScoreModel:
+    """A score model of ``kind`` with random parameters in every slot."""
+    slots = n_contexts if aware else 1
+    if kind == "density":
+        return DensityScore(rng.normal(0, 3, (slots, d)),
+                            rng.random((slots, d)) + 0.1, aware, n_contexts)
+    if kind == "kmeans":
+        return KMeansScore(rng.normal(0, 3, (slots, 3, d)), aware,
+                           n_contexts)
+    priors = rng.random((slots, 1)) * 0.8 + 0.1
+    return NaiveBayesScore(rng.normal(0, 3, (slots, 2, d)),
+                           rng.random((slots, 2, d)) + 0.1,
+                           np.log(np.hstack([1 - priors, priors])), aware,
+                           n_contexts)
+
+
+class TestBlockContexts:
+    """``scores`` with one context id per equal block of rows scores each
+    block with its own context's parameters, bit for bit as one call per
+    context on that context's stacked blocks."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(kind=st.sampled_from(["density", "kmeans", "naive_bayes"]),
+           aware=st.booleans(), d=st.sampled_from([1, 2, 30]),
+           n_contexts=st.integers(1, 4), k=st.integers(1, 7),
+           m=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_blocks_match_per_context_calls(self, kind, aware, d, n_contexts,
+                                            k, m, seed):
+        rng = np.random.default_rng(seed)
+        model = _model(kind, aware, n_contexts, d, rng)
+        ids = rng.integers(0, n_contexts, k)
+        xs = rng.normal(0, 4, (k * m, d))
+        got = model.scores(xs, ids)
+        want = np.empty((k, m))
+        for c in np.unique(ids):
+            at = ids == c
+            want[at] = model.scores(
+                xs.reshape(k, m, d)[at].reshape(-1, d), int(c)).reshape(-1, m)
+        assert got.shape == (k * m,)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["density", "kmeans", "naive_bayes"])
+    def test_out_of_range_id_is_named(self, kind):
+        model = _model(kind, True, 3, 2, np.random.default_rng(0))
+        xs = np.zeros((8, 2))
+        for ids in ([0, 3, 1, 2], [1, -1, 0, 0]):
+            bad = [c for c in ids if not 0 <= c < 3][0]
+            with pytest.raises(ValueError,
+                               match=rf"^context {bad} outside \[0, 3\)"):
+                model.scores(xs, np.array(ids))
+        with pytest.raises(ValueError, match=r"^context 3 outside \[0, 3\)"):
+            model.scores(xs, 3)
+
+    def test_rows_must_split_into_the_blocks(self):
+        model = _model("density", True, 2, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="7 rows do not split into 2"):
+            model.scores(np.zeros((7, 2)), np.array([0, 1]))
 
 
 class _IdentityScore(ScoreModel):

@@ -215,12 +215,19 @@ class TestSampleSynthetic:
     def test_matches_per_row_reference(self):
         # row (i, r) of context c takes component j, the count of the
         # normalized cumulative weights at or below its uniform, and is
-        # means[c, j] + sqrt(variances[c, j]) * noise
+        # means[c, j] + sqrt(variances[c, j]) * noise; with K = 1 every row
+        # takes component 0, and its (k, 1) components must still give
+        # every row, with or without a work array
+        for width in (1, 3):
+            self._check_per_row_reference(width)
+
+    @staticmethod
+    def _check_per_row_reference(width):
         rng = np.random.default_rng(21)
-        weights = rng.random((3, 3)) + 0.1
+        weights = rng.random((3, width)) + 0.1
         weights /= weights.sum(axis=1, keepdims=True)
-        model = TwinModel(weights, rng.normal(0, 5, (3, 3, 2)),
-                          rng.random((3, 3, 2)) + 0.5)
+        model = TwinModel(weights, rng.normal(0, 5, (3, width, 2)),
+                          rng.random((3, width, 2)) + 0.5)
         contexts = np.array([2, 0, 2, 1, 1, 0, 2])
         uniforms = rng.random((contexts.size, 40))
         noise = rng.standard_normal((contexts.size, 40, 2))
@@ -235,8 +242,12 @@ class TestSampleSynthetic:
                 picked.add((c, j))
                 expected.append(model.means[c, j] + np.sqrt(
                     model.variances[c, j]) * noise[i, r])
-        assert np.array_equal(rows, np.array(expected))
-        assert len(picked) == 9  # every component of every context drawn
+        assert np.array_equal(rows, np.array(expected)), width
+        assert len(picked) == 3 * width  # every component of every context
+        work = np.full((2, *noise.shape), np.nan)
+        into = sample_synthetic(model, contexts, uniforms, noise, work)
+        assert np.array_equal(into, rows), width
+        assert np.shares_memory(into, work[0])
 
 
 def _model(weights=((0.5, 0.5), (0.25, 0.75)), variances=1.0, contexts=2,
