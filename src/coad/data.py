@@ -2,12 +2,17 @@
 
 A CSV file becomes one Table through a schema that names feature columns
 (continuous or categorical), the label column, a numeric context column
-with bin boundaries, and the missing-value tokens.  Splits follow the
+with bin boundaries, and the missing-value tokens.  The reader takes the
+records once and parses them column by column; a malformed file fails
+naming its first fault in file order.  Splits follow the
 benchmark protocol: shuffle the row indices, cut the inliers into
 score-training / generator-training / calibration thirds, and serve the
 calibration part as disjoint per-timestep batches.  A split holds row
 positions into the dataset; a part becomes a Table only where a run reads
-it, through ``Table.rows``.
+it, through ``Table.rows``.  The imputer fills with training medians and
+modes; the categorical modes come from one count table over (column,
+code) keys when every value is an integer code below MODE_CODES, and from
+a per-column ``np.unique`` pass otherwise.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -123,68 +129,104 @@ def load_csv(path, schema: DatasetSchema) -> Table:
 
     Missing tokens leave NaN; declared-but-unknown category values are
     treated as missing too, while undeclared categorical columns get codes
-    in first-seen order.  Malformed rows fail with their row number.
+    in first-seen order.  The records are read once and parsed column by
+    column.  A malformed file fails naming its first fault in file order:
+    within a record the field count is checked first, then the features in
+    schema order, the label and the context column.  The context value is
+    -inf, which bins into context 0, when the schema names no context
+    column.
     """
-    codebooks: dict[str, dict[str, int]] = {
-        name: {v: i for i, v in enumerate(schema.categories[name])}
-        for name, kind in schema.features
-        if kind == "categorical" and name in schema.categories}
-    records = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        # the header is line 1; blank records are skipped uncounted
-        for rownum, row in enumerate(filter(None, reader), start=2):
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, "
-                                     f"got {len(row)}")
-                fields = dict(zip(header, map(str.strip, row)))
-                records.append(_parse_row(fields, schema, codebooks))
-            except (KeyError, ValueError) as exc:
-                raise ValueError(
-                    f"{path}: malformed row {rownum}: {exc}") from exc
+        records = [row for row in reader if row]  # blank records uncounted
     if header is None:
         warnings.warn(f"{path}: empty file, no rows loaded", stacklevel=2)
     elif not records:
         warnings.warn(f"{path}: no data rows", stacklevel=2)
+    # the header is line 1, so record r is row r + 2; a record of the wrong
+    # width ends the part that can be read as columns
+    width = len(header or ())
+    whole = next((r for r, row in enumerate(records) if len(row) != width),
+                 len(records))
+    index = {name: j for j, name in enumerate(header or ())}  # last wins
+    columns = list(zip(*records[:whole]))
     d = len(schema.features)
-    matrix = np.array(records, dtype=float).reshape(len(records), d + 2)
+    matrix = np.empty((whole, d + 2))
+    targets = [(name, kind, j) for j, (name, kind) in
+               enumerate(schema.features)] + [(schema.label, "label", d + 1)]
+    if schema.context_column is not None:
+        targets.append((schema.context_column, "context", d))
+    else:
+        matrix[:, d] = -math.inf
+    fault = None  # (record, exception) of the first fault so far
+    for name, kind, j in targets:
+        stop = whole if fault is None else fault[0]
+        if not stop:
+            break  # nothing comes before record 0
+        if name not in index:
+            fault = 0, KeyError(name)
+            break
+        parsed = _parse_column(name, kind, list(map(
+            str.strip, columns[index[name]][:stop])), schema)
+        if isinstance(parsed, tuple):
+            fault = parsed
+        else:
+            matrix[:stop, j] = parsed
+    if fault is None and whole < len(records):
+        fault = whole, ValueError(f"expected {width} fields, got "
+                                  f"{len(records[whole])}")
+    if fault is not None:
+        record, exc = fault
+        raise ValueError(f"{path}: malformed row {record + 2}: {exc}") \
+            from exc
     return Table(matrix[:, :d], schema.context_of(matrix[:, d]),
                  matrix[:, d + 1])
 
 
-def _parse_row(fields, schema, codebooks) -> list[float]:
-    """A record's feature values (NaN where missing), its context-column
-    value and its 0/1 label.  The context value is -inf, which bins into
-    context 0, when the schema names no context column."""
-    values = []
-    for name, kind in schema.features:
-        token = fields[name]
-        if token in schema.missing_tokens:
-            values.append(math.nan)
-        elif kind == "continuous":
-            values.append(_finite(token, f"column {name!r}"))
-        elif name in schema.categories:
-            # an unknown category behaves like a missing value
-            values.append(codebooks[name].get(token, math.nan))
-        else:
-            book = codebooks.setdefault(name, {})
-            values.append(book.setdefault(token, len(book)))
-    label = float(fields[schema.label] in schema.anomaly_values)
-    name = schema.context_column
-    if name is None:
-        return values + [-math.inf, label]
-    if fields[name] in schema.missing_tokens:
-        raise ValueError(f"context column {name!r} is missing")
-    return values + [_finite(fields[name], f"context column {name!r}"), label]
-
-
-def _finite(token: str, what: str) -> float:
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(f"{what}: non-finite value {token!r}")
-    return value
+def _parse_column(name: str, kind: str, tokens: list[str],
+                  schema: DatasetSchema):
+    """A column's values (NaN where missing), or (record, exception) at its
+    first malformed token."""
+    missing = schema.missing_tokens
+    if kind == "label":
+        return np.fromiter(map(schema.anomaly_values.__contains__, tokens),
+                           bool, len(tokens))
+    if kind == "categorical":
+        if name in schema.categories:
+            book = {v: i for i, v in enumerate(schema.categories[name])}
+        else:  # codes in first-seen order
+            book = {t: i for i, t in enumerate(
+                t for t in dict.fromkeys(tokens) if t not in missing)}
+        book.update(dict.fromkeys(missing, math.nan))
+        # an unknown category behaves like a missing value
+        return np.fromiter(map(book.get, tokens, repeat(math.nan)), float,
+                           len(tokens))
+    what = f"column {name!r}" if kind == "continuous" else \
+        f"context column {name!r}"
+    try:
+        values = np.array([math.nan if t in missing else float(t)
+                           for t in tokens])
+    except ValueError:
+        pass  # the row loop below finds the token
+    else:
+        # a continuous feature may be missing; nothing else may be NaN
+        holes = np.flatnonzero(~np.isfinite(values))
+        if not holes.size or kind == "continuous" and \
+                all(tokens[r] in missing for r in holes):
+            return values
+    for r, token in enumerate(tokens):
+        if token in missing:
+            if kind == "context":
+                return r, ValueError(f"context column {name!r} is missing")
+            continue
+        try:
+            value = float(token)
+        except ValueError as exc:
+            return r, exc
+        if not math.isfinite(value):
+            return r, ValueError(f"{what}: non-finite value {token!r}")
+    raise AssertionError("a column fault was flagged but not located")
 
 
 # --- split protocol ---------------------------------------------------------
@@ -294,9 +336,16 @@ def apply_mcar_mask(features: np.ndarray, q_miss: float,
     return np.where(rng.random(features.shape) < q_miss, np.nan, features)
 
 
+# Categorical values that are all integer codes below this bound (codebook
+# indices, 0/1 flags) take their modes from one count table of at most
+# MODE_CODES entries per categorical column.
+MODE_CODES = 4096
+
+
 @dataclass(frozen=True, eq=False)
 class Imputer:
-    """Per-feature fill values: training median (continuous) or mode.
+    """Per-feature fill values: training median (continuous) or mode
+    (categorical), a tie going to the value seen first.
 
     Fully determined at fit time; applying it fills the missing values and
     leaves observed ones untouched.
@@ -313,20 +362,54 @@ class Imputer:
         d = train.dim
         if len(kinds) != d:
             raise ValueError("one kind per feature is required")
+        for i, kind in enumerate(kinds):
+            if kind not in ("continuous", "categorical"):
+                raise ValueError(f"feature {i}: unknown kind {kind!r}")
         observed = ~np.isnan(train.features)
+        empty = np.flatnonzero(~observed.any(axis=0))
+        if empty.size:
+            raise ValueError(f"feature {empty[0]} has no observed training "
+                             "values")
         fill = np.empty(d)
         for i, kind in enumerate(kinds):
-            column = train.features[observed[:, i], i]  # row order
-            if not column.size:
-                raise ValueError(f"feature {i} has no observed training values")
             if kind == "continuous":
-                fill[i] = np.median(column)
-            else:
-                # the mode; a tie goes to the value seen first
-                _, first, counts = np.unique(column, return_index=True,
-                                             return_counts=True)
-                fill[i] = column[first[counts == counts.max()].min()]
+                fill[i] = np.median(train.features[observed[:, i], i])
+        cat = np.array([kind == "categorical" for kind in kinds])
+        if cat.all():  # no column copies
+            fill = _modes(train.features, observed)
+        elif cat.any():
+            fill[cat] = _modes(train.features[:, cat], observed[:, cat])
         return cls(fill, kinds)
+
+
+def _modes(values: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """Each column's most frequent observed value, a tie going to the value
+    seen first, read back from the first row that holds it (so -0.0 stays
+    -0.0).  Integer codes below MODE_CODES are counted with one bincount
+    over (column, code) keys; any other value takes the per-column
+    ``np.unique`` path."""
+    whole = observed.all()
+    codes = values if whole else np.where(observed, values, 0.0)
+    if codes.min() >= 0 and codes.max() < MODE_CODES:
+        keys = codes.astype(np.intp)
+        if (keys == codes).all():
+            cols = values.shape[1]
+            width = int(keys.max()) + 1
+            keys += width * np.arange(cols)
+            if not whole:
+                keys[~observed] = cols * width  # a bin past every column's
+            counts = np.bincount(keys.ravel(), minlength=cols * width + 1)
+            counts = counts[:-1].reshape(cols, width)
+            top = np.append(counts == counts.max(axis=1, keepdims=True),
+                            False)
+            return values[top[keys].argmax(axis=0), np.arange(cols)]
+    fill = np.empty(values.shape[1])
+    for i in range(values.shape[1]):
+        column = values[observed[:, i], i]  # row order
+        _, first, counts = np.unique(column, return_index=True,
+                                     return_counts=True)
+        fill[i] = column[first[counts == counts.max()].min()]
+    return fill
 
 
 def impute(imp: Imputer, features: np.ndarray) -> np.ndarray:

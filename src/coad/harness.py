@@ -564,27 +564,52 @@ def _calibrate_gammas(cfg: RunConfig, method: MethodVariant, run_idx: int,
                       n_eff: int, score_model: ScoreModel,
                       twin_model: TwinModel, validation: Table) -> np.ndarray:
     """An active method's trust gamma(c) per effective context, from its
-    validation inliers' p-values against a synthetic pool, or the override."""
+    validation inliers' p-values against a synthetic pool, or the override.
+
+    Each context with validation inliers draws its own pool from its own
+    generator; the pools are sampled and scored together (one call each
+    unless the contexts are many), the inliers are scored at once with one
+    context id per row, and one ``proxy_pvalues`` call ranks every inlier
+    against its context's pool.
+    """
     if cfg.gamma_override is not None:
         return np.full(n_eff, cfg.gamma_override)
-    groups = validation.by_context(n_eff) if method.context_aware else \
-        [validation]
-    gammas = []
-    for c, group in enumerate(groups):
-        if not len(group):
+    slot = validation.context if method.context_aware else \
+        np.zeros(len(validation), dtype=int)
+    order = np.argsort(slot, kind="stable")
+    sizes = np.bincount(slot, minlength=n_eff)
+    present = np.flatnonzero(sizes)
+    if present.size:
+        # the pools of as many contexts as fit in about CHUNK_VALUES
+        # values are drawn, sampled and scored at once
+        pool_scores = np.empty((present.size, cfg.synth_pool))
+        width = max(1, CHUNK_VALUES // (cfg.synth_pool * twin_model.dim))
+        for lo in range(0, present.size, width):
+            ids = present[lo:lo + width]
+            uniforms = np.empty((ids.size, cfg.synth_pool))
+            noise = np.empty((*uniforms.shape, twin_model.dim))
+            for i, c in enumerate(ids):
+                srng = derive_rng(cfg.seed, run_idx, _Purpose.VALIDITY,
+                                  n_eff + c)
+                srng.random(out=uniforms[i])
+                srng.standard_normal(out=noise[i])
+            pool_scores[lo:lo + width] = score_model.scores(sample_synthetic(
+                twin_model, ids, uniforms, noise), ids).reshape(ids.size, -1)
+        val_scores = score_model.scores(validation.rows(order).observed(),
+                                        slot[order])
+        pvals = proxy_pvalues(pool_scores, val_scores, cfg.plus_one,
+                              np.repeat(np.arange(present.size),
+                                        sizes[present]))
+    gammas, ends = np.empty(n_eff), np.cumsum(sizes)
+    for c in range(n_eff):
+        if not sizes[c]:
             warnings.warn(f"no validation inliers for context {c}; "
                           "falling back to gamma = 0.5", stacklevel=2)
-            gammas.append(0.5)
+            gammas[c] = 0.5
             continue
-        srng = derive_rng(cfg.seed, run_idx, _Purpose.VALIDITY, n_eff + c)
-        uniforms = srng.random((1, cfg.synth_pool))
-        noise = srng.standard_normal((1, cfg.synth_pool, twin_model.dim))
-        synth = sample_synthetic(twin_model, c, uniforms, noise)
-        synth_scores = score_model.scores(synth, c)
-        val_scores = score_model.scores(group.observed(), c)
-        pvals = proxy_pvalues(synth_scores, val_scores, cfg.plus_one)
-        gammas.append(gamma_of_context(positive_ecdf_gap(pvals), cfg.lam))
-    return np.asarray(gammas)
+        gammas[c] = gamma_of_context(
+            positive_ecdf_gap(pvals[ends[c] - sizes[c]:ends[c]]), cfg.lam)
+    return gammas
 
 
 @dataclass(eq=False)

@@ -113,9 +113,12 @@ class DensityScore(ScoreModel):
         # summed column by column: numpy sums rows of a few values along
         # the last axis about ten times slower, and for two features the
         # sum is the same.  Column 0 goes straight into the sum, since
-        # 0 + t is t for every t >= 0
-        quad = np.empty(blocks.shape[:2])
-        term = np.empty_like(quad) if blocks.shape[2] > 1 else None
+        # 0 + t is t for every t >= 0.  The sum and the term are one
+        # allocation: two freed side by side at the top of the heap could
+        # exceed glibc's trim threshold and be paged in afresh on every
+        # call, which made a 20k-step stream's run time depend on the heap
+        # layout (7.7k or 82k minor faults, by the install directory)
+        quad, term = np.empty((2, *blocks.shape[:2]))
         for j in range(blocks.shape[2]):
             into = term if j else quad
             np.subtract(blocks[:, :, j], mu[:, j, None], out=into)

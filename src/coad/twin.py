@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import GAMMA_MAX, conformal_pvalues
+from .conformal import GAMMA_MAX, _rank_pvalue
 from .core import EPS_VAR, Table
 from .scoring import _context_groups, _kmeans_pp
 
@@ -181,14 +181,38 @@ def sample_synthetic(model: TwinModel, context, uniforms: np.ndarray,
 
 
 def proxy_pvalues(synthetic_scores, validation_scores,
-                  plus_one: bool = True) -> np.ndarray:
-    """Conformal p-value of each validation score against the synthetic pool."""
+                  plus_one: bool = True, pools=None) -> np.ndarray:
+    """Conformal p-value of each validation score against a synthetic pool:
+    the one (m,) pool, or with ``pools`` row pools[i] of the (k, m) pools
+    for validation score i.
+
+    The counts #{pool scores >= score} come from one stable sort by (pool,
+    score) of the validation scores followed by the pool scores, so that a
+    validation score precedes the pool scores equal to it (-0.0 equal to
+    0.0) and a pool's NaN scores, which count as never >=, sort last in it.
+    """
     synth = np.asarray(synthetic_scores, dtype=float)
     val = np.asarray(validation_scores, dtype=float)
     if synth.size == 0 or val.size == 0:
         raise ValueError("score pools must be non-empty")
-    return conformal_pvalues(np.broadcast_to(synth, (val.size, synth.size)),
-                             val, plus_one)
+    bad = ~np.isfinite(val)
+    if bad.any():
+        raise ValueError(f"test score must be finite, got {val[bad][0]}")
+    synth = synth.reshape(-1, synth.shape[-1])
+    k, m = synth.shape
+    pool = np.zeros(val.size, dtype=np.intp) if pools is None else \
+        np.asarray(pools)
+    order = np.lexsort((np.concatenate([val, synth.ravel()]),
+                        np.concatenate([pool, np.repeat(np.arange(k), m)])))
+    scored = order < val.size
+    # pool scores sorted before each validation score: every pool before
+    # its own, then those of its own pool below it
+    before = np.cumsum(~scored)[scored]
+    at = order[scored]
+    counts = np.empty(val.size, dtype=np.intp)
+    counts[at] = (pool[at] + 1) * m - before - \
+        np.isnan(synth).sum(axis=1)[pool[at]]
+    return _rank_pvalue(counts, m, plus_one)
 
 
 def positive_ecdf_gap(pvalues) -> float:

@@ -1,4 +1,7 @@
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coad.core import Table
-from coad.data import (DatasetSchema, Imputer, apply_mcar_mask,
+from coad.data import (MODE_CODES, DatasetSchema, Imputer, apply_mcar_mask,
                        build_stream, impute, load_csv, make_splits,
                        parse_kv_file)
-from tables import concat, table
+from tables import concat, load_csv_by_rows, table
 
 SCHEMA_TEXT = """\
 # toy medical schema
@@ -73,6 +76,73 @@ class TestSchema:
         with pytest.raises(ValueError,
                            match=r"bins\.schema: .*strictly increasing"):
             DatasetSchema.from_file(path)
+
+
+# The header's columns, the tokens a numeric (continuous or context)
+# column accepts, and every token a case draws
+COLUMNS = ("a", "b", "c", "ctx", "y")
+NUMERIC = ("0", "1", "2.5", " 3 ", "-0.0", "1e3", "7", "7 ")
+TOKENS = NUMERIC + ("?", " ?", "", "nan", "inf", "-Infinity", "x", "M",
+                    "red")
+
+
+@st.composite
+def csv_cases(draw):
+    """A schema over COLUMNS and a CSV text for it: well formed, or with
+    faults anywhere (bad tokens, wrong widths, a missing or repeated
+    column) when ``malformed`` is drawn."""
+    kinds = draw(st.lists(st.sampled_from(["continuous", "categorical"]),
+                          min_size=1, max_size=3))
+    features = tuple(zip("abc", kinds))
+    categories = {name: ("M", "F", "red") for name, kind in features
+                  if kind == "categorical" and draw(st.booleans())}
+    context = draw(st.sampled_from([None, "ctx", "a"]))
+    schema = DatasetSchema(features, label="y",
+                           anomaly_values=frozenset({"1", "x"}),
+                           context_column=context, context_bins=(0.5, 2.0),
+                           categories=categories)
+    malformed = draw(st.booleans())
+    header = list(draw(st.permutations(COLUMNS)))
+    if draw(st.booleans()):  # a repeated name reads its last column
+        header.append(draw(st.sampled_from(COLUMNS)))
+    if malformed and draw(st.booleans()):
+        header.pop(draw(st.integers(0, len(header) - 1)))
+
+    def token(column):
+        if malformed:
+            return draw(st.sampled_from(TOKENS))
+        if column == context:
+            return draw(st.sampled_from(NUMERIC))
+        if column in dict(features) and \
+                dict(features)[column] == "continuous":
+            return draw(st.sampled_from(NUMERIC + ("?", " ?", "")))
+        return draw(st.sampled_from(TOKENS))
+
+    lines = [",".join(header)]
+    records = 0 if draw(st.integers(0, 9)) == 0 else draw(st.integers(1, 8))
+    for _ in range(records):
+        fields = [token(column) for column in header]
+        if malformed and draw(st.integers(0, 5)) == 0:
+            fields = fields[:-1] if draw(st.booleans()) else fields + ["1"]
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")  # a blank record, skipped uncounted
+        lines.append(",".join(fields))
+    if malformed and draw(st.integers(0, 9)) == 0:
+        lines = []  # an empty file
+    return schema, "\n".join(lines) + ("\n" if lines else "")
+
+
+def _outcome(loader, path, schema):
+    """A loader's table bytes and warnings, or its error message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rows = loader(path, schema)
+        except ValueError as exc:
+            return str(exc)
+    return ([str(w.message) for w in caught], rows.features.shape,
+            rows.features.tobytes(), rows.context.tobytes(),
+            rows.truth.tobytes())
 
 
 class TestLoadCsv:
@@ -157,6 +227,17 @@ class TestLoadCsv:
         path.write_text("color,y\nred,0\nblue,0\nred,0\n")
         rows = load_csv(path, schema)
         assert rows.features[:, 0].tolist() == [0.0, 1.0, 0.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=csv_cases())
+    def test_matches_row_parser(self, case):
+        # the same table and warnings, or the same message, as the row loop
+        schema, text = case
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "case.csv"
+            path.write_text(text)
+            assert _outcome(load_csv, path, schema) == \
+                _outcome(load_csv_by_rows, path, schema)
 
 
 def _inliers(count, d=2):
@@ -411,12 +492,17 @@ class TestImputer:
                 fill[i] = max(counts, key=counts.get)
         return fill
 
-    @settings(max_examples=60)
-    @given(data=st.data())
-    def test_matches_loop_reference(self, data):
+    @settings(max_examples=150)
+    @given(data=st.data(), values=st.sampled_from([
+        (0.0, -0.0, 1.0, 2.0, 0.5, -3.25),  # not codes: per-column np.unique
+        (0.0, -0.0, 1.0, 2.0, 3.0),  # codes: one bincount
+        (0.0, -0.0, 1.0, float(MODE_CODES)),  # a code past the bound
+        (0.0, -0.0, 1.0, -2.0),  # a negative integer: no code
+    ]))
+    def test_matches_loop_reference(self, data, values):
         rows = data.draw(st.integers(1, 12))
         kinds = ("continuous", "categorical", "categorical")
-        values = st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, -3.25])
+        values = st.sampled_from(values)
         features = []
         for r in range(rows):
             feats = data.draw(st.lists(values, min_size=3, max_size=3))
@@ -449,3 +535,9 @@ class TestImputer:
     def test_kind_count_checked(self):
         with pytest.raises(ValueError):
             Imputer.fit(table([[1.0, 2.0]]), ("continuous",))
+
+    def test_unknown_kind_named(self):
+        # any kind but "continuous" used to fit a mode without a word
+        with pytest.raises(ValueError,
+                           match="feature 1: unknown kind 'categorial'"):
+            Imputer.fit(table([[1.0, 2.0]]), ("continuous", "categorial"))

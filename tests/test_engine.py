@@ -11,6 +11,7 @@ metric.
 
 import hashlib
 import tracemalloc
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -27,7 +28,8 @@ from coad.harness import (MethodVariant, _fit_group, _load_dataset, _Purpose,
 from coad.metrics import MetricsTracker
 from coad.oran import generate_oran, samples_to_csv
 from coad.scoring import DensityScore
-from coad.twin import sample_synthetic
+from coad.data import impute
+from coad.twin import gamma_of_context, positive_ecdf_gap, sample_synthetic
 from test_golden import GOLDEN_CONFIG
 
 CSV_METHODS = "C_COAD,C_PP_COAD,C_PO_COAD,FIXED"  # csv-oran's four
@@ -265,3 +267,69 @@ def test_shared_arrays_are_scored_once(monkeypatch):
     per_run = cfg.steps * (1 + cfg.n + cfg.n_tilde) \
         + cfg.contexts * (cfg.synth_pool + cfg.val_size)
     assert sum(rows) == cfg.runs * per_run
+
+
+def oracle_gammas(cfg, method, run_idx, n_eff, model, twin, validation):
+    """The per-context calibration loop ``_calibrate_gammas`` replaced: per
+    context a draw, a pool, two ``scores`` calls and a broadcast compare."""
+    groups = validation.by_context(n_eff) if method.context_aware else \
+        [validation]
+    gammas = []
+    for c, group in enumerate(groups):
+        if not len(group):
+            warnings.warn(f"no validation inliers for context {c}; "
+                          "falling back to gamma = 0.5")
+            gammas.append(0.5)
+            continue
+        srng = derive_rng(cfg.seed, run_idx, _Purpose.VALIDITY, n_eff + c)
+        uniforms = srng.random((1, cfg.synth_pool))
+        noise = srng.standard_normal((1, cfg.synth_pool, twin.dim))
+        synth = model.scores(sample_synthetic(twin, c, uniforms, noise), c)
+        val = model.scores(group.observed(), c)
+        counts = np.count_nonzero(synth[None, :] >= val[:, None], axis=1)
+        pvals = (counts + 1 if cfg.plus_one else counts) / (synth.size + 1)
+        gammas.append(gamma_of_context(positive_ecdf_gap(pvals), cfg.lam))
+    return np.asarray(gammas)
+
+
+def _gammas_and_warnings(calibrate, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gammas = calibrate(*args)
+    return gammas.tobytes(), [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("one_pool_a_block", [False, True])
+@pytest.mark.parametrize("method", ["C_PP_COAD", "PP_COAD"])
+@pytest.mark.parametrize("dropped", [(), (1,), (0, 2)])
+@pytest.mark.parametrize("config", ["semi_supervised", "unsupervised",
+                                    "supervised", "csv"])
+def test_gammas_match_per_context_loop(config, dropped, method,
+                                       one_pool_a_block, tmp_path,
+                                       monkeypatch):
+    # every score kind, context-aware and pooled, with contexts whose
+    # validation inliers are dropped (their gamma falls back), the pools
+    # sampled all at once or one context at a time; the O-RAN rows'
+    # binary features make scores tie within and across the pools
+    if one_pool_a_block:
+        monkeypatch.setattr(harness, "CHUNK_VALUES", 1)
+    method = MethodVariant(method)
+    if config == "csv":
+        cfg = replace(_oran_csv_config(tmp_path), methods=(method.value,),
+                      plus_one=False)
+        rundata = table_run(cfg, method.split_kind, 0, _load_dataset(cfg))
+    else:
+        cfg = config_from({"method": method.value, "score": config,
+                           "contexts": "3", "val_size": "30",
+                           "synth_pool": "40", "seed": "6"})
+        rundata = gaussian_synthetic_stream(cfg, (method,), 0)
+    imputer, fits = _fit_group(cfg, (method,), 0, rundata)
+    fitted = fits[method]
+    validation = replace(rundata.validation, features=impute(
+        imputer, rundata.validation.features))
+    validation = validation.rows(~np.isin(validation.context, dropped))
+    n_eff = rundata.n_contexts if method.context_aware else 1
+    args = (cfg, method, 0, n_eff, fitted.score_model, fitted.twin_model,
+            validation)
+    assert _gammas_and_warnings(harness._calibrate_gammas, *args) == \
+        _gammas_and_warnings(oracle_gammas, *args)

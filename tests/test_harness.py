@@ -23,8 +23,14 @@ FAST = {"runs": "3", "steps": "25", "dataset": "gaussian", "seed": "11",
         "val_size": "100", "synth_pool": "100"}
 
 
-def _cfg(**kw):
-    mapping = dict(FAST)
+# FAST where a real p-value can reach the threshold floor, for the tests
+# whose property concerns detections: 1/(n+1) = 1/61 <= alpha * (1 - delta)
+# = 0.02 at the default alpha 0.1
+REACHABLE = dict(FAST, delta="0.8")
+
+
+def _cfg(base=FAST, **kw):
+    mapping = dict(base)
     mapping.update({k: str(v) for k, v in kw.items()})
     return config_from(mapping)
 
@@ -413,9 +419,23 @@ class TestBehavior:
         assert cdar_m < cdar_s
 
     def test_no_shift_no_power(self):
-        arts = run_benchmark(_cfg(method="C_COAD", runs=5, steps=60,
-                                  anomaly_shift=0.0))
+        arts = run_benchmark(_cfg(REACHABLE, method="C_COAD", runs=5,
+                                  steps=60, anomaly_shift=0.0))
         assert arts.per_method["C_COAD"].summary.power_mean[-1] < 0.15
+
+    def test_null_rejections_stay_within_thresholds(self):
+        # a real conformal p-value is superuniform and alpha_t depends on
+        # the past alone, so an inlier step rejects with probability at
+        # most alpha_t: the inlier rejections stay within the summed
+        # thresholds plus three standard deviations
+        arts = run_benchmark(_cfg(REACHABLE, method="C_COAD,COAD", runs=20,
+                                  steps=100, anomaly_shift=0.0))
+        for name in ("C_COAD", "COAD"):
+            runs = arts.per_method[name].runs
+            inlier = np.concatenate([s.truth == 0 for s in runs])
+            rejected = np.concatenate([s.decision for s in runs])[inlier]
+            expected = np.concatenate([s.alpha_t for s in runs])[inlier].sum()
+            assert rejected.sum() <= expected + 3.0 * np.sqrt(expected), name
 
     def test_gamma_falls_back_without_validation_inliers(self):
         # no validation inliers: every context of an active method runs with

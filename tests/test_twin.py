@@ -316,6 +316,36 @@ class TestEcdfGap:
         assert exact <= brute + 1.0 / pvals.size + 1e-3
 
 
+class TestProxyPvalues:
+    # a few values, so that scores tie across and within pools
+    SCORES = (-np.inf, -1.5, -0.0, 0.0, 0.25, 2.0, np.inf, np.nan)
+
+    @settings(max_examples=200)
+    @given(data=st.data(), k=st.integers(1, 4), m=st.integers(1, 6),
+           plus_one=st.booleans())
+    def test_counts_match_broadcast_compare(self, data, k, m, plus_one):
+        # NaN pool scores are never >=, and -0.0 ties 0.0
+        synth = np.array(data.draw(st.lists(st.sampled_from(self.SCORES),
+                                            min_size=k * m, max_size=k * m)))
+        val = np.array(data.draw(st.lists(
+            st.sampled_from(self.SCORES[1:-2]), min_size=1, max_size=12)))
+        pools = np.array(data.draw(st.lists(
+            st.integers(0, k - 1), min_size=val.size, max_size=val.size)))
+        synth = synth.reshape(k, m)
+        counts = np.count_nonzero(synth[pools] >= val[:, None], axis=1)
+        want = (counts + 1 if plus_one else counts) / (m + 1)
+        got = proxy_pvalues(synth, val, plus_one, pools)
+        assert got.tobytes() == want.tobytes()
+        if k == 1:  # one pool needs no ids
+            assert proxy_pvalues(synth[0], val, plus_one).tobytes() == \
+                want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_validation_score_named(self, bad):
+        with pytest.raises(ValueError, match=f"must be finite, got {bad}"):
+            proxy_pvalues(np.zeros(3), np.array([0.0, bad]))
+
+
 class TestSuperuniformityGap:
     def test_composes_pvalues_and_gap(self):
         synth = np.arange(10).astype(float)
