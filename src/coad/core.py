@@ -44,7 +44,8 @@ class Table:
     ``features`` is (m, d) with NaN where a value is missing; missing values
     must not be read before imputation.  ``context`` holds each row's
     non-negative context id and ``truth`` its 0/1 anomaly label.  Both are
-    checked once, here.  The columns are read-only views.
+    checked once, here, and not again in a subset from ``rows``.  The
+    columns are read-only views.
     """
 
     features: np.ndarray
@@ -78,8 +79,12 @@ class Table:
 
     def rows(self, index) -> "Table":
         """The rows at ``index``: a slice, positions or a boolean mask."""
-        return Table(self.features[index], self.context[index],
-                     self.truth[index])
+        subset = object.__new__(Table)
+        for name in ("features", "context", "truth"):
+            column = getattr(self, name)[index]
+            column.flags.writeable = False
+            object.__setattr__(subset, name, column)
+        return subset
 
     def by_context(self, n: int) -> list["Table"]:
         """The rows of each context 0..n-1, each in row order, from one

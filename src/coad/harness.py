@@ -9,18 +9,15 @@ shift when a method skips a query.
 
 The benchmark runs run-major.  A run's methods form split groups (all of
 them on the Gaussian oracle, the methods of one split kind on a table).  A
-group builds its data once, as columnar ``Table``s of its training and
-validation sets and its stream's test points; a table's split is row
-positions, gathered only where the run reads them.  One fit pass over the
-group fits each model once per distinct input -- the imputer once, a score
-model and a generator once per context awareness, FIXED's threshold and an
-active method's gammas once per method -- and the group draws its stream
-once, chunk by chunk; every method of the group reads those shared arrays
-in lock-step, and the methods of one context awareness score each of them
-once: they share the test scores, the proxy p-values and the real p-values.
-Since each shared object is a function of (seed, run, purpose,
-sub-stream) alone, a method's outputs do not depend on which methods share
-its runs.
+group builds its data, as columnar ``Table``s whose split is row positions
+gathered only where the run reads them, and fits its imputer once.  Its
+methods of one context awareness, at most one per acquisition rule, form a
+lane: the lane fits a score model, a generator, FIXED's threshold and the
+active method's gammas once, and computes each array of a chunk of the
+group's stream once -- test scores, flags, proxy and real p-values,
+queries -- for all its methods.  Since each shared object is a function
+of (seed, run, purpose, sub-stream) alone, a method's outputs do not
+depend on which methods share its runs.
 
 A run has two phases.  No step's statistic -- proxy p-value, acquisition
 draw, real p-value, test statistic -- reads the detector's past, so the
@@ -41,7 +38,7 @@ from __future__ import annotations
 import json
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -379,7 +376,7 @@ def gaussian_synthetic_stream(cfg: RunConfig,
              shift: float = 0.0, scale: float = 1.0) -> np.ndarray:
         return means[c] + shift + scale * rng.standard_normal((size, cfg.dim))
 
-    n = cfg.n if cfg.n is not None else 200
+    n = cfg.n if cfg.n is not None else 1100  # A4's batch: defaults detect
     n_tilde = cfg.n_tilde if cfg.n_tilde is not None else n
 
     data_rng = derive_rng(cfg.seed, run_idx, _Purpose.DATA, 0)
@@ -560,10 +557,23 @@ def _fit_score_model(cfg: RunConfig, aware: bool, run_idx: int,
                              context_aware=aware)
 
 
-def _calibrate_gammas(cfg: RunConfig, method: MethodVariant, run_idx: int,
-                      n_eff: int, score_model: ScoreModel,
-                      twin_model: TwinModel, validation: Table) -> np.ndarray:
-    """An active method's trust gamma(c) per effective context, from its
+@dataclass(eq=False)
+class _Lane:
+    """The methods of a split group that share a context awareness, by
+    acquisition rule in config order (at most one per rule), and what they
+    share: the score model, FIXED's threshold, the generator and the active
+    method's gammas, one per context the score model tells apart."""
+
+    scorer: ScoreModel
+    methods: dict[str | None, MethodVariant] = field(default_factory=dict)
+    threshold: QuantileThreshold | None = None
+    twin: TwinModel | None = None
+    gammas: np.ndarray | None = None
+
+
+def _calibrate_gammas(cfg: RunConfig, lane: _Lane, run_idx: int,
+                      validation: Table) -> np.ndarray:
+    """The active method's trust gamma(c) per effective context, from its
     validation inliers' p-values against a synthetic pool, or the override.
 
     Each context with validation inliers draws its own pool from its own
@@ -572,9 +582,10 @@ def _calibrate_gammas(cfg: RunConfig, method: MethodVariant, run_idx: int,
     context id per row, and one ``proxy_pvalues`` call ranks every inlier
     against its context's pool.
     """
+    n_eff = lane.scorer.n_contexts
     if cfg.gamma_override is not None:
         return np.full(n_eff, cfg.gamma_override)
-    slot = validation.context if method.context_aware else \
+    slot = validation.context if lane.scorer.context_aware else \
         np.zeros(len(validation), dtype=int)
     order = np.argsort(slot, kind="stable")
     sizes = np.bincount(slot, minlength=n_eff)
@@ -583,19 +594,19 @@ def _calibrate_gammas(cfg: RunConfig, method: MethodVariant, run_idx: int,
         # the pools of as many contexts as fit in about CHUNK_VALUES
         # values are drawn, sampled and scored at once
         pool_scores = np.empty((present.size, cfg.synth_pool))
-        width = max(1, CHUNK_VALUES // (cfg.synth_pool * twin_model.dim))
+        width = max(1, CHUNK_VALUES // (cfg.synth_pool * lane.twin.dim))
         for lo in range(0, present.size, width):
             ids = present[lo:lo + width]
             uniforms = np.empty((ids.size, cfg.synth_pool))
-            noise = np.empty((*uniforms.shape, twin_model.dim))
+            noise = np.empty((*uniforms.shape, lane.twin.dim))
             for i, c in enumerate(ids):
                 srng = derive_rng(cfg.seed, run_idx, _Purpose.VALIDITY,
                                   n_eff + c)
                 srng.random(out=uniforms[i])
                 srng.standard_normal(out=noise[i])
-            pool_scores[lo:lo + width] = score_model.scores(sample_synthetic(
-                twin_model, ids, uniforms, noise), ids).reshape(ids.size, -1)
-        val_scores = score_model.scores(validation.rows(order).observed(),
+            pool_scores[lo:lo + width] = lane.scorer.scores(sample_synthetic(
+                lane.twin, ids, uniforms, noise), ids).reshape(ids.size, -1)
+        val_scores = lane.scorer.scores(validation.rows(order).observed(),
                                         slot[order])
         pvals = proxy_pvalues(pool_scores, val_scores, cfg.plus_one,
                               np.repeat(np.arange(present.size),
@@ -612,51 +623,38 @@ def _calibrate_gammas(cfg: RunConfig, method: MethodVariant, run_idx: int,
     return gammas
 
 
-@dataclass(eq=False)
-class _FittedRun:
-    """What one method fits before its stream starts."""
-
-    score_model: ScoreModel
-    threshold: QuantileThreshold | None  # FIXED only
-    twin_model: TwinModel | None
-    gammas: np.ndarray | None  # (n_eff,) per effective context; active only
-
-
 def _fit_group(cfg: RunConfig, group: Sequence[MethodVariant], run_idx: int,
-               rundata: RunData
-               ) -> tuple[Imputer, dict[MethodVariant, _FittedRun]]:
-    """The imputer of one run's split group, fit once, and each method's
-    fits, in config order: a score model and a generator are fit once per
-    context awareness, when a method first needs them, FIXED's threshold
-    and an active method's gammas per method."""
+               rundata: RunData) -> tuple[Imputer, list[_Lane]]:
+    """The imputer of one run's split group, fit once, and its lanes in the
+    order of their first methods.  Each fit runs when a method, in config
+    order, first needs it, and a failing fit names that method."""
     imputer = Imputer.fit(rundata.score_train, rundata.kinds)
     score_train, twin_train, validation = (
         replace(rows, features=impute(imputer, rows.features))
         for rows in (rundata.score_train, rundata.twin_train,
                      rundata.validation))
-    scorers, twins, fitted = {}, {}, {}  # models by context awareness
+    lanes: dict[bool, _Lane] = {}
     for method in group:
         aware, rule = method.context_aware, method.acquisition
-        n_eff = rundata.n_contexts if aware else 1
         with _failing_as(cfg, method, run_idx):
-            if aware not in scorers:
-                scorers[aware] = _fit_score_model(cfg, aware, run_idx,
-                                                  score_train, n_eff)
-            scorer, threshold, twin, gammas = scorers[aware], None, None, None
+            if aware not in lanes:
+                lanes[aware] = _Lane(_fit_score_model(
+                    cfg, aware, run_idx, score_train,
+                    rundata.n_contexts if aware else 1))
+            lane = lanes[aware]
+            lane.methods[rule] = method
             if rule is None:
-                threshold = fit_fixed_threshold(scorer, score_train, cfg.alpha)
-            if method.uses_twin:
-                if aware not in twins:
-                    twins[aware] = fit_twin(
-                        twin_train, k=cfg.gmm_components, rng=derive_rng(
-                            cfg.seed, run_idx, _Purpose.TWIN_FIT, 0),
-                        n_contexts=n_eff, context_aware=aware)
-                twin = twins[aware]
+                lane.threshold = fit_fixed_threshold(lane.scorer, score_train,
+                                                     cfg.alpha)
+            if method.uses_twin and lane.twin is None:
+                lane.twin = fit_twin(
+                    twin_train, k=cfg.gmm_components, rng=derive_rng(
+                        cfg.seed, run_idx, _Purpose.TWIN_FIT, 0),
+                    n_contexts=lane.scorer.n_contexts, context_aware=aware)
             if rule == "active":
-                gammas = _calibrate_gammas(cfg, method, run_idx, n_eff,
-                                           scorer, twin, validation)
-        fitted[method] = _FittedRun(scorer, threshold, twin, gammas)
-    return imputer, fitted
+                lane.gammas = _calibrate_gammas(cfg, lane, run_idx,
+                                                validation)
+    return imputer, list(lanes.values())
 
 
 # --- the run engine ---------------------------------------------------------
@@ -750,57 +748,52 @@ def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData,
             real)
 
 
-def _statistics(cfg: RunConfig, method: MethodVariant, fitted: _FittedRun,
-                rundata: RunData, chunk: _Chunk, columns, shared: dict,
-                real_in_full: bool) -> None:
-    """The statistic phase of one chunk for one method: write each step's
-    (q, u, p, z) into ``columns``, NaN where a value does not apply, or
-    FIXED's score-above-threshold flags as z.
+def _statistics(cfg: RunConfig, lane: _Lane, run_idx: int, rundata: RunData,
+                chunk: _Chunk, columns: dict) -> None:
+    """The statistic phase of one chunk for one lane: compute each array
+    once -- test scores, FIXED's flags, proxy p-values q, the active
+    method's queries u, real p-values p (of every batch when an "always"
+    method reads them all, else of the batches bought) -- and write each
+    method's (q, u, p, z) columns, NaN where a value does not apply and
+    FIXED's flags as z.  A failure names the first method, in config order,
+    that reads the array being computed."""
+    at, methods, model = chunk.at, lane.methods, lane.scorer
 
-    No step's statistic reads the detector's past, so a chunk of steps is
-    computed at once, from the arrays the chunk shares.  The methods of one
-    context awareness share their score model and generator, so the first
-    of them computes each array of ``shared`` (contexts, test scores, proxy
-    and real p-values) and the others read it.  With ``real_in_full`` (an
-    "always" method of this awareness is in the group) every real batch is
-    scored once; otherwise an active method scores those it queries.
-    """
-    q, u, p, z = columns
-    at, rule, model = chunk.at, method.acquisition, fitted.score_model
-    aware = method.context_aware
+    def reading(*rules):
+        return _failing_as(cfg, next(
+            m for rule, m in methods.items() if rule in rules), run_idx)
 
-    def once(name: str, compute: Callable[[], np.ndarray]) -> np.ndarray:
-        if (aware, name) not in shared:
-            shared[aware, name] = compute()
-        return shared[aware, name]
-
-    c = once("c", lambda: rundata.stream.context[at] if aware
-             else np.zeros(at.stop - at.start, dtype=int))
-    s = once("s", lambda: _score_batches(model, chunk.tests[:, None], c)[:, 0])
-    if rule is None:
-        z[at] = fitted.threshold.flag(s, c)
-        return
-    if method.uses_twin:
-        q[at] = once("q", lambda: conformal_pvalues(_score_batches(
-            model, sample_synthetic(
-                fitted.twin_model, c, chunk.uniforms, chunk.noise,
-                chunk.work).reshape(chunk.noise.shape), c),
-            s, cfg.plus_one))
-    if rule == "active":
-        u[at] = chunk.acquire < \
-            acquisition_probability(q[at], fitted.gammas[c])
-    if method.uses_real:
-        queried = u[at]
-        if real_in_full:
-            p[at][queried] = once("p", lambda: conformal_pvalues(
-                _score_batches(model, chunk.real, c),
-                s, cfg.plus_one))[queried]
-        elif queried.any():
-            p[at][queried] = conformal_pvalues(_score_batches(
-                model, chunk.real[queried], c[queried]), s[queried],
-                cfg.plus_one)
-    z[at] = active_pvalues(q[at], u[at], p[at], fitted.gammas[c]) \
-        if rule == "active" else (p[at] if rule == "always" else q[at])
+    with reading(*methods):
+        c = rundata.stream.context[at] if model.context_aware \
+            else np.zeros(at.stop - at.start, dtype=int)
+        s = _score_batches(model, chunk.tests[:, None], c)[:, 0]
+    if None in methods:
+        with reading(None):
+            columns[methods[None]][3][at] = lane.threshold.flag(s, c)
+    if lane.twin is not None:
+        with reading("never", "active"):
+            q = conformal_pvalues(_score_batches(model, sample_synthetic(
+                lane.twin, c, chunk.uniforms, chunk.noise,
+                chunk.work).reshape(chunk.noise.shape), c), s, cfg.plus_one)
+    if "active" in methods:
+        with reading("active"):
+            u = chunk.acquire < acquisition_probability(q, lane.gammas[c])
+    p = np.full(s.size, np.nan)
+    if "always" in methods or "active" in methods and u.any():
+        bought = slice(None) if "always" in methods else u
+        with reading("always", "active"):
+            p[bought] = conformal_pvalues(_score_batches(
+                model, chunk.real[bought], c[bought]), s[bought], cfg.plus_one)
+    for rule, method in methods.items():
+        mq, mu, mp, mz = columns[method]
+        if rule == "never":
+            mq[at] = mz[at] = q
+        elif rule == "always":
+            mp[at] = mz[at] = p
+        elif rule == "active":
+            mq[at], mu[at], mp[at] = q, u, np.where(u, p, np.nan)
+            with reading("active"):
+                mz[at] = active_pvalues(q, u, mp[at], lane.gammas[c])
 
 
 @dataclass(frozen=True, eq=False)
@@ -857,27 +850,19 @@ def _failing_as(cfg: RunConfig, method: MethodVariant, run_idx: int):
 def _run_group(cfg: RunConfig, group: Sequence[MethodVariant], run_idx: int,
                rundata: RunData
                ) -> Iterator[tuple[MethodVariant, int, RunSteps, RunTrace]]:
-    """One run of a split group: fit, run every method's statistic phase
-    in lock-step over the shared chunks, then yield each method's decision
-    phase as (method, run index, steps, trace), in group order.
-
-    Shared work that fails names the first method that needed it.
-    """
-    imputer, fitted = _fit_group(cfg, group, run_idx, rundata)
+    """One run of a split group: fit, run each lane's statistic phase over
+    the shared chunks, then yield each method's decision phase as (method,
+    run index, steps, trace), in group order."""
+    imputer, lanes = _fit_group(cfg, group, run_idx, rundata)
     steps = len(rundata.stream)
     columns = {method: (np.full(steps, np.nan),
                         np.full(steps, method.acquisition == "always"),
                         np.full(steps, np.nan), np.full(steps, np.nan))
                for method in group}
-    in_full = {m.context_aware for m in group if m.acquisition == "always"}
     for chunk in _chunks(cfg, run_idx, rundata, group, imputer):
-        shared = {}  # by (context awareness, name); lives for one chunk
-        for method in group:
-            with _failing_as(cfg, method, run_idx):
-                _statistics(cfg, method, fitted[method], rundata, chunk,
-                            columns[method], shared,
-                            method.context_aware in in_full)
-    del chunk, shared  # so that no chunk outlives the statistic phase
+        for lane in lanes:
+            _statistics(cfg, lane, run_idx, rundata, chunk, columns)
+    del chunk  # so that no chunk outlives the statistic phase
     for method in group:
         with _failing_as(cfg, method, run_idx):
             result = _decide(cfg, method, rundata, *columns[method])

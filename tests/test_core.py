@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -181,6 +182,29 @@ class TestTable:
     def test_checked_at_construction(self, features, context, truth, match):
         with pytest.raises(ValueError, match=match):
             Table(features, context, truth)
+
+    @pytest.mark.parametrize("index", [
+        np.array([True, False, True]), [2, 0, 2], slice(1, None), slice(0)])
+    def test_subset_is_not_checked_again(self, index, monkeypatch):
+        t = self._table()
+        checks, check = [], Table.__post_init__
+
+        def counted(self):
+            checks.append(1)
+            check(self)
+
+        monkeypatch.setattr(Table, "__post_init__", counted)
+        subsets = [t.rows(index), *t.rows(index).by_context(2)]
+        assert not checks
+        want = Table(t.features[index], t.context[index], t.truth[index])
+        for name in ("features", "context", "truth"):
+            got = getattr(subsets[0], name)
+            assert not any(getattr(s, name).flags.writeable for s in subsets)
+            assert (got.dtype, got.shape, got.tobytes()) == \
+                (getattr(want, name).dtype, getattr(want, name).shape,
+                 getattr(want, name).tobytes())
+        with pytest.raises(ValueError, match="per row"):  # replace checks
+            replace(subsets[0], truth=np.zeros(len(subsets[0]) + 1))
 
     def test_immutability_leaves_the_source_writeable(self):
         source = np.zeros((2, 1))

@@ -38,9 +38,8 @@ CSV_METHODS = "C_COAD,C_PP_COAD,C_PO_COAD,FIXED"  # csv-oran's four
 def oracle_records(cfg, method, run_idx, rundata) -> list[StepRecord]:
     """One run's step records, computed one step at a time from the data of
     ``method`` alone, on generators of its own."""
-    imputer, fits = _fit_group(cfg, (method,), run_idx, rundata)
-    fitted = fits[method]
-    model, fill = fitted.score_model, imputer.fill_values
+    imputer, (lane,) = _fit_group(cfg, (method,), run_idx, rundata)
+    model, fill = lane.scorer, imputer.fill_values
     draw = partial(derive_rng, cfg.seed, run_idx)
     test_mask, real_mask = draw(_Purpose.MASK, 0), draw(_Purpose.MASK, 1)
     comps, noise = draw(_Purpose.TWIN_SAMPLE, 0), draw(_Purpose.TWIN_SAMPLE, 1)
@@ -52,7 +51,7 @@ def oracle_records(cfg, method, run_idx, rundata) -> list[StepRecord]:
         return np.where(np.isnan(x), fill, x)
 
     # fdr.step reads gamma only under "active", the one rule fitted with one
-    gammas = fitted.gammas if fitted.gammas is not None else \
+    gammas = lane.gammas if lane.gammas is not None else \
         np.full(rundata.n_contexts, GAMMA_MAX)
     state = DetectorState.fresh(cfg.alpha, cfg.delta, cfg.eta)
     records = []
@@ -62,7 +61,7 @@ def oracle_records(cfg, method, run_idx, rundata) -> list[StepRecord]:
         c = context if method.context_aware else 0
         score = model.score(observed(x, test_mask), c)
         if method is MethodVariant.FIXED:
-            rejected = int(fitted.threshold.flag(score, c))
+            rejected = int(lane.threshold.flag(score, c))
             records.append(StepRecord(t, context, None, 0, None, None, None,
                                       rejected, truth))
             continue
@@ -70,7 +69,7 @@ def oracle_records(cfg, method, run_idx, rundata) -> list[StepRecord]:
         if method.uses_twin:
             shape = (1, rundata.n_tilde)
             synthetic = model.scores(sample_synthetic(
-                fitted.twin_model, c, comps.random(shape),
+                lane.twin, c, comps.random(shape),
                 noise.standard_normal((*shape, x.size))), c)
         real = None
         if rundata.real_batches is not None:
@@ -268,6 +267,16 @@ def test_shared_arrays_are_scored_once(monkeypatch):
         + cfg.contexts * (cfg.synth_pool + cfg.val_size)
     assert sum(rows) == cfg.runs * per_run
 
+    # C_PP_COAD alone scores only the real batches it buys
+    rows.clear()
+    cfg = replace(cfg, methods=("C_PP_COAD",))
+    bought = sum(int(s.u.sum()) for s in
+                 run_benchmark(cfg).per_method["C_PP_COAD"].runs)
+    assert 0 < bought < cfg.runs * cfg.steps
+    per_run = cfg.steps * (1 + cfg.n_tilde) \
+        + cfg.contexts * (cfg.synth_pool + cfg.val_size)
+    assert sum(rows) == cfg.runs * per_run + cfg.n * bought
+
 
 def oracle_gammas(cfg, method, run_idx, n_eff, model, twin, validation):
     """The per-context calibration loop ``_calibrate_gammas`` replaced: per
@@ -323,13 +332,12 @@ def test_gammas_match_per_context_loop(config, dropped, method,
                            "contexts": "3", "val_size": "30",
                            "synth_pool": "40", "seed": "6"})
         rundata = gaussian_synthetic_stream(cfg, (method,), 0)
-    imputer, fits = _fit_group(cfg, (method,), 0, rundata)
-    fitted = fits[method]
+    imputer, (lane,) = _fit_group(cfg, (method,), 0, rundata)
     validation = replace(rundata.validation, features=impute(
         imputer, rundata.validation.features))
     validation = validation.rows(~np.isin(validation.context, dropped))
     n_eff = rundata.n_contexts if method.context_aware else 1
-    args = (cfg, method, 0, n_eff, fitted.score_model, fitted.twin_model,
-            validation)
-    assert _gammas_and_warnings(harness._calibrate_gammas, *args) == \
-        _gammas_and_warnings(oracle_gammas, *args)
+    assert _gammas_and_warnings(harness._calibrate_gammas, cfg, lane, 0,
+                                validation) == \
+        _gammas_and_warnings(oracle_gammas, cfg, method, 0, n_eff,
+                             lane.scorer, lane.twin, validation)

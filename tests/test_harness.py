@@ -40,6 +40,15 @@ class TestConfig:
         cfg = RunConfig()
         cfg.validate()
         assert cfg.methods == ("C_PP_COAD",)
+        # unset, n resolves to A4's 1100: 1/1101 <= alpha (1 - delta), so
+        # the defaults can detect
+        cfg.runs, cfg.steps = 1, 3
+        rundata = harness.gaussian_synthetic_stream(
+            cfg, (MethodVariant.C_PP_COAD,), 0)
+        assert rundata.n == rundata.n_tilde == 1100
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message=r"1/\(n\+1\) > ")
+            run_benchmark(cfg)
 
     def test_file_plus_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -472,6 +481,19 @@ class TestBehavior:
         with pytest.raises(RuntimeError,
                            match=r"method C_PP_COAD, run 0 \(master seed 11\)"):
             run_benchmark(cfg)
+
+    def test_failed_statistic_names_its_reader(self, monkeypatch):
+        # FIXED, C_COAD and C_PP_COAD share one lane; only C_PP_COAD reads
+        # the acquisition draw, so its failure is C_PP_COAD's, not that of
+        # the lane's first method
+        def fail(q, gamma):
+            raise ValueError("acquisition failed")
+
+        monkeypatch.setattr(harness, "acquisition_probability", fail)
+        with pytest.raises(RuntimeError,
+                           match=r"method C_PP_COAD, run 0 \(master seed 11\) "
+                                 r"failed: acquisition failed"):
+            run_benchmark(_cfg(REACHABLE, method="FIXED,C_COAD,C_PP_COAD"))
 
     def test_nan_statistic_fails_loudly(self, monkeypatch):
         # a NaN statistic is never <= alpha_t, so it would silently never
