@@ -12,9 +12,9 @@ per node; three conflict types can occur:
   indirect - two distinct changed parameters affect a common KPI,
   implicit - two changed parameters are joined by a coupling edge.
 
-Samples are repaired on Python-int bitmasks of the graph, built once per
-``generate_oran`` call.  Each uniform pick makes ``rng.choice``'s draw, so
-the samples equal a per-sample numpy repair's, draw for draw.
+Samples are drawn for all rows at once and repaired in rounds: in each
+round every row that still has an offender clears one, drawn uniformly, so
+each row follows the law of a one-sample-at-a-time repair.
 """
 
 from __future__ import annotations
@@ -102,22 +102,28 @@ class OranSample:
                                self.kpi_changed]).astype(float)
 
 
+def _hits(state: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
+    """How many set entries of each state row reach each column (float32:
+    a BLAS product, exact below 2**24 nodes)."""
+    return np.matmul(state, adjacency, dtype=np.float32)
+
+
+def _conflicts(graph: OranGraph, xa: np.ndarray, pc: np.ndarray
+               ) -> np.ndarray:
+    """Which of CONFLICT_TYPES each row of node states shows, as a
+    (rows, 3) boolean array."""
+    return np.stack([
+        (_hits(xa, graph.xapp_param) >= 2).any(axis=1),
+        (_hits(pc, graph.param_kpi) >= 2).any(axis=1),
+        (pc & (_hits(pc, graph.param_param) > 0)).any(axis=1)], axis=1)
+
+
 def check_conflicts(graph: OranGraph, xapp_active, param_changed,
                     kpi_changed=None) -> set[str]:
     """Conflict types present in a node-state assignment."""
-    xa = np.asarray(xapp_active, dtype=bool)
-    pc = np.asarray(param_changed, dtype=bool)
-    found = set()
-    controllers = (xa[:, None] & graph.xapp_param).sum(axis=0)
-    if np.any(controllers >= 2):
-        found.add("direct")
-    influencers = (pc[:, None] & graph.param_kpi).sum(axis=0)
-    if np.any(influencers >= 2):
-        found.add("indirect")
-    coupled = pc[:, None] & pc[None, :] & graph.param_param
-    if np.any(coupled):
-        found.add("implicit")
-    return found
+    shown = _conflicts(graph, np.asarray(xapp_active, dtype=bool)[None],
+                       np.asarray(param_changed, dtype=bool)[None])[0]
+    return {kind for kind, hit in zip(CONFLICT_TYPES, shown) if hit}
 
 
 def _witnesses(graph: OranGraph) -> dict[str, np.ndarray]:
@@ -133,77 +139,61 @@ def feasible_conflicts(graph: OranGraph) -> tuple[str, ...]:
     return tuple(_witnesses(graph))
 
 
-def _row_masks(adjacency: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as an int whose bit j is column j."""
-    packed = np.packbits(adjacency, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+def _nth(mask: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Column of each row's k-th (from 0) set entry."""
+    return (mask.cumsum(axis=1) <= k[:, None]).sum(axis=1)
 
 
-def _bits(masks: list[int], width: int) -> np.ndarray:
-    """Bits 0..width-1 of each mask, one boolean row per mask."""
-    size = (width + 7) // 8
-    raw = b"".join(m.to_bytes(size, "little") for m in masks)
-    return np.unpackbits(np.frombuffer(raw, np.uint8).reshape(-1, size),
-                         axis=1, count=width, bitorder="little").view(bool)
+def _shared(state: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
+    """Set entries that reach a column which two or more set entries reach."""
+    twice = _hits(state, adjacency) >= 2
+    return state & (_hits(twice, adjacency.T) > 0)
 
 
-def _reach(members: list[int], masks: list[int]) -> tuple[int, int]:
-    """The bits that at least one, and at least two, members' masks set."""
-    once = twice = 0
-    for m in members:
-        twice |= once & masks[m]
-        once |= masks[m]
-    return once, twice
+def _clear(state: np.ndarray, offenders, rng: np.random.Generator) -> None:
+    """Clear offenders of ``state`` in place, in rounds: in each, every row
+    that has some clears one, drawn uniformly among them."""
+    rows = np.arange(len(state))
+    while True:
+        hit = offenders(state[rows])
+        counts = hit.sum(axis=1)
+        left = counts > 0
+        if not left.any():
+            return
+        rows, hit = rows[left], hit[left]
+        state[rows, _nth(hit, rng.integers(counts[left]))] = False
 
 
-def _pick(cands, rng: np.random.Generator):
-    """One uniform pick: the draw that ``rng.choice(cands)`` makes."""
-    return cands[rng.integers(len(cands))]
-
-
-def _repair(masks: tuple[list[int], list[int], list[int]],
-            rng: np.random.Generator) -> tuple[int, int, int]:
-    """Draw the xApp, parameter and KPI state masks with no conflict left:
-    direct ones repaired by deactivating one participating xApp, implicit
-    and indirect ones by reverting one offending parameter's change, which
-    keeps xApp activity -- and hence the contexts -- diverse."""
-    controls, affects, couples = masks
-    active = (rng.random(len(controls)) < 0.5).nonzero()[0].tolist()
-    while (hit := _reach(active, controls))[1]:  # parameters hit once, twice
-        active.remove(_pick([a for a in active if controls[a] & hit[1]], rng))
-    changed = hit[0]
-    params = [p for p in range(len(couples)) if changed >> p & 1]
-    while offenders := [p for p in params if couples[p] & changed]:
-        params.remove(p := _pick(offenders, rng))
-        changed ^= 1 << p
-    while (hit := _reach(params, affects))[1]:  # KPIs hit once, twice
-        params.remove(_pick([p for p in params if affects[p] & hit[1]], rng))
-    return sum(1 << a for a in active), sum(1 << p for p in params), hit[0]
-
-
-def _anomaly_sample(graph: OranGraph, masks, witnesses: dict[str, np.ndarray],
-                    rng: np.random.Generator) -> tuple[int, int, int, str]:
-    """Inject a minimal witness of a uniformly drawn feasible conflict type
-    into a repaired draw; returns its state masks and the type."""
-    xa, pc, _ = _repair(masks, rng)
-    kind = _pick(tuple(witnesses), rng)
-    pick = _pick(witnesses[kind], rng)
-    if kind == "direct":
-        controllers = np.flatnonzero(graph.xapp_param[:, pick])
-        xa |= sum(1 << int(a) for a in rng.choice(controllers, size=2,
-                                                  replace=False))
-        pc |= 1 << int(pick)
-    elif kind == "indirect":
-        influencers = np.flatnonzero(graph.param_kpi[:, pick])
-        pc |= sum(1 << int(p) for p in rng.choice(influencers, size=2,
-                                                  replace=False))
-    else:  # implicit: pick is a coupling edge
-        pc |= (1 << int(pick[0])) | (1 << int(pick[1]))
-    assert kind in check_conflicts(graph, _bits([xa], graph.n_xapps)[0],
-                                   _bits([pc], graph.n_params)[0]), \
-        "injected conflict not visible to the checker"
-    params = [p for p in range(graph.n_params) if pc >> p & 1]
-    return xa, pc, _reach(params, masks[1])[0], kind
+def _inject(graph: OranGraph, xa: np.ndarray, pc: np.ndarray, rows,
+            rng: np.random.Generator) -> np.ndarray:
+    """Give each of ``rows`` a minimal witness of a uniformly drawn feasible
+    conflict type: a witness of it, then two distinct members.  Returns
+    every sample's conflict type, "none" off ``rows``."""
+    kinds = np.full(len(xa), "none", dtype=object)
+    witnesses = _witnesses(graph)
+    drawn = rng.integers(len(witnesses), size=len(rows))
+    for i, (kind, picks) in enumerate(witnesses.items()):
+        at = rows[drawn == i]
+        kinds[at] = kind
+        pick = picks[rng.integers(len(picks), size=len(at))]
+        if kind == "implicit":  # pick is a coupling edge
+            pc[at, pick[:, 0]] = pc[at, pick[:, 1]] = True
+        else:
+            state, members = ((xa, graph.xapp_param) if kind == "direct"
+                              else (pc, graph.param_kpi))
+            members = members[:, pick].T  # each row's witness's members
+            counts = members.sum(axis=1)
+            first = rng.integers(counts)
+            second = rng.integers(counts - 1)
+            second += second >= first
+            state[at, _nth(members, first)] = True
+            state[at, _nth(members, second)] = True
+            if kind == "direct":
+                pc[at, pick] = True
+        shown = _conflicts(graph, xa[at], pc[at])
+        assert shown[:, CONFLICT_TYPES.index(kind)].all(), \
+            "injected conflict not visible to the checker"
+    return kinds
 
 
 def generate_oran(graph_seed: int, sample_seed: int, n_samples: int = 10000,
@@ -216,33 +206,37 @@ def generate_oran(graph_seed: int, sample_seed: int, n_samples: int = 10000,
     positions are shuffled.  Contexts bin each sample's activity at the
     batch's lower activity quartiles (callers may re-bin on a subset).
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    for name, count in (("n_samples", n_samples), ("n_xapps", n_xapps),
+                        ("n_params", n_params), ("n_kpis", n_kpis)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1")
     if not 0.0 <= anomaly_frac < 1.0:
         raise ValueError("anomaly_frac must lie in [0, 1)")
     graph = OranGraph.random(np.random.default_rng(graph_seed),
                              n_xapps, n_params, n_kpis)
-    witnesses = _witnesses(graph)
-    if not witnesses:
+    if not feasible_conflicts(graph):
         raise ValueError("graph admits no conflict type at all; "
                          "try another graph_seed")
-    masks = (_row_masks(graph.xapp_param), _row_masks(graph.param_kpi),
-             _row_masks(graph.param_param | graph.param_param.T))
     rng = np.random.default_rng(sample_seed)
-    n_anom = round(n_samples * anomaly_frac)
-    labels = np.zeros(n_samples, dtype=bool)
-    labels[rng.permutation(n_samples)[:n_anom]] = True
-    drawn = [_anomaly_sample(graph, masks, witnesses, rng) if is_anom
-             else (*_repair(masks, rng), "none") for is_anom in labels]
-    split = n_xapps + n_params
-    rows = _bits([xa | pc << n_xapps | kc << split
-                  for xa, pc, kc, _ in drawn], split + n_kpis)
+    anomalies = rng.permutation(n_samples)[:round(n_samples * anomaly_frac)]
+    # repair: deactivate one xApp of each direct conflict, then revert one
+    # changed parameter of each implicit and each indirect one, which keeps
+    # xApp activity -- and hence the contexts -- diverse
+    xa = rng.random((n_samples, n_xapps)) < 0.5
+    _clear(xa, lambda s: _shared(s, graph.xapp_param), rng)
+    pc = _hits(xa, graph.xapp_param) > 0
+    couples = graph.param_param | graph.param_param.T
+    _clear(pc, lambda s: s & (_hits(s, couples) > 0), rng)
+    _clear(pc, lambda s: _shared(s, graph.param_kpi), rng)
+    kinds = _inject(graph, xa, pc, anomalies, rng)
+    rows = np.concatenate([xa, pc, _hits(pc, graph.param_kpi) > 0], axis=1)
     acts = activity(graph, rows)
     boundaries = [lower_quantile(acts, q) for q in (0.25, 0.5, 0.75)]
+    split = n_xapps + n_params
     return graph, [
         OranSample(row[:n_xapps], row[n_xapps:split], row[split:], kind, c)
-        for row, (*_, kind), c in zip(
-            rows, drawn, activity_context(acts, boundaries).tolist())]
+        for row, kind, c in zip(rows, kinds.tolist(),
+                                activity_context(acts, boundaries).tolist())]
 
 
 def activity(graph: OranGraph, features: np.ndarray) -> np.ndarray:
@@ -287,11 +281,16 @@ def _node_columns(graph: OranGraph) -> list[str]:
 def samples_to_csv(graph: OranGraph, samples) -> str:
     """One binary column per node plus conflict_type and context."""
     header = _node_columns(graph)
-    rows = np.fromiter((s.features() for s in samples), count=len(samples),
-                       dtype=(np.uint8, len(header)))
+    states = np.concatenate([np.empty(0, bool)] + [
+        a for s in samples for a in (s.xapp_active, s.param_changed,
+                                     s.kpi_changed)])
+    # each row's "s,s,...,s," prefix, cut from one digit/comma byte matrix
+    cells = np.full((states.size, 2), ord(","), dtype=np.uint8)
+    cells[:, 0] = ord("0") + states
+    prefixes, width = cells.tobytes().decode(), 2 * len(header)
     lines = [",".join(header + ["conflict_type", "context"])] + [
-        ",".join([*map(str, row.tolist()), s.conflict, str(s.context)])
-        for row, s in zip(rows, samples)]
+        f"{prefixes[i * width:(i + 1) * width]}{s.conflict},{s.context}"
+        for i, s in enumerate(samples)]
     return "\n".join(lines) + "\n"
 
 

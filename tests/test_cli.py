@@ -77,3 +77,11 @@ def test_lambda_sweep_script_runs():
         capture_output=True, text=True, timeout=300, env=env)
     assert result.returncode == 0, result.stderr
     assert "0.10     1.0" in result.stdout
+
+
+@pytest.mark.parametrize("flag, count", [("--xapps", "n_xapps"),
+                                         ("--params", "n_params"),
+                                         ("--kpis", "n_kpis")])
+def test_gen_oran_names_a_node_count_below_one(flag, count, tmp_path):
+    with pytest.raises(ValueError, match=rf"^{count} must be >= 1$"):
+        main(["gen-oran", flag, "0", "--out", str(tmp_path / "data")])

@@ -5,11 +5,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coad.oran import (OranGraph, OranSample, activity, activity_context,
                        check_conflicts, feasible_conflicts, generate_oran,
                        graph_to_json, samples_to_csv, samples_to_table)
 from coad.scoring import lower_quantile
+from oran_reference import csv_reference, generate_reference
 
 
 def _graph(xp, pk, pp):
@@ -127,6 +130,14 @@ class TestGenerate:
         with pytest.raises(ValueError, match=r"^n_samples must be >= 1$"):
             generate_oran(0, 1, n_samples)
 
+    @pytest.mark.parametrize("count", ["n_xapps", "n_params", "n_kpis"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_node_count_named(self, count, value):
+        # 0 failed as "cannot reshape array of size 0" and -1 as "negative
+        # dimensions are not allowed", naming neither the count
+        with pytest.raises(ValueError, match=rf"^{count} must be >= 1$"):
+            generate_oran(0, 1, 50, **{count: value})
+
     def test_infeasible_graph_rejected(self):
         # one xapp, one param, one kpi: no conflict type is expressible
         with pytest.raises(ValueError, match="graph_seed"):
@@ -140,26 +151,117 @@ class TestGenerate:
         assert feasible_conflicts(no_edges) == ()
 
 
+# generate_oran's argument sets of the golden digests
+GOLDEN_ARGS = [
+    # the csv-oran benchmark workload's set-up at seed 1
+    (0, 1, 5000),
+    # half anomalies: many injections of all three kinds
+    (3, 4, 3000, 0.5),
+    (7, 8, 10, 0.1, 3, 3, 3),
+    # more parameters than a 64-bit word holds
+    (11, 12, 400, 0.2, 8, 80, 6),
+]
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestGoldenBytes:
     """SHA-256 of the generated CSV text: the graph, every sample's node
     states, conflict type and context, and so every draw made for them."""
 
-    @pytest.mark.parametrize("args, digest", [
-        # the csv-oran benchmark workload's set-up at seed 1
-        ((0, 1, 5000),
-         "9ea0cca08212eb8b146c7732cf6b3c15cab0a30e0a30baae000c0f747bca660c"),
-        # half anomalies: many injections of all three kinds
-        ((3, 4, 3000, 0.5),
-         "d45866c419db9c1f3869ea0bc849b811ce023611ed0b1c2740ca2c7794677063"),
-        ((7, 8, 10, 0.1, 3, 3, 3),
-         "af7abfaf452990978e063f5507a2f2930e92a768f73ff00f0a8869b45b7935f5"),
-        # more parameters than a 64-bit word holds
-        ((11, 12, 400, 0.2, 8, 80, 6),
-         "f148dbf5bc367eb3f84c9d6c71243801b3466e3b40c95aadfc49c1af342a8c44"),
-    ])
+    @pytest.mark.parametrize("args, digest", zip(GOLDEN_ARGS, [
+        "2851ba057e151375ae198707b502df823a004230b45ee5cf2c9aaf3406276121",
+        "aa8fe422f0c14c29626d35aa01a135f5c110a5a4545c550c587d30b3381e710c",
+        "8b75e9dc8b442f65ca430b034daad95d0057b7c7d0e27f2982ceb52367e21e55",
+        "10d0367d08b4aaa92e45d5fa11a1bb0d2bbad7c46678d58f69c4f7b46a31950e",
+    ]))
     def test_csv_digest(self, args, digest):
-        text = samples_to_csv(*generate_oran(*args))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert _digest(samples_to_csv(*generate_oran(*args))) == digest
+
+    @pytest.mark.parametrize("args, digest", zip(GOLDEN_ARGS, [
+        "9ea0cca08212eb8b146c7732cf6b3c15cab0a30e0a30baae000c0f747bca660c",
+        "d45866c419db9c1f3869ea0bc849b811ce023611ed0b1c2740ca2c7794677063",
+        "af7abfaf452990978e063f5507a2f2930e92a768f73ff00f0a8869b45b7935f5",
+        "f148dbf5bc367eb3f84c9d6c71243801b3466e3b40c95aadfc49c1af342a8c44",
+    ]))
+    def test_reference_keeps_the_per_sample_digests(self, args, digest):
+        # the reference sampler of the law test draws the rows that the
+        # per-sample generator drew, byte for byte
+        assert _digest(csv_reference(*generate_reference(*args))) == digest
+
+    @pytest.mark.parametrize("args", GOLDEN_ARGS)
+    def test_csv_text_matches_the_row_join_writer(self, args):
+        graph, samples = generate_oran(*args)
+        assert samples_to_csv(graph, samples) == csv_reference(graph, samples)
+        assert samples_to_csv(graph, []) == csv_reference(graph, [])
+
+
+def _laws(samples) -> dict[str, Counter]:
+    """Counts of the conflict types, and of the node states per type."""
+    laws = {"kinds": Counter(s.conflict for s in samples)}
+    for s in samples:
+        state = (*s.xapp_active.tolist(), *s.param_changed.tolist(),
+                 *s.kpi_changed.tolist())
+        laws.setdefault(s.conflict, Counter())[state] += 1
+    return laws
+
+
+def _tv(a: Counter, b: Counter) -> float:
+    """Total variation distance between two empirical laws."""
+    na, nb = sum(a.values()), sum(b.values())
+    return 0.5 * sum(abs(a[k] / na - b[k] / nb) for k in a.keys() | b.keys())
+
+
+# Two-sample TV bounds at 40,000 rows of graph seed 0 (4 xApps x 5
+# parameters x 3 KPIs, all three conflict types feasible) at
+# anomaly_frac 0.5: 1.5 times the largest distance between the reference
+# sampler's rows at sample seeds 20-31 (66 pairs), which was 0.0060 for the
+# type shares, 0.0239 for the nominal states (20 states) and 0.0581,
+# 0.0507 and 0.0806 for the direct, indirect and implicit states (44, 30
+# and 100 states).  A sampler that clears the first offender instead of a
+# uniform one lands at 0.45-0.54 on every key.
+LAW_BOUNDS = {"kinds": 0.009, "none": 0.036, "direct": 0.087,
+              "indirect": 0.076, "implicit": 0.121}
+
+
+def test_rows_keep_the_per_sample_law():
+    args = (40000, 0.5, 4, 5, 3)
+    graph, samples = generate_oran(0, 1, *args)
+    assert feasible_conflicts(graph) == ("direct", "indirect", "implicit")
+    new = _laws(samples)
+    reference = _laws(generate_reference(0, 2, *args)[1])
+    distances = {key: _tv(new[key], reference[key]) for key in LAW_BOUNDS}
+    assert all(distances[key] <= bound
+               for key, bound in LAW_BOUNDS.items()), distances
+
+
+@settings(deadline=None, max_examples=200)
+@given(graph_seed=st.integers(0, 2**16), sample_seed=st.integers(0, 2**16),
+       n_xapps=st.integers(1, 4), n_params=st.integers(1, 5),
+       n_kpis=st.integers(1, 3), n_samples=st.integers(1, 300),
+       anomaly_frac=st.one_of(st.just(0.0),
+                              st.floats(0.0, 1.0, exclude_max=True)))
+def test_generated_rows_hold_their_conflicts(graph_seed, sample_seed, n_xapps,
+                                             n_params, n_kpis, n_samples,
+                                             anomaly_frac):
+    try:
+        graph, samples = generate_oran(graph_seed, sample_seed, n_samples,
+                                       anomaly_frac, n_xapps, n_params,
+                                       n_kpis)
+    except ValueError as exc:
+        assert "admits no conflict type" in str(exc)
+        return
+    assert len(samples) == n_samples
+    anomalies = [s for s in samples if s.conflict != "none"]
+    assert len(anomalies) == round(n_samples * anomaly_frac)
+    for s in samples:
+        found = check_conflicts(graph, s.xapp_active, s.param_changed)
+        if s.conflict == "none":
+            assert found == set()
+        else:
+            assert s.conflict in found
 
 
 class TestContexts:
