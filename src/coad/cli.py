@@ -1,8 +1,9 @@
 """Command-line entry points: `run` executes a benchmark, `gen-oran` writes
 the synthetic conflict dataset to disk with a schema and a ready config.
 
-Two presets ship in ``configs/``: ``coad run --config configs/gaussian.cfg``
-and ``coad run --config configs/oran.cfg``.
+One preset ships in ``configs/``: ``coad run --config configs/gaussian.cfg``.
+For O-RAN data, ``coad gen-oran --out D`` writes ``D/benchmark.cfg``, which
+``coad run --config D/benchmark.cfg`` runs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ _RUN_FLAGS = (
     ("--seed", "seed", "master seed"),
     ("--runs", "runs", "Monte Carlo replicates"),
     ("--steps", "steps", "timesteps per run"),
-    ("--dataset", "dataset", "csv, oran or gaussian"),
+    ("--dataset", "dataset", "csv or gaussian"),
     ("--out", "out_dir", "output directory"),
     ("--plus-one", "plus_one",
      "use the offset p-value numerator: true|false (default true)"),
@@ -89,7 +90,7 @@ def _cmd_gen_oran(args: argparse.Namespace) -> int:
             ("graph.json", graph_to_json(graph) + "\n"),
             ("oran.schema", schema_text(graph, samples)),
             ("benchmark.cfg",
-             "method = C_PP_COAD,C_COAD,C_PO_COAD,FIXED\n"
+             "method = COAD,C_COAD,C_PO_COAD,C_PP_COAD,FIXED\n"
              "dataset = csv\n"
              f"csv_path = {out / 'oran.csv'}\n"
              f"schema_path = {out / 'oran.schema'}\n"

@@ -55,11 +55,9 @@ from .data import (DatasetSchema, Imputer, apply_mcar_mask, build_stream,
 # the name stays because perfbench/spans.py patches it here.
 from .fdr import StepRecord, step  # noqa: F401
 from .metrics import RunTrace, TraceSummary, aggregate, run_trace
-from .oran import (OranGraph, activity, activity_context, generate_oran,
-                   samples_to_table)
 from .scoring import (QuantileThreshold, ScoreModel, fit_density_score,
                       fit_fixed_threshold, fit_kmeans_score,
-                      fit_supervised_score, lower_quantile)
+                      fit_supervised_score)
 from .twin import (TwinModel, fit_twin, gamma_of_context, positive_ecdf_gap,
                    proxy_pvalues, sample_synthetic)
 
@@ -141,7 +139,7 @@ class MethodVariant(Enum):
 
 
 SCORE_KINDS = ("supervised", "unsupervised", "semi_supervised")
-DATASETS = ("csv", "oran", "gaussian")
+DATASETS = ("csv", "gaussian")
 
 
 @dataclass
@@ -170,12 +168,6 @@ class RunConfig:
     # csv dataset
     csv_path: str | None = None
     schema_path: str | None = None
-    # oran dataset
-    oran_samples: int = 10000
-    oran_anomaly_frac: float = 0.1
-    oran_xapps: int = 10
-    oran_params: int = 15
-    oran_kpis: int = 5
     # gaussian oracle
     contexts: int = 2
     dim: int = 2
@@ -209,14 +201,12 @@ class RunConfig:
             raise ValueError("steps and runs must be >= 1")
         if not 0.0 <= self.q_miss < 1.0:
             raise ValueError("q_miss must lie in [0, 1)")
-        for key in ("anomaly_rate", "oran_anomaly_frac"):
-            if not 0.0 <= getattr(self, key) < 1.0:
-                raise ValueError(f"{key} must lie in [0, 1)")
+        if not 0.0 <= self.anomaly_rate < 1.0:
+            raise ValueError("anomaly_rate must lie in [0, 1)")
         for size in (self.n, self.n_tilde):
             if size is not None and size < 1:
                 raise ValueError("n and n_tilde must be >= 1 when set")
         for key in ("contexts", "dim", "gmm_components", "kmeans_k",
-                    "oran_samples", "oran_xapps", "oran_params", "oran_kpis",
                     "synth_pool"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
@@ -449,34 +439,17 @@ class _Dataset:
     table: Table
     kinds: tuple[str, ...]
     n_contexts: int
-    graph: OranGraph | None = None  # the oran dataset's, for its contexts
 
 
 def _load_dataset(cfg: RunConfig) -> _Dataset:
-    if cfg.dataset == "csv":
-        schema = DatasetSchema.from_file(cfg.schema_path)
-        table, source = load_csv(cfg.csv_path, schema), cfg.csv_path
-        dataset = _Dataset(table, schema.kinds, schema.n_contexts)
-    else:
-        graph_seed, sample_seed = (int(derive_rng(
-            cfg.seed, _Purpose.DATA, sub).integers(2**63)) for sub in (1, 2))
-        shape = cfg.oran_xapps, cfg.oran_params, cfg.oran_kpis
-        try:
-            graph, samples = generate_oran(graph_seed, sample_seed,
-                                           cfg.oran_samples,
-                                           cfg.oran_anomaly_frac, *shape)
-        except ValueError as exc:  # validate has checked the other arguments
-            raise ValueError(f"seed = {cfg.seed} and (oran_xapps, oran_params,"
-                             f" oran_kpis) = {shape} draw a graph that admits"
-                             " no conflict type") from exc
-        table = samples_to_table(samples)
-        source = f"oran_samples = {cfg.oran_samples}"
-        dataset = _Dataset(table, ("categorical",) * table.dim, 4, graph)
+    schema = DatasetSchema.from_file(cfg.schema_path)
+    table = load_csv(cfg.csv_path, schema)
     inliers = int((table.truth == 0).sum())
     if inliers < cfg.steps:  # each run reserves one inlier test point a step
-        raise ValueError(f"{source}: {inliers} inlier rows, fewer than the "
-                         f"steps = {cfg.steps} test points each run reserves")
-    return dataset
+        raise ValueError(f"{cfg.csv_path}: {inliers} inlier rows, fewer than "
+                         f"the steps = {cfg.steps} test points each run "
+                         "reserves")
+    return _Dataset(table, schema.kinds, schema.n_contexts)
 
 
 def table_run(cfg: RunConfig, split_kind: str, run_idx: int,
@@ -495,19 +468,6 @@ def table_run(cfg: RunConfig, split_kind: str, run_idx: int,
     stream = build_stream(data, splits, cfg.steps, rng, cfg.anomaly_rate)
     score_train = data.rows(splits.score_train)
     twin_train = data.rows(splits.twin_train)
-    n_contexts = dataset.n_contexts
-    if dataset.graph is not None:
-        # context bins come from this run's training portion; boundaries that
-        # collide with each other or the training minimum would leave a bin
-        # empty (activity is atomic), so they are dropped
-        acts = activity(dataset.graph, score_train.features)
-        quartiles = (lower_quantile(acts, q) for q in (0.25, 0.5, 0.75))
-        boundaries = tuple(sorted({b for b in quartiles if b > acts.min()}))
-        n_contexts = len(boundaries) + 1
-        score_train, twin_train, stream = (
-            replace(rows, context=activity_context(
-                activity(dataset.graph, rows.features), boundaries))
-            for rows in (score_train, twin_train, stream))
 
     # the inliers of the front fifth validate the generator for gamma
     carve = round(0.2 * len(score_train)) if split_kind == \
@@ -534,7 +494,7 @@ def table_run(cfg: RunConfig, split_kind: str, run_idx: int,
 
     return RunData(score_train=score_train, twin_train=twin_train,
                    validation=validation, stream=stream,
-                   real_batches=real_batches, n_contexts=n_contexts,
+                   real_batches=real_batches, n_contexts=dataset.n_contexts,
                    kinds=dataset.kinds, n=splits.n, n_tilde=n_tilde)
 
 
@@ -749,14 +709,14 @@ def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData,
 
 
 def _statistics(cfg: RunConfig, lane: _Lane, run_idx: int, rundata: RunData,
-                chunk: _Chunk, columns: dict) -> None:
+                chunk: _Chunk, runs: dict[MethodVariant, RunSteps]) -> None:
     """The statistic phase of one chunk for one lane: compute each array
     once -- test scores, FIXED's flags, proxy p-values q, the active
     method's queries u, real p-values p (of every batch when an "always"
-    method reads them all, else of the batches bought) -- and write each
-    method's (q, u, p, z) columns, NaN where a value does not apply and
-    FIXED's flags as z.  A failure names the first method, in config order,
-    that reads the array being computed."""
+    method reads them all, else of the batches bought) -- and write them
+    into each method's ``RunSteps``, FIXED's flags as its decisions.  A
+    failure names the first method, in config order, that reads the array
+    being computed."""
     at, methods, model = chunk.at, lane.methods, lane.scorer
 
     def reading(*rules):
@@ -769,7 +729,7 @@ def _statistics(cfg: RunConfig, lane: _Lane, run_idx: int, rundata: RunData,
         s = _score_batches(model, chunk.tests[:, None], c)[:, 0]
     if None in methods:
         with reading(None):
-            columns[methods[None]][3][at] = lane.threshold.flag(s, c)
+            runs[methods[None]].decision[at] = lane.threshold.flag(s, c)
     if lane.twin is not None:
         with reading("never", "active"):
             q = conformal_pvalues(_score_batches(model, sample_synthetic(
@@ -785,15 +745,15 @@ def _statistics(cfg: RunConfig, lane: _Lane, run_idx: int, rundata: RunData,
             p[bought] = conformal_pvalues(_score_batches(
                 model, chunk.real[bought], c[bought]), s[bought], cfg.plus_one)
     for rule, method in methods.items():
-        mq, mu, mp, mz = columns[method]
+        out = runs[method]
         if rule == "never":
-            mq[at] = mz[at] = q
+            out.q[at] = out.z[at] = q
         elif rule == "always":
-            mp[at] = mz[at] = p
+            out.p[at] = out.z[at] = p
         elif rule == "active":
-            mq[at], mu[at], mp[at] = q, u, np.where(u, p, np.nan)
+            out.q[at], out.u[at], out.p[at] = q, u, np.where(u, p, np.nan)
             with reading("active"):
-                mz[at] = active_pvalues(q, u, mp[at], lane.gammas[c])
+                out.z[at] = active_pvalues(q, u, out.p[at], lane.gammas[c])
 
 
 @dataclass(frozen=True, eq=False)
@@ -812,21 +772,15 @@ class RunSteps:
     truth: np.ndarray     # 0/1
 
 
-def _decide(cfg: RunConfig, method: MethodVariant, rundata: RunData,
-            q, u, p, z) -> tuple[RunSteps, RunTrace]:
-    """The decision phase: the threshold walk over the run's statistics,
-    the only part that reads past decisions, then the metric trace."""
-    acquired = u.astype(int)
-    if method is MethodVariant.FIXED:  # z holds the score-above flags
-        decisions = z.astype(int)
-        z = alpha_t = np.full(z.size, np.nan)
-    else:
-        alpha_t, decisions = fdr.threshold_walk(z, cfg.alpha, cfg.delta,
-                                                cfg.eta)
-    stream = rundata.stream
-    trace = run_trace(decisions, stream.truth, acquired, cfg.delta, cfg.eta)
-    return RunSteps(stream.context, q, acquired, p, z, alpha_t, decisions,
-                    stream.truth), trace
+def _decide(cfg: RunConfig, method: MethodVariant,
+            steps: RunSteps) -> RunTrace:
+    """The decision phase: the threshold walk, the only part that reads
+    past decisions, fills ``alpha_t`` and ``decision`` in place (FIXED's
+    decisions are its flags already); then the metric trace."""
+    if method is not MethodVariant.FIXED:
+        steps.alpha_t[:], steps.decision[:] = fdr.threshold_walk(
+            steps.z, cfg.alpha, cfg.delta, cfg.eta)
+    return run_trace(steps.decision, steps.truth, steps.u, cfg.delta, cfg.eta)
 
 
 class _RunFailure(RuntimeError):
@@ -854,19 +808,21 @@ def _run_group(cfg: RunConfig, group: Sequence[MethodVariant], run_idx: int,
     the shared chunks, then yield each method's decision phase as (method,
     run index, steps, trace), in group order."""
     imputer, lanes = _fit_group(cfg, group, run_idx, rundata)
-    steps = len(rundata.stream)
-    columns = {method: (np.full(steps, np.nan),
-                        np.full(steps, method.acquisition == "always"),
-                        np.full(steps, np.nan), np.full(steps, np.nan))
-               for method in group}
+    stream, nan = rundata.stream, np.full(len(rundata.stream), np.nan)
+    runs = {method: RunSteps(
+                stream.context, nan.copy(),
+                np.full(len(stream), int(method.acquisition == "always")),
+                nan.copy(), nan.copy(), nan.copy(),
+                np.zeros(len(stream), dtype=int), stream.truth)
+            for method in group}
     for chunk in _chunks(cfg, run_idx, rundata, group, imputer):
         for lane in lanes:
-            _statistics(cfg, lane, run_idx, rundata, chunk, columns)
+            _statistics(cfg, lane, run_idx, rundata, chunk, runs)
     del chunk  # so that no chunk outlives the statistic phase
-    for method in group:
+    for method, steps in runs.items():
         with _failing_as(cfg, method, run_idx):
-            result = _decide(cfg, method, rundata, *columns[method])
-        yield (method, run_idx, *result)
+            trace = _decide(cfg, method, steps)
+        yield method, run_idx, steps, trace
 
 
 # --- orchestration and emission -----------------------------------------------
@@ -918,7 +874,7 @@ def _iter_runs(cfg: RunConfig
     real batches cannot reach the threshold floor; n is its split's.
     """
     cfg.validate()
-    dataset = _load_dataset(cfg) if cfg.dataset in ("csv", "oran") else None
+    dataset = _load_dataset(cfg) if cfg.dataset == "csv" else None
     groups: dict[str | None, list[MethodVariant]] = {}
     for method in map(MethodVariant, dict.fromkeys(cfg.methods)):
         kind = None if dataset is None else method.split_kind

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Table
 from .scoring import lower_quantile
 
 CONFLICT_TYPES = ("direct", "indirect", "implicit")
@@ -38,7 +37,6 @@ __all__ = [
     "feasible_conflicts",
     "activity",
     "activity_context",
-    "samples_to_table",
     "graph_to_json",
     "samples_to_csv",
     "schema_text",
@@ -204,7 +202,7 @@ def generate_oran(graph_seed: int, sample_seed: int, n_samples: int = 10000,
 
     Exactly round(n_samples * anomaly_frac) samples carry a conflict; their
     positions are shuffled.  Contexts bin each sample's activity at the
-    batch's lower activity quartiles (callers may re-bin on a subset).
+    batch's lower activity quartiles.
     """
     for name, count in (("n_samples", n_samples), ("n_xapps", n_xapps),
                         ("n_params", n_params), ("n_kpis", n_kpis)):
@@ -249,12 +247,6 @@ def activity_context(acts: np.ndarray, boundaries) -> np.ndarray:
     """Context of each activity level: the number of boundaries at or below
     it (right-open bins, the last one closed)."""
     return (acts[:, None] >= np.asarray(boundaries)[None, :]).sum(axis=1)
-
-
-def samples_to_table(samples) -> Table:
-    return Table(np.stack([s.features() for s in samples]),
-                 np.array([s.context for s in samples]),
-                 np.array([int(s.conflict != "none") for s in samples]))
 
 
 # --- persistence ------------------------------------------------------------

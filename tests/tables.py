@@ -1,5 +1,5 @@
-"""Small Tables, a toy CSV dataset and the row-by-row CSV parser for the
-tests."""
+"""Small Tables, a toy CSV dataset, O-RAN rows as a CSV dataset and the
+row-by-row CSV parser for the tests."""
 
 import csv
 import math
@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 
 from coad.core import Table
+from coad.oran import generate_oran, samples_to_csv, schema_text
 
 
 def table(values, context=0, truth=0) -> Table:
@@ -57,6 +58,20 @@ def _toy_csv(directory, anomalous, mapping) -> dict:
         "label = label\nlabel.anomaly_values = 1\n"
         "context.column = age\ncontext.bins = 50\n")
     return dict({"dataset": "csv", "seed": "1", "csv_path": str(csv_path),
+                 "schema_path": str(schema_path)}, **mapping)
+
+
+def oran_csv(directory, samples: int, anomaly_frac: float = 0.1,
+             **mapping) -> dict:
+    """``samples`` O-RAN rows of graph seed 0 and sample seed 1, written to
+    ``directory`` as CSV and schema the way ``coad gen-oran`` writes them,
+    as a config mapping."""
+    graph, rows = generate_oran(0, 1, samples, anomaly_frac)
+    csv_path = directory / "oran.csv"
+    csv_path.write_text(samples_to_csv(graph, rows))
+    schema_path = directory / "oran.schema"
+    schema_path.write_text(schema_text(graph, rows))
+    return dict({"dataset": "csv", "csv_path": str(csv_path),
                  "schema_path": str(schema_path)}, **mapping)
 
 

@@ -180,7 +180,7 @@ def test_a6_lambda_tradeoff():
 
 def test_a7_cdar_extremes():
     cfg = config_from(dict(A4_BASE, method="COAD,C_COAD,PO_COAD,C_PO_COAD",
-                           runs="3", steps="40", n="80"))
+                           runs="3", steps="40"))
     arts = run_benchmark(cfg)
     delta = cfg.delta
     expected = []

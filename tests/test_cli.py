@@ -1,6 +1,7 @@
 """The `coad` command line: the presets, `gen-oran`'s worked example, flag
 parsing by config key, and the scripts that stay beside it."""
 
+import json
 import os
 import subprocess
 import sys
@@ -14,11 +15,8 @@ from coad.data import parse_kv_file
 
 REPO = Path(__file__).resolve().parent.parent
 PRESETS = sorted(path.stem for path in (REPO / "configs").glob("*.cfg"))
-# run_benchmark's warning that real p-values cannot reach the threshold floor
-UNREACHABLE = r"error:1/\(n\+1\) > alpha\*eta\*\(1-delta\):UserWarning"
 
 
-@pytest.mark.filterwarnings(UNREACHABLE)
 def test_gen_oran_writes_the_worked_example(tmp_path, capsys):
     out = tmp_path / "oran_data"
     assert main(["gen-oran", "--samples", "2000", "--out", str(out)]) == 0
@@ -29,12 +27,16 @@ def test_gen_oran_writes_the_worked_example(tmp_path, capsys):
     assert cfg["schema_path"] == str(out / "oran.schema")
     # every context of the schema holds rows, so each run can fit its
     # models; with the fixed bins 0.5,1.5,2.5 context 0 is empty here
+    results = tmp_path / "results"
     assert main(["run", "--config", str(out / "benchmark.cfg"), "--runs", "2",
-                 "--steps", "10", "--out", str(tmp_path / "results")]) == 0
+                 "--steps", "10", "--out", str(results)]) == 0
     assert "C_PP_COAD: final sfdr=" in capsys.readouterr().out
+    # the O-RAN preset: COAD against the context-aware methods and FIXED
+    summary = json.loads((results / "summary.json").read_text())
+    assert sorted(summary["per_method"]) == [
+        "COAD", "C_COAD", "C_PO_COAD", "C_PP_COAD", "FIXED"]
 
 
-@pytest.mark.filterwarnings(UNREACHABLE)
 @pytest.mark.parametrize("preset", PRESETS)
 def test_presets_run(preset, tmp_path, capsys):
     # at the preset's own step count, which sets the batch size n that a
@@ -52,6 +54,8 @@ def test_presets_run(preset, tmp_path, capsys):
     (["--plus-one", "maybe"], "config key 'plus_one'"),
     (["--dataset", "parquet"], "dataset must be one of"),
     (["--config", "no-such.cfg"], "no-such.cfg"),
+    # O-RAN data reaches the engine as gen-oran's CSV
+    (["--dataset", "oran"], "dataset must be one of ('csv', 'gaussian')"),
 ])
 def test_bad_flag_exits_2_naming_the_key(flags, message, capsys):
     with pytest.raises(SystemExit) as exit_info:

@@ -1,5 +1,5 @@
 """Validated configs never fail inside a run without naming the cause:
-over small Gaussian, toy CSV and O-RAN configs, ``config_from`` either
+over small Gaussian and toy CSV configs, ``config_from`` either
 rejects the config with a ValueError that names a key, or
 ``run_benchmark`` completes, or -- on a table dataset, whose rows are known
 only at run time -- it fails with a ValueError that names a key or the
@@ -63,17 +63,7 @@ CONFIGS = st.fixed_dictionaries(dict(
 ))
 
 # the toy CSV's paths are filled in by the test
-TABLE_CONFIGS = st.one_of(
-    st.fixed_dictionaries(dict(COMMON, dataset=st.just("csv"))),
-    st.fixed_dictionaries(dict(
-        COMMON,
-        dataset=st.just("oran"),
-        oran_samples=_around([1, 10, 40, 100, 300], [0]),
-        oran_anomaly_frac=_around([0, 0.1, 0.5], [1]),
-        oran_xapps=_size(1, 4),
-        oran_params=_size(1, 5),
-        oran_kpis=_size(1, 3),
-    )))
+TABLE_CONFIGS = st.fixed_dictionaries(dict(COMMON, dataset=st.just("csv")))
 
 
 def _named_keys(mapping, text: str) -> set[str]:
@@ -109,9 +99,8 @@ def toy_paths(tmp_path_factory):
 @given(TABLE_CONFIGS)
 def test_table_config_is_rejected_by_name_runs_or_names_its_cause(
         toy_paths, mapping):
-    if mapping["dataset"] == "csv":
-        mapping = dict(mapping, csv_path=toy_paths["csv_path"],
-                       schema_path=toy_paths["schema_path"])
+    mapping = dict(mapping, csv_path=toy_paths["csv_path"],
+                   schema_path=toy_paths["schema_path"])
     try:
         _rejected_by_name_or_runs(mapping)
     except (ValueError, _RunFailure) as exc:

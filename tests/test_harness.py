@@ -15,7 +15,7 @@ from coad.harness import (AGG_HEADER, STEP_HEADER, MethodResult,
                           MethodVariant, RunArtifacts, RunConfig, config_from,
                           derive_rng, emit, run_benchmark)
 from coad.metrics import aggregate
-from tables import toy_csv
+from tables import oran_csv, toy_csv
 from test_golden import AGGREGATE_SHA256, GOLDEN_CONFIG, STEPS_SHA256
 
 FAST = {"runs": "3", "steps": "25", "dataset": "gaussian", "seed": "11",
@@ -27,6 +27,9 @@ FAST = {"runs": "3", "steps": "25", "dataset": "gaussian", "seed": "11",
 # whose property concerns detections: 1/(n+1) = 1/61 <= alpha * (1 - delta)
 # = 0.02 at the default alpha 0.1
 REACHABLE = dict(FAST, delta="0.8")
+# run_benchmark's warning that real p-values cannot reach the threshold
+# floor; the pytest configuration makes it an error
+UNREACHABLE = r"1/\(n\+1\) > alpha\*eta\*\(1-delta\):UserWarning"
 
 
 def _cfg(base=FAST, **kw):
@@ -71,6 +74,9 @@ class TestConfig:
             config_from({"mystery": "1"})
         with pytest.raises(ValueError, match="mystery"):
             config_from(mystery=1)
+        # the keys of the retired in-process O-RAN dataset are unknown too
+        with pytest.raises(ValueError, match="'oran_samples'"):
+            config_from({"oran_samples": "1000"})
 
     @pytest.mark.parametrize("overrides, name, expected", [
         ({"runs": "3"}, "runs", 3), ({"alpha": "0.2"}, "alpha", 0.2),
@@ -105,7 +111,8 @@ class TestConfig:
     @pytest.mark.parametrize("mapping", [
         {"n": "1100"},  # A4: 1/1101 <= 0.1 * (1 - 0.99)
         {"n": "60", "method": "PO_COAD,C_PO_COAD,FIXED"},  # no real batch
-        {"dataset": "oran"},  # n is set by the split, not the config
+        # n is set by the split, not the config
+        {"dataset": "csv", "csv_path": "rows.csv", "schema_path": "s.schema"},
     ])
     def test_reachable_or_unknown_floor_is_silent(self, mapping):
         with warnings.catch_warnings():
@@ -140,8 +147,8 @@ class TestConfig:
         {"anomaly_rate": "-0.5"}, {"anomaly_rate": "1.0"},
         {"anomaly_rate": "1.5"}, {"eta": "0"}, {"n": "0"}, {"n_tilde": "0"},
         {"contexts": "0"}, {"dim": "0"}, {"gmm_components": "0"},
-        {"synth_pool": "0"}, {"kmeans_k": "0"}, {"oran_samples": "0"},
-        {"oran_samples": "-3"}, {"score_train_size": "-1"},
+        {"synth_pool": "0"}, {"kmeans_k": "0"}, {"dataset": "oran"},
+        {"steps": "0"}, {"score_train_size": "-1"},
         {"twin_train_size": "-1"}, {"val_size": "-1"},
     ])
     def test_validation(self, bad):
@@ -150,9 +157,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value, bound", [
         *(pytest.param(key, "0", 1, id=key) for key in (
-            "contexts", "dim", "gmm_components", "synth_pool", "kmeans_k",
-            "oran_samples", "oran_xapps", "oran_params", "oran_kpis")),
-        pytest.param("oran_samples", "-3", 1, id="oran_samples-3"),
+            "contexts", "dim", "gmm_components", "synth_pool", "kmeans_k")),
         *(pytest.param(key, "-1", 0, id=f"{key}-1") for key in (
             "score_train_size", "twin_train_size", "val_size")),
     ])
@@ -160,14 +165,6 @@ class TestConfig:
         # left to run 0, these failed with causes that named no key
         with pytest.raises(ValueError, match=f"^{key} must be >= {bound}$"):
             config_from({key: value})
-
-    @pytest.mark.parametrize("value", ["1.0", "nan", "-0.1"])
-    def test_oran_anomaly_frac_named(self, value):
-        # left to the generator, these failed as "anomaly_frac must lie in
-        # [0, 1)", which names no config key
-        with pytest.raises(ValueError,
-                           match=r"^oran_anomaly_frac must lie in \[0, 1\)$"):
-            config_from({"dataset": "oran", "oran_anomaly_frac": value})
 
     # score: the score kind and any other key a case needs
     @pytest.mark.parametrize("key, value, score", [
@@ -287,7 +284,7 @@ class TestDeriveRng:
 
 class TestRecordShapes:
     def test_coad_always_queries(self):
-        arts = run_benchmark(_cfg(method="COAD"))
+        arts = run_benchmark(_cfg(REACHABLE, method="COAD"))
         recs = [r for _, r in arts.per_method["COAD"].records]
         assert all(r.u == 1 and r.z == r.p and r.q is None for r in recs)
 
@@ -303,8 +300,8 @@ class TestRecordShapes:
                    for r in recs)
 
     def test_active_mixes(self):
-        arts = run_benchmark(_cfg(method="C_PP_COAD", twin_var_scale=0.5,
-                                  runs=5))
+        arts = run_benchmark(_cfg(REACHABLE, method="C_PP_COAD",
+                                  twin_var_scale=0.5, runs=5))
         recs = [r for _, r in arts.per_method["C_PP_COAD"].records]
         assert any(r.u == 1 for r in recs) and any(r.u == 0 for r in recs)
         assert all((r.u == 1) == (r.p is not None) for r in recs)
@@ -315,8 +312,10 @@ class TestVariantEquivalence:
         # both fit the same twin on the same draws, so they score the same
         # synthetic batch and see the same q at every (run, t)
         for q_miss in (0.0, 0.3):
-            active = run_benchmark(_cfg(method="C_PP_COAD", q_miss=q_miss))
-            po = run_benchmark(_cfg(method="C_PO_COAD", q_miss=q_miss))
+            active = run_benchmark(_cfg(REACHABLE, method="C_PP_COAD",
+                                        q_miss=q_miss))
+            po = run_benchmark(_cfg(REACHABLE, method="C_PO_COAD",
+                                    q_miss=q_miss))
             a = active.per_method["C_PP_COAD"].records
             b = po.per_method["C_PO_COAD"].records
             assert [(i, r.t, r.q) for i, r in a] == \
@@ -330,7 +329,7 @@ class TestVariantEquivalence:
         # gamma calibrated on a mismatched twin, so the active method both
         # queries and skips; wherever it queried, it scored the same real
         # batch as the method that queries every step
-        cfg = _cfg(method=f"{active},{always}", q_miss=q_miss,
+        cfg = _cfg(REACHABLE, method=f"{active},{always}", q_miss=q_miss,
                    twin_var_scale=0.5, runs=4)
         arts = run_benchmark(cfg)
         a = arts.per_method[active].records
@@ -343,9 +342,9 @@ class TestVariantEquivalence:
         assert all(pa == pb for pa, pb in queried)
 
     def test_tiny_gamma_tracks_always_real(self):
-        pp = run_benchmark(_cfg(method="C_PP_COAD", gamma_override=EPS_GAMMA,
-                                runs=5, steps=60))
-        cc = run_benchmark(_cfg(method="C_COAD", runs=5, steps=60))
+        pp = run_benchmark(_cfg(REACHABLE, method="C_PP_COAD",
+                                gamma_override=EPS_GAMMA, runs=5, steps=60))
+        cc = run_benchmark(_cfg(REACHABLE, method="C_COAD", runs=5, steps=60))
         a = [r for _, r in pp.per_method["C_PP_COAD"].records]
         b = [r for _, r in cc.per_method["C_COAD"].records]
         assert np.mean([r.u for r in a]) > 0.98
@@ -360,26 +359,26 @@ class TestVariantEquivalence:
 
 class TestReproducibility:
     def test_identical_records(self):
-        a = run_benchmark(_cfg(method="C_PP_COAD"))
-        b = run_benchmark(_cfg(method="C_PP_COAD"))
+        a = run_benchmark(_cfg(REACHABLE, method="C_PP_COAD"))
+        b = run_benchmark(_cfg(REACHABLE, method="C_PP_COAD"))
         assert a.per_method["C_PP_COAD"].records == \
             b.per_method["C_PP_COAD"].records
 
     def test_seed_changes_records(self):
-        a = run_benchmark(_cfg(method="COAD"))
-        b = run_benchmark(_cfg(method="COAD", seed=12))
+        a = run_benchmark(_cfg(REACHABLE, method="COAD"))
+        b = run_benchmark(_cfg(REACHABLE, method="COAD", seed=12))
         assert a.per_method["COAD"].records != b.per_method["COAD"].records
 
     def test_q_miss_path_deterministic(self):
-        a = run_benchmark(_cfg(method="C_COAD", q_miss=0.3))
-        b = run_benchmark(_cfg(method="C_COAD", q_miss=0.3))
+        a = run_benchmark(_cfg(REACHABLE, method="C_COAD", q_miss=0.3))
+        b = run_benchmark(_cfg(REACHABLE, method="C_COAD", q_miss=0.3))
         assert a.per_method["C_COAD"].records == \
             b.per_method["C_COAD"].records
 
 
 class TestEmission:
     def test_files_and_headers(self, tmp_path):
-        arts = run_benchmark(_cfg(method="COAD,FIXED,C_PP_COAD"))
+        arts = run_benchmark(_cfg(REACHABLE, method="COAD,FIXED,C_PP_COAD"))
         paths = emit(arts, tmp_path / "out")
         steps = paths["steps"].read_text().splitlines()
         assert steps[0] == STEP_HEADER
@@ -419,9 +418,9 @@ class TestBehavior:
         assert max(s.sfdr_mean) > cfg.alpha
 
     def test_matched_twin_queries_less_than_shrunk(self):
-        matched = run_benchmark(_cfg(method="C_PP_COAD", runs=5,
+        matched = run_benchmark(_cfg(REACHABLE, method="C_PP_COAD", runs=5,
                                      twin_var_scale=1.0))
-        shrunk = run_benchmark(_cfg(method="C_PP_COAD", runs=5,
+        shrunk = run_benchmark(_cfg(REACHABLE, method="C_PP_COAD", runs=5,
                                     twin_var_scale=0.25))
         cdar_m = matched.per_method["C_PP_COAD"].summary.cdar_mean[-1]
         cdar_s = shrunk.per_method["C_PP_COAD"].summary.cdar_mean[-1]
@@ -474,12 +473,16 @@ class TestBehavior:
         # C_COAD shares the run's data and score model but fits no twin, so
         # the failing twin fit belongs to C_PP_COAD.  On the Gaussian oracle
         # the config already rejects more components than twin rows, so the
-        # rows come from a dataset split, sized only at run time
+        # rows come from a dataset split, sized only at run time; its
+        # batches of 14 and 29 rows reach alpha * (1 - delta) = 0.1
         cfg = config_from(toy_csv(tmp_path, method=methods, seed="11",
-                                   runs="1", steps="8"))
+                                   runs="1", steps="8", alpha="0.2",
+                                   delta="0.5"))
         cfg.gmm_components = 10**6  # far more components than data
         with pytest.raises(RuntimeError,
-                           match=r"method C_PP_COAD, run 0 \(master seed 11\)"):
+                           match=r"method C_PP_COAD, run 0 \(master seed 11\) "
+                                 r"failed: context 0 has \d+ points; need at "
+                                 r"least k=1000000 to fit the mixture"):
             run_benchmark(cfg)
 
     def test_failed_statistic_names_its_reader(self, monkeypatch):
@@ -505,7 +508,7 @@ class TestBehavior:
                            match=r"method COAD, run 0 \(master seed 11\) "
                                  r"failed: statistic z_t must lie in "
                                  r"\[0, 1\]; step 1 has nan"):
-            run_benchmark(_cfg(method="COAD"))
+            run_benchmark(_cfg(REACHABLE, method="COAD"))
 
 
 class TestRunStream:
@@ -521,20 +524,21 @@ class TestRunStream:
 
         monkeypatch.setattr(harness, "gaussian_synthetic_stream", counting)
         method, run_idx, steps, _ = next(harness._iter_runs(
-            _cfg(method="C_COAD,FIXED", runs=3)))
+            _cfg(REACHABLE, method="C_COAD,FIXED", runs=3)))
         assert built == [0]
         assert (method, run_idx, steps.decision.size) == \
             (MethodVariant.C_COAD, 0, 25)
 
     def test_run_major_in_config_order(self, tmp_path):
-        gaussian = _cfg(method="FIXED,C_PP_COAD,COAD", runs=2, steps=5)
+        gaussian = _cfg(REACHABLE, method="FIXED,C_PP_COAD,COAD", runs=2,
+                        steps=5)
         assert [(m.value, r) for m, r, _, _ in harness._iter_runs(gaussian)] \
             == [(m, r) for r in range(2) for m in ("FIXED", "C_PP_COAD",
                                                    "COAD")]
         # on a table each split kind is a group, in order of first mention
         table = config_from(toy_csv(
             tmp_path, method="C_PP_COAD,C_COAD,C_PO_COAD,FIXED", runs="2",
-            steps="5", n="20"))
+            steps="5", n="20", delta="0.5"))
         assert [(m.value, r) for m, r, _, _ in harness._iter_runs(table)] \
             == [(m, r) for r in range(2) for m in ("C_PP_COAD", "C_COAD",
                                                    "FIXED", "C_PO_COAD")]
@@ -556,60 +560,45 @@ class TestRunStream:
 
 
 class TestOranPath:
-    def test_infeasible_graph_names_seed_and_shape(self):
-        # one xApp, one parameter and one KPI admit no conflict type; the
-        # generator's own message names its graph_seed argument, which is
-        # no config key
-        cfg = config_from({"dataset": "oran", "oran_xapps": "1",
-                           "oran_params": "1", "oran_kpis": "1",
-                           "runs": "1", "steps": "5", "seed": "4"})
-        with pytest.raises(ValueError, match=r"^seed = 4 and \(oran_xapps, "
-                           r"oran_params, oran_kpis\) = \(1, 1, 1\)"):
-            run_benchmark(cfg)
+    """O-RAN rows reach the engine as the CSV dataset that ``coad gen-oran``
+    writes."""
 
-    def test_too_few_samples_name_oran_samples_and_steps(self):
-        # one sample cannot fill a 3-step test reserve; left to the run,
-        # this failed inside make_splits naming no key
-        cfg = config_from({"dataset": "oran", "oran_samples": "1",
-                           "runs": "1", "steps": "3"})
-        with pytest.raises(ValueError, match=r"^oran_samples = 1: 1 inlier "
-                           r"rows, fewer than the steps = 3 test points"):
-            run_benchmark(cfg)
-
-    def test_empty_score_training_part_names_steps(self):
+    def test_empty_score_training_part_names_steps(self, tmp_path):
         # 4 inliers, no anomaly: the 3-step test reserve leaves one row,
-        # and a third of it is none; this failed as "cannot take a
-        # quantile of no values" in the activity binning
-        cfg = config_from({"dataset": "oran", "oran_samples": "4",
-                           "method": "C_PO_COAD", "runs": "1", "steps": "3"})
+        # and a third of it is none
+        cfg = config_from(oran_csv(tmp_path, 4, method="C_PO_COAD", runs="1",
+                                   steps="3"))
         with pytest.raises(RuntimeError, match=r"failed: the dataset leaves "
                            r"no score- or generator-training rows beside "
                            r"the steps = 3 reserved test points"):
             run_benchmark(cfg)
 
-    def test_no_score_inliers_name_the_class(self):
+    # the split serves 2-row batches, which no threshold floor of the
+    # default alpha and delta admits; the run is to fail at its score fit
+    @pytest.mark.filterwarnings("ignore:" + UNREACHABLE)
+    def test_no_score_inliers_name_the_class(self, tmp_path):
         # 3 inliers less the 1-step reserve leave 2, whose first third is
         # none, so the score-training part holds one anomaly; the density
         # score, fit on inliers only, failed as "training data is empty"
-        cfg = config_from({"dataset": "oran", "oran_samples": "6",
-                           "oran_anomaly_frac": "0.5", "method": "C_COAD",
-                           "runs": "1", "steps": "1"})
+        cfg = config_from(oran_csv(tmp_path, 6, 0.5, method="C_COAD",
+                                   runs="1", steps="1"))
         with pytest.raises(RuntimeError, match=r"failed: class 0 absent in "
                            r"the score-training data$"):
             run_benchmark(cfg)
 
-    def test_benchmark_runs_and_replays(self):
-        mapping = {"method": "C_PP_COAD", "dataset": "oran", "runs": "2",
-                   "steps": "10", "seed": "3", "oran_samples": "1500",
-                   "synth_pool": "100", "val_size": "100"}
+    def test_benchmark_runs_and_replays(self, tmp_path):
+        # the split serves 44-row batches: 1/45 <= alpha * (1 - delta)
+        mapping = oran_csv(tmp_path, 1500, method="C_PP_COAD", runs="2",
+                           steps="10", seed="3", delta="0.5",
+                           synth_pool="100", val_size="100")
         a = run_benchmark(config_from(mapping))
         b = run_benchmark(config_from(mapping))
         assert a.per_method["C_PP_COAD"].records == \
             b.per_method["C_PP_COAD"].records
 
-    def test_fixed_on_oran(self):
-        mapping = {"method": "FIXED", "dataset": "oran", "runs": "2",
-                   "steps": "10", "seed": "3", "oran_samples": "1500"}
+    def test_fixed_on_oran(self, tmp_path):
+        mapping = oran_csv(tmp_path, 1500, method="FIXED", runs="2",
+                           steps="10", seed="3")
         arts = run_benchmark(config_from(mapping))
         assert len(arts.per_method["FIXED"].records) == 20
 
@@ -624,8 +613,9 @@ class TestCsvPath:
             run_benchmark(cfg)
 
     def test_benchmark_from_files(self, tmp_path):
+        # 29-row batches: 1/30 <= alpha * (1 - delta)
         cfg = config_from(toy_csv(tmp_path, method="C_COAD,FIXED", runs="2",
-                                   steps="8"))
+                                   steps="8", delta="0.5"))
         arts = run_benchmark(cfg)
         assert len(arts.per_method["C_COAD"].records) == 16
         recs = [r for _, r in arts.per_method["C_COAD"].records]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from coad.oran import (OranGraph, OranSample, activity, activity_context,
                        check_conflicts, feasible_conflicts, generate_oran,
-                       graph_to_json, samples_to_csv, samples_to_table)
+                       graph_to_json, samples_to_csv)
 from coad.scoring import lower_quantile
 from oran_reference import csv_reference, generate_reference
 
@@ -308,16 +308,6 @@ class TestSerialization:
         assert header[-2:] == ["conflict_type", "context"]
         assert len(lines) == 6
         assert all(len(line.split(",")) == 3 + 4 + 2 + 2 for line in lines)
-
-    def test_table_conversion(self):
-        graph, samples = generate_oran(9, 9, n_samples=20)
-        rows = samples_to_table(samples)
-        assert rows.dim == graph.n_xapps + graph.n_params + graph.n_kpis
-        assert rows.truth.tolist() == [int(s.conflict != "none")
-                                       for s in samples]
-        assert rows.context.tolist() == [s.context for s in samples]
-        assert np.array_equal(rows.features,
-                              np.stack([s.features() for s in samples]))
 
     def test_no_self_loops(self):
         with pytest.raises(ValueError):
