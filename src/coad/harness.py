@@ -15,9 +15,10 @@ methods of one context awareness, at most one per acquisition rule, form a
 lane: the lane fits a score model, a generator, FIXED's threshold and the
 active method's gammas once, and computes each array of a chunk of the
 group's stream once -- test scores, flags, proxy and real p-values,
-queries -- for all its methods.  Since each shared object is a function
-of (seed, run, purpose, sub-stream) alone, a method's outputs do not
-depend on which methods share its runs.
+queries -- for all its methods.  Every fit is per context; a context-blind
+lane reads every row as context 0.  Since each shared object is a function
+of (seed, run, purpose, sub-stream) alone, a method's outputs do not depend
+on which methods share its runs.
 
 A run has two phases.  No step's statistic -- proxy p-value, acquisition
 draw, real p-value, test statistic -- reads the detector's past, so the
@@ -55,9 +56,8 @@ from .data import (DatasetSchema, Imputer, apply_mcar_mask, build_stream,
 # the name stays because perfbench/spans.py patches it here.
 from .fdr import StepRecord, step  # noqa: F401
 from .metrics import RunTrace, TraceSummary, aggregate, run_trace
-from .scoring import (QuantileThreshold, ScoreModel, fit_density_score,
-                      fit_fixed_threshold, fit_kmeans_score,
-                      fit_supervised_score)
+from .scoring import (ScoreModel, fit_density_score, fit_fixed_threshold,
+                      fit_kmeans_score, fit_supervised_score)
 from .twin import (TwinModel, fit_twin, gamma_of_context, positive_ecdf_gap,
                    proxy_pvalues, sample_synthetic)
 
@@ -501,40 +501,40 @@ def table_run(cfg: RunConfig, split_kind: str, run_idx: int,
 # --- model fitting ----------------------------------------------------------
 
 
-def _fit_score_model(cfg: RunConfig, aware: bool, run_idx: int,
-                     train, n_contexts: int) -> ScoreModel:
+def _fit_score_model(cfg: RunConfig, run_idx: int, train: Table,
+                     n_contexts: int) -> ScoreModel:
     if cfg.score == "supervised":
-        return fit_supervised_score(train, n_contexts=n_contexts,
-                                    context_aware=aware)
+        return fit_supervised_score(train, n_contexts=n_contexts)
     if cfg.score == "unsupervised":
-        rng = derive_rng(cfg.seed, run_idx, _Purpose.SCORE_FIT, 0)
-        return fit_kmeans_score(train, k=cfg.kmeans_k, rng=rng,
-                                n_contexts=n_contexts, context_aware=aware)
+        return fit_kmeans_score(train, k=cfg.kmeans_k, rng=derive_rng(
+            cfg.seed, run_idx, _Purpose.SCORE_FIT, 0), n_contexts=n_contexts)
     inliers = train.rows(train.truth != 1)
     if not len(inliers):  # the density score fits inliers only
         raise ValueError("class 0 absent in the score-training data")
-    return fit_density_score(inliers, n_contexts=n_contexts,
-                             context_aware=aware)
+    return fit_density_score(inliers, n_contexts=n_contexts)
 
 
 @dataclass(eq=False)
 class _Lane:
     """The methods of a split group that share a context awareness, by
     acquisition rule in config order (at most one per rule), and what they
-    share: the score model, FIXED's threshold, the generator and the active
-    method's gammas, one per context the score model tells apart."""
+    share: the stream's context column as they read it (all zeros when
+    context-blind), the score model, the generator, and FIXED's thresholds
+    and the active method's gammas, one per context they read."""
 
+    context: np.ndarray
     scorer: ScoreModel
     methods: dict[str | None, MethodVariant] = field(default_factory=dict)
-    threshold: QuantileThreshold | None = None
+    threshold: np.ndarray | None = None
     twin: TwinModel | None = None
     gammas: np.ndarray | None = None
 
 
 def _calibrate_gammas(cfg: RunConfig, lane: _Lane, run_idx: int,
                       validation: Table) -> np.ndarray:
-    """The active method's trust gamma(c) per effective context, from its
-    validation inliers' p-values against a synthetic pool, or the override.
+    """The active method's trust gamma(c) per context, from the lane's view
+    of its validation inliers' p-values against a synthetic pool, or the
+    override.
 
     Each context with validation inliers draws its own pool from its own
     generator; the pools are sampled and scored together (one call each
@@ -545,10 +545,8 @@ def _calibrate_gammas(cfg: RunConfig, lane: _Lane, run_idx: int,
     n_eff = lane.scorer.n_contexts
     if cfg.gamma_override is not None:
         return np.full(n_eff, cfg.gamma_override)
-    slot = validation.context if lane.scorer.context_aware else \
-        np.zeros(len(validation), dtype=int)
-    order = np.argsort(slot, kind="stable")
-    sizes = np.bincount(slot, minlength=n_eff)
+    order = np.argsort(validation.context, kind="stable")
+    sizes = np.bincount(validation.context, minlength=n_eff)
     present = np.flatnonzero(sizes)
     if present.size:
         # the pools of as many contexts as fit in about CHUNK_VALUES
@@ -567,7 +565,7 @@ def _calibrate_gammas(cfg: RunConfig, lane: _Lane, run_idx: int,
             pool_scores[lo:lo + width] = lane.scorer.scores(sample_synthetic(
                 lane.twin, ids, uniforms, noise), ids).reshape(ids.size, -1)
         val_scores = lane.scorer.scores(validation.rows(order).observed(),
-                                        slot[order])
+                                        validation.context[order])
         pvals = proxy_pvalues(pool_scores, val_scores, cfg.plus_one,
                               np.repeat(np.arange(present.size),
                                         sizes[present]))
@@ -587,19 +585,25 @@ def _fit_group(cfg: RunConfig, group: Sequence[MethodVariant], run_idx: int,
                rundata: RunData) -> tuple[Imputer, list[_Lane]]:
     """The imputer of one run's split group, fit once, and its lanes in the
     order of their first methods.  Each fit runs when a method, in config
-    order, first needs it, and a failing fit names that method."""
+    order, first needs it, and a failing fit names that method.  A
+    context-blind lane fits on one-context views of the rows."""
     imputer = Imputer.fit(rundata.score_train, rundata.kinds)
-    score_train, twin_train, validation = (
-        replace(rows, features=impute(imputer, rows.features))
-        for rows in (rundata.score_train, rundata.twin_train,
-                     rundata.validation))
+    tables = [*(replace(rows, features=impute(imputer, rows.features))
+                for rows in (rundata.score_train, rundata.twin_train,
+                             rundata.validation)), rundata.stream]
+    views: dict[bool, list[Table]] = {}  # the rows each lane reads
     lanes: dict[bool, _Lane] = {}
     for method in group:
         aware, rule = method.context_aware, method.acquisition
+        if aware not in views:
+            views[aware] = tables if aware else [
+                replace(rows, context=np.zeros(len(rows), dtype=int))
+                for rows in tables]
+        score_train, twin_train, validation, stream = views[aware]
         with _failing_as(cfg, method, run_idx):
             if aware not in lanes:
-                lanes[aware] = _Lane(_fit_score_model(
-                    cfg, aware, run_idx, score_train,
+                lanes[aware] = _Lane(stream.context, _fit_score_model(
+                    cfg, run_idx, score_train,
                     rundata.n_contexts if aware else 1))
             lane = lanes[aware]
             lane.methods[rule] = method
@@ -610,7 +614,7 @@ def _fit_group(cfg: RunConfig, group: Sequence[MethodVariant], run_idx: int,
                 lane.twin = fit_twin(
                     twin_train, k=cfg.gmm_components, rng=derive_rng(
                         cfg.seed, run_idx, _Purpose.TWIN_FIT, 0),
-                    n_contexts=lane.scorer.n_contexts, context_aware=aware)
+                    n_contexts=lane.scorer.n_contexts)
             if rule == "active":
                 lane.gammas = _calibrate_gammas(cfg, lane, run_idx,
                                                 validation)
@@ -708,8 +712,8 @@ def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData,
             real)
 
 
-def _statistics(cfg: RunConfig, lane: _Lane, run_idx: int, rundata: RunData,
-                chunk: _Chunk, runs: dict[MethodVariant, RunSteps]) -> None:
+def _statistics(cfg: RunConfig, lane: _Lane, run_idx: int, chunk: _Chunk,
+                runs: dict[MethodVariant, RunSteps]) -> None:
     """The statistic phase of one chunk for one lane: compute each array
     once -- test scores, FIXED's flags, proxy p-values q, the active
     method's queries u, real p-values p (of every batch when an "always"
@@ -724,12 +728,11 @@ def _statistics(cfg: RunConfig, lane: _Lane, run_idx: int, rundata: RunData,
             m for rule, m in methods.items() if rule in rules), run_idx)
 
     with reading(*methods):
-        c = rundata.stream.context[at] if model.context_aware \
-            else np.zeros(at.stop - at.start, dtype=int)
+        c = lane.context[at]
         s = _score_batches(model, chunk.tests[:, None], c)[:, 0]
     if None in methods:
         with reading(None):
-            runs[methods[None]].decision[at] = lane.threshold.flag(s, c)
+            runs[methods[None]].decision[at] = s > lane.threshold[c]
     if lane.twin is not None:
         with reading("never", "active"):
             q = conformal_pvalues(_score_batches(model, sample_synthetic(
@@ -817,7 +820,7 @@ def _run_group(cfg: RunConfig, group: Sequence[MethodVariant], run_idx: int,
             for method in group}
     for chunk in _chunks(cfg, run_idx, rundata, group, imputer):
         for lane in lanes:
-            _statistics(cfg, lane, run_idx, rundata, chunk, runs)
+            _statistics(cfg, lane, run_idx, chunk, runs)
     del chunk  # so that no chunk outlives the statistic phase
     for method, steps in runs.items():
         with _failing_as(cfg, method, run_idx):
@@ -887,10 +890,11 @@ def _iter_runs(cfg: RunConfig
                     rundata = gaussian_synthetic_stream(cfg, group, run_idx)
                 else:
                     rundata = table_run(cfg, kind, run_idx, dataset)
-                for method in group:
-                    if method.uses_real and rundata.n not in checked_n:
-                        checked_n.add(rundata.n)
-                        _warn_unreachable(cfg, rundata.n)
+            # warned outside _failing_as: it concerns the split's n, not a run
+            if any(m.uses_real for m in group) and rundata.n not in checked_n:
+                checked_n.add(rundata.n)
+                _warn_unreachable(cfg, rundata.n)
+            with _failing_as(cfg, group[0], run_idx):
                 yield from _run_group(cfg, group, run_idx, rundata)
 
 

@@ -3,10 +3,11 @@
 Three reference scorers cover the usual training regimes: a per-context
 Gaussian density score (fit on inliers only), a k-means distance score
 (labels ignored), and a Gaussian naive Bayes posterior (needs both labels).
-All scorers emit higher values for more anomalous points and can be fit
-either per context or pooled (context-agnostic).  A fixed-threshold
-baseline built from empirical score quantiles is included for comparison
-runs; it carries no error-rate guarantee.
+All scorers emit higher values for more anomalous points and are fit per
+context; a context-blind fit is the same fit on rows that all read as
+context 0.  A fixed-threshold baseline built from empirical score
+quantiles is included for comparison runs; it carries no error-rate
+guarantee.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "DensityScore",
     "KMeansScore",
     "NaiveBayesScore",
-    "QuantileThreshold",
     "fit_density_score",
     "fit_kmeans_score",
     "fit_supervised_score",
@@ -51,17 +51,14 @@ class ScoreModel:
     ``scores(xs, context)`` scores the rows of an (m, d) array.  ``context``
     is one context id for every row, or a (k,) array of ids, one per equal
     block of m / k consecutive rows; each block is scored with its own
-    context's parameters.  A pooled model ignores it.
+    context's parameters.
     """
 
-    context_aware: bool
     n_contexts: int
 
     def _blocks(self, xs: np.ndarray, context) -> tuple[np.ndarray,
                                                          np.ndarray]:
-        """``xs`` as (k, m / k, d) blocks, and each block's parameter slot."""
-        if not self.context_aware:
-            return xs[None], np.zeros(1, dtype=int)
+        """``xs`` as (k, m / k, d) blocks, and each block's context id."""
         ids = np.atleast_1d(np.asarray(context))
         outside = (ids < 0) | (ids >= self.n_contexts)
         if outside.any():
@@ -79,15 +76,11 @@ class ScoreModel:
         raise NotImplementedError
 
 
-def _context_groups(train: Table, n_contexts: int | None,
-                    context_aware: bool) -> list[Table]:
-    """The rows of each context slot of a fit, by one stable sort of the
-    context column; a pooled fit has one slot of every row.  Every declared
-    context must be hit."""
+def _context_groups(train: Table, n_contexts: int | None) -> list[Table]:
+    """The rows of each context of a fit, by one stable sort of the context
+    column.  Every declared context must be hit."""
     if not len(train):
         raise ValueError("training data is empty")
-    if not context_aware:
-        return [train]
     top = int(train.context.max())
     if n_contexts is not None and top >= n_contexts:
         raise ValueError(f"context {top} outside declared range")
@@ -104,7 +97,6 @@ class DensityScore(ScoreModel):
 
     means: np.ndarray      # (C, d)
     variances: np.ndarray  # (C, d)
-    context_aware: bool
     n_contexts: int
 
     def scores(self, xs: np.ndarray, context) -> np.ndarray:
@@ -132,7 +124,6 @@ class DensityScore(ScoreModel):
 
 
 def fit_density_score(train: Table, n_contexts: int | None = None,
-                      context_aware: bool = True,
                       eps_var: float = EPS_VAR) -> DensityScore:
     """Fit per-context diagonal Gaussians on inlier-only training data.
 
@@ -141,7 +132,7 @@ def fit_density_score(train: Table, n_contexts: int | None = None,
     """
     if (train.truth == 1).any():
         raise ValueError("density score is fit on inliers only")
-    groups = _context_groups(train, n_contexts, context_aware)
+    groups = _context_groups(train, n_contexts)
     means, variances = [], []
     for c, group in enumerate(groups):
         x = group.observed()
@@ -150,8 +141,7 @@ def fit_density_score(train: Table, n_contexts: int | None = None,
                              f"has {x.shape[0]}")
         means.append(x.mean(axis=0))
         variances.append(x.var(axis=0) + eps_var)
-    return DensityScore(np.asarray(means), np.asarray(variances),
-                        context_aware, len(groups))
+    return DensityScore(np.asarray(means), np.asarray(variances), len(groups))
 
 
 def _kmeans_pp(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -203,8 +193,7 @@ def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator,
 class KMeansScore(ScoreModel):
     """Euclidean distance to the nearest cluster centroid."""
 
-    centroids: np.ndarray  # (slots, k, d)
-    context_aware: bool
+    centroids: np.ndarray  # (C, k, d)
     n_contexts: int
 
     def scores(self, xs: np.ndarray, context) -> np.ndarray:
@@ -216,15 +205,15 @@ class KMeansScore(ScoreModel):
 
 def fit_kmeans_score(train: Table, k: int = 5,
                      rng: np.random.Generator | None = None,
-                     n_contexts: int | None = None, context_aware: bool = True,
+                     n_contexts: int | None = None,
                      tol: float = 1e-6, max_iter: int = 300) -> KMeansScore:
     """Lloyd's algorithm with k-means++ seeding; labels are ignored."""
     if rng is None:
         rng = np.random.default_rng(0)
-    groups = _context_groups(train, n_contexts, context_aware)
+    groups = _context_groups(train, n_contexts)
     centroids = [_lloyd(g.observed(), k, rng, tol, max_iter, slot)
                  for slot, g in enumerate(groups)]
-    return KMeansScore(np.stack(centroids), context_aware, len(groups))
+    return KMeansScore(np.stack(centroids), len(groups))
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +223,6 @@ class NaiveBayesScore(ScoreModel):
     class_means: np.ndarray   # (C, 2, d)
     class_vars: np.ndarray    # (C, 2, d)
     log_priors: np.ndarray    # (C, 2)
-    context_aware: bool
     n_contexts: int
 
     def scores(self, xs: np.ndarray, context) -> np.ndarray:
@@ -253,10 +241,9 @@ class NaiveBayesScore(ScoreModel):
 
 
 def fit_supervised_score(train: Table, n_contexts: int | None = None,
-                         context_aware: bool = True,
                          eps_var: float = EPS_VAR) -> NaiveBayesScore:
     """Fit Gaussian naive Bayes over the anomaly labels."""
-    groups = _context_groups(train, n_contexts, context_aware)
+    groups = _context_groups(train, n_contexts)
     means = np.empty((len(groups), 2, train.dim))
     variances = np.empty_like(means)
     log_priors = np.empty((len(groups), 2))
@@ -270,30 +257,16 @@ def fit_supervised_score(train: Table, n_contexts: int | None = None,
             means[slot, label] = x.mean(axis=0)
             variances[slot, label] = x.var(axis=0) + eps_var
             log_priors[slot, label] = np.log(len(x) / len(group))
-    return NaiveBayesScore(means, variances, log_priors, context_aware,
-                           len(groups))
-
-
-@dataclass(frozen=True, eq=False)
-class QuantileThreshold:
-    """Per-context score threshold at the empirical (1 - alpha) quantile."""
-
-    thresholds: np.ndarray  # (C,)
-    context_aware: bool
-
-    def flag(self, score, context):
-        """Whether a score exceeds its context's threshold; elementwise for
-        arrays of scores and contexts."""
-        slot = context if self.context_aware else 0
-        return score > self.thresholds[slot]
+    return NaiveBayesScore(means, variances, log_priors, len(groups))
 
 
 def fit_fixed_threshold(model: ScoreModel, train: Table,
-                        alpha: float) -> QuantileThreshold:
-    """Fixed-threshold baseline: flag scores above the training quantile."""
+                        alpha: float) -> np.ndarray:
+    """Fixed-threshold baseline: the (C,) training score quantiles; a score
+    s of context c is flagged when s > thresholds[c]."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    groups = _context_groups(train, model.n_contexts, model.context_aware)
+    groups = _context_groups(train, model.n_contexts)
     thresholds = np.empty(len(groups))
     needed = math.ceil(1.0 / alpha)
     for slot, group in enumerate(groups):
@@ -304,4 +277,4 @@ def fit_fixed_threshold(model: ScoreModel, train: Table,
                 stacklevel=2)
         scores = model.scores(group.observed(), slot)
         thresholds[slot] = lower_quantile(scores, 1.0 - alpha)
-    return QuantileThreshold(thresholds, model.context_aware)
+    return thresholds

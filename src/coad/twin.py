@@ -2,7 +2,8 @@
 
 A diagonal-covariance Gaussian mixture is fit per context by EM, one
 whole-array step over all components per iteration (see ``_em_diag``), and
-used to mint synthetic calibration batches.  Trust in the generator is
+used to mint synthetic calibration batches; a context-blind generator is
+the same fit on rows that all read as context 0.  Trust in the generator is
 quantified by the largest positive gap between the empirical CDF of
 generator-based p-values on held-out inliers and the uniform CDF; the gap
 maps to the acquisition parameter gamma through a decaying exponential.
@@ -114,16 +115,14 @@ def _em_diag(x: np.ndarray, k: int, rng: np.random.Generator,
 
 def fit_twin(train: Table, k: int = 2,
              rng: np.random.Generator | None = None,
-             n_contexts: int | None = None, context_aware: bool = True,
+             n_contexts: int | None = None,
              max_iter: int = 100, tol: float = 1e-6,
              eps_var: float = EPS_VAR) -> TwinModel:
-    """Fit one diagonal-covariance mixture per context on inlier data, or
-    one on all of it when not ``context_aware``."""
+    """Fit one diagonal-covariance mixture per context on inlier data."""
     if rng is None:
         rng = np.random.default_rng(0)
     fits = []  # one _em_diag result per context
-    for c, group in enumerate(_context_groups(train, n_contexts,
-                                              context_aware)):
+    for c, group in enumerate(_context_groups(train, n_contexts)):
         if len(group) < k:
             raise ValueError(f"context {c} has {len(group)} points; "
                              f"need at least k={k} to fit the mixture")

@@ -58,10 +58,10 @@ def oracle_records(cfg, method, run_idx, rundata) -> list[StepRecord]:
     stream = rundata.stream
     for i, x in enumerate(stream.features):
         t, context, truth = i + 1, int(stream.context[i]), int(stream.truth[i])
-        c = context if method.context_aware else 0
+        c = int(lane.context[i])  # 0 for a context-blind method
         score = model.score(observed(x, test_mask), c)
         if method is MethodVariant.FIXED:
-            rejected = int(lane.threshold.flag(score, c))
+            rejected = int(score > lane.threshold[c])
             records.append(StepRecord(t, context, None, 0, None, None, None,
                                       rejected, truth))
             continue
@@ -278,13 +278,11 @@ def test_shared_arrays_are_scored_once(monkeypatch):
     assert sum(rows) == cfg.runs * per_run + cfg.n * bought
 
 
-def oracle_gammas(cfg, method, run_idx, n_eff, model, twin, validation):
+def oracle_gammas(cfg, run_idx, n_eff, model, twin, validation):
     """The per-context calibration loop ``_calibrate_gammas`` replaced: per
     context a draw, a pool, two ``scores`` calls and a broadcast compare."""
-    groups = validation.by_context(n_eff) if method.context_aware else \
-        [validation]
     gammas = []
-    for c, group in enumerate(groups):
+    for c, group in enumerate(validation.by_context(n_eff)):
         if not len(group):
             warnings.warn(f"no validation inliers for context {c}; "
                           "falling back to gamma = 0.5")
@@ -316,7 +314,8 @@ def _gammas_and_warnings(calibrate, *args):
 def test_gammas_match_per_context_loop(config, dropped, method,
                                        one_pool_a_block, tmp_path,
                                        monkeypatch):
-    # every score kind, context-aware and pooled, with contexts whose
+    # every score kind, context-aware and blind (on the one-context view,
+    # every row context 0, as the lane reads it), with contexts whose
     # validation inliers are dropped (their gamma falls back), the pools
     # sampled all at once or one context at a time; the O-RAN rows'
     # binary features make scores tie within and across the pools
@@ -336,8 +335,12 @@ def test_gammas_match_per_context_loop(config, dropped, method,
     validation = replace(rundata.validation, features=impute(
         imputer, rundata.validation.features))
     validation = validation.rows(~np.isin(validation.context, dropped))
-    n_eff = rundata.n_contexts if method.context_aware else 1
+    n_eff = rundata.n_contexts
+    if not method.context_aware:
+        validation = replace(validation,
+                             context=np.zeros(len(validation), dtype=int))
+        n_eff = 1
     assert _gammas_and_warnings(harness._calibrate_gammas, cfg, lane, 0,
                                 validation) == \
-        _gammas_and_warnings(oracle_gammas, cfg, method, 0, n_eff,
-                             lane.scorer, lane.twin, validation)
+        _gammas_and_warnings(oracle_gammas, cfg, 0, n_eff, lane.scorer,
+                             lane.twin, validation)

@@ -3,6 +3,7 @@ import json
 import sys
 import warnings
 from collections import defaultdict
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,14 @@ class TestConfig:
         # the warning points at the caller of run_benchmark, not the harness
         assert caught[0].filename == __file__
 
+    def test_unreachable_floor_is_a_warning_not_a_run_failure(self):
+        # the pytest configuration makes the warning an error; it is raised
+        # as itself, not as a failure of the group's first method's run
+        cfg = config_from(dict(FAST, method="COAD,C_COAD", runs="1",
+                               steps="3"))
+        with pytest.raises(UserWarning, match=r"^1/\(n\+1\) > .* n = 60"):
+            run_benchmark(cfg)
+
     @pytest.mark.parametrize("mapping", [
         {"n": "1100"},  # A4: 1/1101 <= 0.1 * (1 - 0.99)
         {"n": "60", "method": "PO_COAD,C_PO_COAD,FIXED"},  # no real batch
@@ -193,7 +202,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("mapping", [
         {"score_train_size": "6"}, {"twin_train_size": "4"},
-        # context-blind fits pool both contexts' rows
+        # a context-blind fit reads both contexts' rows as context 0
         {"method": "COAD,PP_COAD", "score_train_size": "4"},
         {"method": "COAD,PP_COAD", "twin_train_size": "2"},
         # the twin rows are drawn only for methods that fit a generator,
@@ -211,7 +220,10 @@ class TestConfig:
         cfg = config_from(dict({"method": "C_PP_COAD,C_COAD", "runs": "1",
                                 "steps": "5", "n": "50", "contexts": "2",
                                 "alpha": "0.2", "delta": "0.5"}, **mapping))
-        arts = run_benchmark(cfg)
+        # FIXED's 2 rows a context are fewer than its quantile needs
+        with pytest.warns(UserWarning, match="quantile needs at least 5") \
+                if "FIXED" in cfg.methods else nullcontext():
+            arts = run_benchmark(cfg)
         assert all(len(r.records) == 5 for r in arts.per_method.values())
 
     @pytest.mark.parametrize("key, value", [
@@ -456,7 +468,7 @@ class TestBehavior:
             arts = run_benchmark(cfg)
         fallbacks = [str(w.message) for w in caught
                      if "no validation inliers" in str(w.message)]
-        # per run: both contexts of C_PP_COAD, the pooled context of PP_COAD
+        # per run: both contexts of C_PP_COAD, the one context of PP_COAD
         assert sorted(fallbacks) == sorted(
             [f"no validation inliers for context {c}; falling back to "
              f"gamma = 0.5" for c in (0, 0, 1)] * 2)
@@ -620,3 +632,27 @@ class TestCsvPath:
         assert len(arts.per_method["C_COAD"].records) == 16
         recs = [r for _, r in arts.per_method["C_COAD"].records]
         assert all(r.u == 1 and r.p is not None for r in recs)
+
+    def test_context_blind_methods_never_read_the_context(self, tmp_path):
+        # the blind methods run once on the schema's two contexts and once
+        # with its context bins removed, one context: only the context
+        # column of their output may differ.  The splits serve batches of
+        # 14 and 29 rows, which reach alpha * (1 - delta) = 0.1
+        mapping = toy_csv(tmp_path, method="COAD,PP_COAD,PO_COAD", runs="2",
+                          steps="8", alpha="0.2", delta="0.5")
+        schema = Path(mapping["schema_path"])
+        one = tmp_path / "one_context.schema"
+        one.write_text("".join(line for line in schema.read_text()
+                               .splitlines(keepends=True)
+                               if not line.startswith("context.bins")))
+        binned = run_benchmark(config_from(mapping))
+        blind = run_benchmark(config_from(dict(mapping,
+                                               schema_path=str(one))))
+        for name in ("COAD", "PP_COAD", "PO_COAD"):
+            for a, b in zip(binned.per_method[name].runs,
+                            blind.per_method[name].runs, strict=True):
+                for column in ("q", "u", "p", "z", "alpha_t", "decision"):
+                    assert getattr(a, column).tobytes() == \
+                        getattr(b, column).tobytes(), (name, column)
+                assert not b.context.any()
+            assert any(a.context.any() for a in binned.per_method[name].runs)

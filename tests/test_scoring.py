@@ -56,12 +56,6 @@ class TestDensityScore:
         for far in (-5.0, 9.0, 30.0):
             assert model.score([far], 0) > at_mean
 
-    def test_context_agnostic_ignores_context(self):
-        train = concat(table([0.0, 1.0], context=0),
-                       table([10.0, 11.0], context=1))
-        model = fit_density_score(train, n_contexts=2, context_aware=False)
-        assert model.score([3.0], 0) == model.score([3.0], 1)
-
     def test_rejects_anomalies_in_train(self):
         with pytest.raises(ValueError):
             fit_density_score(concat(table([0.0], truth=1),
@@ -185,37 +179,37 @@ class TestNaiveBayesScore:
             assert 0.0 <= model.score([x], 0) <= 1.0
 
 
-def _model(kind: str, aware: bool, n_contexts: int, d: int,
+def _model(kind: str, n_contexts: int, d: int,
            rng: np.random.Generator) -> ScoreModel:
-    """A score model of ``kind`` with random parameters in every slot."""
-    slots = n_contexts if aware else 1
+    """A score model of ``kind`` with random parameters in every context;
+    with one context, the model a context-blind fit gives."""
+    c = n_contexts
     if kind == "density":
-        return DensityScore(rng.normal(0, 3, (slots, d)),
-                            rng.random((slots, d)) + 0.1, aware, n_contexts)
+        return DensityScore(rng.normal(0, 3, (c, d)),
+                            rng.random((c, d)) + 0.1, c)
     if kind == "kmeans":
-        return KMeansScore(rng.normal(0, 3, (slots, 3, d)), aware,
-                           n_contexts)
-    priors = rng.random((slots, 1)) * 0.8 + 0.1
-    return NaiveBayesScore(rng.normal(0, 3, (slots, 2, d)),
-                           rng.random((slots, 2, d)) + 0.1,
-                           np.log(np.hstack([1 - priors, priors])), aware,
-                           n_contexts)
+        return KMeansScore(rng.normal(0, 3, (c, 3, d)), c)
+    priors = rng.random((c, 1)) * 0.8 + 0.1
+    return NaiveBayesScore(rng.normal(0, 3, (c, 2, d)),
+                           rng.random((c, 2, d)) + 0.1,
+                           np.log(np.hstack([1 - priors, priors])), c)
 
 
 class TestBlockContexts:
     """``scores`` with one context id per equal block of rows scores each
     block with its own context's parameters, bit for bit as one call per
-    context on that context's stacked blocks."""
+    context on that context's stacked blocks.  One context is the model of
+    a context-blind fit, whose every block reads as context 0."""
 
     @settings(deadline=None, max_examples=150)
     @given(kind=st.sampled_from(["density", "kmeans", "naive_bayes"]),
-           aware=st.booleans(), d=st.sampled_from([1, 2, 30]),
+           d=st.sampled_from([1, 2, 30]),
            n_contexts=st.integers(1, 4), k=st.integers(1, 7),
            m=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
-    def test_blocks_match_per_context_calls(self, kind, aware, d, n_contexts,
-                                            k, m, seed):
+    def test_blocks_match_per_context_calls(self, kind, d, n_contexts, k, m,
+                                            seed):
         rng = np.random.default_rng(seed)
-        model = _model(kind, aware, n_contexts, d, rng)
+        model = _model(kind, n_contexts, d, rng)
         ids = rng.integers(0, n_contexts, k)
         xs = rng.normal(0, 4, (k * m, d))
         got = model.scores(xs, ids)
@@ -229,7 +223,7 @@ class TestBlockContexts:
 
     @pytest.mark.parametrize("kind", ["density", "kmeans", "naive_bayes"])
     def test_out_of_range_id_is_named(self, kind):
-        model = _model(kind, True, 3, 2, np.random.default_rng(0))
+        model = _model(kind, 3, 2, np.random.default_rng(0))
         xs = np.zeros((8, 2))
         for ids in ([0, 3, 1, 2], [1, -1, 0, 0]):
             bad = [c for c in ids if not 0 <= c < 3][0]
@@ -240,7 +234,7 @@ class TestBlockContexts:
             model.scores(xs, 3)
 
     def test_rows_must_split_into_the_blocks(self):
-        model = _model("density", True, 2, 2, np.random.default_rng(0))
+        model = _model("density", 2, 2, np.random.default_rng(0))
         with pytest.raises(ValueError, match="7 rows do not split into 2"):
             model.scores(np.zeros((7, 2)), np.array([0, 1]))
 
@@ -248,9 +242,8 @@ class TestBlockContexts:
 class _IdentityScore(ScoreModel):
     """Score equal to the first feature; used to pin quantile arithmetic."""
 
-    def __init__(self, n_contexts=1, context_aware=True):
+    def __init__(self, n_contexts=1):
         self.n_contexts = n_contexts
-        self.context_aware = context_aware
 
     def scores(self, xs, context):
         return np.asarray(xs)[:, 0].astype(float)
@@ -260,21 +253,22 @@ class TestFixedThreshold:
     def test_quantile_of_1_to_100(self):
         train = table([float(v) for v in range(1, 101)])
         thr = fit_fixed_threshold(_IdentityScore(), train, alpha=0.1)
-        assert thr.thresholds[0] == 90.0
-        assert thr.flag(90.5, 0) and not thr.flag(90.0, 0)
+        assert thr.shape == (1,) and thr[0] == 90.0
+        # a score is flagged strictly above its context's threshold
+        assert 90.5 > thr[0] and not 90.0 > thr[0]
 
     def test_alpha_to_zero_gives_max(self):
         train = table([float(v) for v in range(1, 101)])
         with pytest.warns(UserWarning):  # quantile needs ~1/alpha points
             thr = fit_fixed_threshold(_IdentityScore(), train, alpha=1e-9)
-        assert thr.thresholds[0] == 100.0
+        assert thr[0] == 100.0
 
     def test_constant_scores(self):
         with pytest.warns(UserWarning):
             thr = fit_fixed_threshold(_IdentityScore(), table([5.0] * 3),
                                       alpha=0.1)
-        assert thr.thresholds[0] == 5.0
-        assert thr.flag(5.1, 0) and not thr.flag(5.0, 0)
+        assert thr[0] == 5.0
+        assert 5.1 > thr[0] and not 5.0 > thr[0]
 
     def test_small_context_warns(self):
         with pytest.warns(UserWarning, match="quantile"):
@@ -289,7 +283,7 @@ class TestFixedThreshold:
                        table([float(v + 100) for v in range(10)], context=1))
         thr = fit_fixed_threshold(_IdentityScore(n_contexts=2), train,
                                   alpha=0.2)
-        assert thr.thresholds[0] < thr.thresholds[1]
+        assert thr.shape == (2,) and thr[0] < thr[1]
 
 
 def test_fit_determinism_bit_identical():

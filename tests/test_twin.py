@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,11 +43,14 @@ class TestFitTwin:
             fit_twin(train, k=2, rng=np.random.default_rng(0))
 
     def test_pooled_fit_ignores_context(self):
-        # the context-unaware generator is one mixture over every row
+        # the context-blind generator is the per-context fit on the
+        # one-context view, every row read as context 0: one mixture over
+        # every row
         pts = np.random.default_rng(4).normal(0, 1, (30, 2))
         train = concat(table(pts[:10], context=0), table(pts[10:], context=1))
-        pooled = fit_twin(train, k=2, rng=np.random.default_rng(5),
-                          n_contexts=1, context_aware=False)
+        view = replace(train, context=np.zeros(len(train), dtype=int))
+        pooled = fit_twin(view, k=2, rng=np.random.default_rng(5),
+                          n_contexts=1)
         single = fit_twin(table(pts), k=2, rng=np.random.default_rng(5))
         assert pooled.n_contexts == 1
         assert np.array_equal(pooled.means[0], single.means[0])
