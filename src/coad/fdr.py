@@ -95,8 +95,8 @@ def _check_parameters(alpha: float, delta: float, eta: float) -> None:
         raise ValueError("alpha must lie in [0, 1]")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
+    if not 0.0 < eta < np.inf:
+        raise ValueError("eta must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)

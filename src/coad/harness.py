@@ -193,10 +193,11 @@ class RunConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
-        if self.lam <= 0.0:
-            raise ValueError("lambda must be positive")
+        for key, value in (("eta", self.eta), ("lambda", self.lam)):
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{key} must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.steps < 1 or self.runs < 1:
             raise ValueError("steps and runs must be >= 1")
         if not 0.0 <= self.q_miss < 1.0:
@@ -538,46 +539,38 @@ def _calibrate_gammas(cfg: RunConfig, lane: _Lane, run_idx: int,
 
     Each context with validation inliers draws its own pool from its own
     generator; the pools are sampled and scored together (one call each
-    unless the contexts are many), the inliers are scored at once with one
-    context id per row, and one ``proxy_pvalues`` call ranks every inlier
-    against its context's pool.
+    unless the contexts are many).  Then each context's inliers are scored
+    and ranked against its own pool alone, the Mondrian split.
     """
     n_eff = lane.scorer.n_contexts
     if cfg.gamma_override is not None:
         return np.full(n_eff, cfg.gamma_override)
-    order = np.argsort(validation.context, kind="stable")
-    sizes = np.bincount(validation.context, minlength=n_eff)
-    present = np.flatnonzero(sizes)
-    if present.size:
-        # the pools of as many contexts as fit in about CHUNK_VALUES
-        # values are drawn, sampled and scored at once
-        pool_scores = np.empty((present.size, cfg.synth_pool))
-        width = max(1, CHUNK_VALUES // (cfg.synth_pool * lane.twin.dim))
-        for lo in range(0, present.size, width):
-            ids = present[lo:lo + width]
-            uniforms = np.empty((ids.size, cfg.synth_pool))
-            noise = np.empty((*uniforms.shape, lane.twin.dim))
-            for i, c in enumerate(ids):
-                srng = derive_rng(cfg.seed, run_idx, _Purpose.VALIDITY,
-                                  n_eff + c)
-                srng.random(out=uniforms[i])
-                srng.standard_normal(out=noise[i])
-            pool_scores[lo:lo + width] = lane.scorer.scores(sample_synthetic(
-                lane.twin, ids, uniforms, noise), ids).reshape(ids.size, -1)
-        val_scores = lane.scorer.scores(validation.rows(order).observed(),
-                                        validation.context[order])
-        pvals = proxy_pvalues(pool_scores, val_scores, cfg.plus_one,
-                              np.repeat(np.arange(present.size),
-                                        sizes[present]))
-    gammas, ends = np.empty(n_eff), np.cumsum(sizes)
-    for c in range(n_eff):
-        if not sizes[c]:
+    groups = validation.by_context(n_eff)
+    present = np.flatnonzero([len(group) for group in groups])
+    # the pools of as many contexts as fit in about CHUNK_VALUES values are
+    # drawn, sampled and scored at once
+    pools = np.empty((n_eff, cfg.synth_pool))
+    width = max(1, CHUNK_VALUES // (cfg.synth_pool * lane.twin.dim))
+    for lo in range(0, present.size, width):
+        ids = present[lo:lo + width]
+        uniforms = np.empty((ids.size, cfg.synth_pool))
+        noise = np.empty((*uniforms.shape, lane.twin.dim))
+        for i, c in enumerate(ids):
+            srng = derive_rng(cfg.seed, run_idx, _Purpose.VALIDITY, n_eff + c)
+            srng.random(out=uniforms[i])
+            srng.standard_normal(out=noise[i])
+        pools[ids] = _score_batches(lane.scorer, sample_synthetic(
+            lane.twin, ids, uniforms, noise).reshape(noise.shape), ids)
+    gammas = np.empty(n_eff)
+    for c, group in enumerate(groups):
+        if not len(group):
             warnings.warn(f"no validation inliers for context {c}; "
                           "falling back to gamma = 0.5", stacklevel=2)
             gammas[c] = 0.5
             continue
-        gammas[c] = gamma_of_context(
-            positive_ecdf_gap(pvals[ends[c] - sizes[c]:ends[c]]), cfg.lam)
+        pvals = proxy_pvalues(pools[c], lane.scorer.scores(group.observed(),
+                                                           c), cfg.plus_one)
+        gammas[c] = gamma_of_context(positive_ecdf_gap(pvals), cfg.lam)
     return gammas
 
 

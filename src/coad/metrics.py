@@ -40,8 +40,8 @@ class MetricsTracker:
     def fresh(cls, delta: float, eta: float = 1.0) -> "MetricsTracker":
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if eta <= 0.0:
-            raise ValueError("eta must be positive")
+        if not 0.0 < eta < np.inf:
+            raise ValueError("eta must be positive and finite")
         return cls(0.0, 0.0, 0.0, 0.0, 0.0, delta, eta)
 
     def update(self, decision: int, truth: int | None,

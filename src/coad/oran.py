@@ -102,8 +102,10 @@ class OranSample:
 
 def _hits(state: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
     """How many set entries of each state row reach each column (float32:
-    a BLAS product, exact below 2**24 nodes)."""
-    return np.matmul(state, adjacency, dtype=np.float32)
+    a BLAS product, exact below 2**24 nodes, whose kernel can leave a
+    spurious invalid flag on these 0/1 operands)."""
+    with np.errstate(invalid="ignore"):
+        return np.matmul(state, adjacency, dtype=np.float32)
 
 
 def _conflicts(graph: OranGraph, xa: np.ndarray, pc: np.ndarray
@@ -204,10 +206,12 @@ def generate_oran(graph_seed: int, sample_seed: int, n_samples: int = 10000,
     positions are shuffled.  Contexts bin each sample's activity at the
     batch's lower activity quartiles.
     """
-    for name, count in (("n_samples", n_samples), ("n_xapps", n_xapps),
-                        ("n_params", n_params), ("n_kpis", n_kpis)):
-        if count < 1:
-            raise ValueError(f"{name} must be >= 1")
+    for name, value, low in (
+            ("graph_seed", graph_seed, 0), ("sample_seed", sample_seed, 0),
+            ("n_samples", n_samples, 1), ("n_xapps", n_xapps, 1),
+            ("n_params", n_params, 1), ("n_kpis", n_kpis, 1)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}")
     if not 0.0 <= anomaly_frac < 1.0:
         raise ValueError("anomaly_frac must lie in [0, 1)")
     graph = OranGraph.random(np.random.default_rng(graph_seed),

@@ -180,38 +180,20 @@ def sample_synthetic(model: TwinModel, context, uniforms: np.ndarray,
 
 
 def proxy_pvalues(synthetic_scores, validation_scores,
-                  plus_one: bool = True, pools=None) -> np.ndarray:
-    """Conformal p-value of each validation score against a synthetic pool:
-    the one (m,) pool, or with ``pools`` row pools[i] of the (k, m) pools
-    for validation score i.
-
-    The counts #{pool scores >= score} come from one stable sort by (pool,
-    score) of the validation scores followed by the pool scores, so that a
-    validation score precedes the pool scores equal to it (-0.0 equal to
-    0.0) and a pool's NaN scores, which count as never >=, sort last in it.
-    """
-    synth = np.asarray(synthetic_scores, dtype=float)
+                  plus_one: bool = True) -> np.ndarray:
+    """Conformal p-value of each validation score against one synthetic
+    pool, sorted once: a NaN pool score sorts last and never counts as >=,
+    and -0.0 ties 0.0, as >= has it."""
+    pool = np.sort(np.asarray(synthetic_scores, dtype=float))
     val = np.asarray(validation_scores, dtype=float)
-    if synth.size == 0 or val.size == 0:
+    if pool.size == 0 or val.size == 0:
         raise ValueError("score pools must be non-empty")
     bad = ~np.isfinite(val)
     if bad.any():
         raise ValueError(f"test score must be finite, got {val[bad][0]}")
-    synth = synth.reshape(-1, synth.shape[-1])
-    k, m = synth.shape
-    pool = np.zeros(val.size, dtype=np.intp) if pools is None else \
-        np.asarray(pools)
-    order = np.lexsort((np.concatenate([val, synth.ravel()]),
-                        np.concatenate([pool, np.repeat(np.arange(k), m)])))
-    scored = order < val.size
-    # pool scores sorted before each validation score: every pool before
-    # its own, then those of its own pool below it
-    before = np.cumsum(~scored)[scored]
-    at = order[scored]
-    counts = np.empty(val.size, dtype=np.intp)
-    counts[at] = (pool[at] + 1) * m - before - \
-        np.isnan(synth).sum(axis=1)[pool[at]]
-    return _rank_pvalue(counts, m, plus_one)
+    numbers = pool.size - np.count_nonzero(np.isnan(pool))
+    counts = numbers - np.searchsorted(pool[:numbers], val, side="left")
+    return _rank_pvalue(counts, pool.size, plus_one)
 
 
 def positive_ecdf_gap(pvalues) -> float:
@@ -244,6 +226,6 @@ def gamma_of_context(d: float, lam: float) -> float:
     gamma = min(GAMMA_MAX, exp(-lam * max(0, d))): a perfect generator earns
     the largest (capped) trust, and trust decays exponentially in the gap.
     """
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
+    if not 0.0 < lam < np.inf:
+        raise ValueError("lam must be positive and finite")
     return min(GAMMA_MAX, float(np.exp(-lam * max(0.0, d))))

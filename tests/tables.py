@@ -1,4 +1,4 @@
-"""Small Tables, a toy CSV dataset, O-RAN rows as a CSV dataset and the
+"""Small Tables, toy CSV datasets, O-RAN rows as a CSV dataset and the
 row-by-row CSV parser for the tests."""
 
 import csv
@@ -58,6 +58,24 @@ def _toy_csv(directory, anomalous, mapping) -> dict:
         "label = label\nlabel.anomaly_values = 1\n"
         "context.column = age\ncontext.bins = 50\n")
     return dict({"dataset": "csv", "seed": "1", "csv_path": str(csv_path),
+                 "schema_path": str(schema_path)}, **mapping)
+
+
+def two_spread_csv(directory, **mapping) -> dict:
+    """A two-context CSV dataset of one continuous feature and no
+    anomalies, written to ``directory`` as a config mapping: 1,500 rows per
+    context, N(0, 3^2) in context 0 and N(0, 0.3^2) in context 1."""
+    rng = np.random.default_rng(0)
+    lines = ["x,ctx,label"]
+    for c, sd in ((0, 3.0), (1, 0.3)):
+        lines += [f"{v:.6f},{c},0" for v in rng.normal(0.0, sd, 1500)]
+    csv_path = directory / "spread.csv"
+    csv_path.write_text("\n".join(lines) + "\n")
+    schema_path = directory / "spread.schema"
+    schema_path.write_text(
+        "feature.x = continuous\nlabel = label\nlabel.anomaly_values = 1\n"
+        "context.column = ctx\ncontext.bins = 0.5\n")
+    return dict({"dataset": "csv", "csv_path": str(csv_path),
                  "schema_path": str(schema_path)}, **mapping)
 
 

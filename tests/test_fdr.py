@@ -302,6 +302,13 @@ class TestThresholdWalk:
         with pytest.raises(ValueError, match="delta"):
             threshold_walk([0.5], 0.1, 1.0)
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    def test_non_finite_eta_named(self, eta):
+        # NaN thresholds never rejected; an infinite eta rejected every step
+        with pytest.raises(ValueError, match="^eta must be positive and "
+                                             "finite$"):
+            threshold_walk([0.5], 0.1, 0.9, eta)
+
 
 def _decayed(x, delta) -> np.ndarray:
     """sum_{s<=t} delta^(t-s) x_s at every t, by the recursion
@@ -380,6 +387,12 @@ class TestStep:
     def test_fresh_domain(self, alpha, delta, eta):
         with pytest.raises(ValueError):
             DetectorState.fresh(alpha, delta, eta)
+
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    def test_fresh_non_finite_eta_named(self, eta):
+        with pytest.raises(ValueError, match="^eta must be positive and "
+                                             "finite$"):
+            DetectorState.fresh(0.1, 0.9, eta)
 
     def test_forced_rejection_path(self):
         # Q = 0 (verbatim), forced query, P = 0 -> statistic 0 <= alpha_t

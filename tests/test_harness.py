@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import sys
 import warnings
 from collections import defaultdict
@@ -16,7 +17,7 @@ from coad.harness import (AGG_HEADER, STEP_HEADER, MethodResult,
                           MethodVariant, RunArtifacts, RunConfig, config_from,
                           derive_rng, emit, run_benchmark)
 from coad.metrics import aggregate
-from tables import oran_csv, toy_csv
+from tables import oran_csv, toy_csv, two_spread_csv
 from test_golden import AGGREGATE_SHA256, GOLDEN_CONFIG, STEPS_SHA256
 
 FAST = {"runs": "3", "steps": "25", "dataset": "gaussian", "seed": "11",
@@ -159,9 +160,17 @@ class TestConfig:
         {"synth_pool": "0"}, {"kmeans_k": "0"}, {"dataset": "oran"},
         {"steps": "0"}, {"score_train_size": "-1"},
         {"twin_train_size": "-1"}, {"val_size": "-1"},
+        # left to run 0, a NaN eta ended with NaN power and sFDR, an
+        # infinite one with both 0; a NaN lambda ran at gamma = GAMMA_MAX,
+        # an infinite one and a negative seed failed naming no key
+        {"eta": "nan"}, {"eta": "inf"}, {"lambda": "nan"}, {"lambda": "inf"},
+        {"seed": "-1"},
     ])
     def test_validation(self, bad):
-        with pytest.raises(ValueError):
+        # each error names its key; an unknown method names the enum
+        (key,) = bad
+        match = "MethodVariant" if key == "method" else rf"\b{key}\b"
+        with pytest.raises(ValueError, match=match):
             config_from(bad)
 
     @pytest.mark.parametrize("key, value, bound", [
@@ -615,7 +624,41 @@ class TestOranPath:
         assert len(arts.per_method["FIXED"].records) == 20
 
 
+def _assert_superuniform(p):
+    """P(p <= a) <= a + 3 binomial SE at a in {0.05, 0.1, 0.2}."""
+    for a in (0.05, 0.1, 0.2):
+        assert np.mean(p <= a) <= a + 3 * math.sqrt(a * (1 - a) / p.size), a
+
+
 class TestCsvPath:
+    # two contexts of unequal spread, no anomalies: every step's test point
+    # is an inlier, and 1/(n+1) = 1/21 <= alpha * (1 - delta) = 0.1
+    SPREAD = {"n": "20", "runs": "40", "steps": "40", "alpha": "0.2",
+              "delta": "0.5", "anomaly_rate": "0", "seed": "3"}
+
+    def _null_pvalues(self, tmp_path, method):
+        """The real p-values of ``method``'s steps on the two-spread
+        dataset, and each step's context."""
+        runs = run_benchmark(config_from(two_spread_csv(
+            tmp_path, method=method, **self.SPREAD))).per_method[method].runs
+        return (np.concatenate([r.p for r in runs]),
+                np.concatenate([r.context for r in runs]))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 13: step t's real batch is the t-th n-row slice of "
+        "the shuffled calibration part, which mixes the contexts, so a "
+        "context-0 test score ranks against context 1's narrow rows"))
+    def test_context_aware_real_pvalues_superuniform_per_context(self,
+                                                                 tmp_path):
+        p, context = self._null_pvalues(tmp_path, "C_COAD")
+        for c in (0, 1):
+            _assert_superuniform(p[context == c])
+
+    def test_context_blind_real_pvalues_superuniform_marginally(self,
+                                                                tmp_path):
+        p, _ = self._null_pvalues(tmp_path, "COAD")
+        _assert_superuniform(p)
+
     def test_too_few_inliers_name_steps(self, tmp_path):
         # the toy dataset holds 360 inliers, one short of the test reserve
         cfg = config_from(toy_csv(tmp_path, method="C_COAD", runs="1",

@@ -27,6 +27,13 @@ class TestTracker:
             tr = tr.update(decision=0, truth=0, acquired=1)
         assert abs(tr.cdar - 20.0) < 1e-9
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    def test_non_finite_eta_named(self, eta):
+        # a NaN eta made sFDR NaN, an infinite one made it 0
+        with pytest.raises(ValueError, match="^eta must be positive and "
+                                             "finite$"):
+            MetricsTracker.fresh(delta=0.9, eta=eta)
+
     def test_unknown_truth_rejected(self):
         tr = MetricsTracker.fresh(delta=0.95)
         with pytest.raises(ValueError, match="truth"):

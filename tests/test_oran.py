@@ -138,6 +138,13 @@ class TestGenerate:
         with pytest.raises(ValueError, match=rf"^{count} must be >= 1$"):
             generate_oran(0, 1, 50, **{count: value})
 
+    @pytest.mark.parametrize("seed", ["graph_seed", "sample_seed"])
+    def test_negative_seed_named(self, seed):
+        # numpy's "expected non-negative integer" named neither seed
+        seeds = {"graph_seed": 0, "sample_seed": 1, seed: -1}
+        with pytest.raises(ValueError, match=rf"^{seed} must be >= 0$"):
+            generate_oran(n_samples=50, **seeds)
+
     def test_infeasible_graph_rejected(self):
         # one xapp, one param, one kpi: no conflict type is expressible
         with pytest.raises(ValueError, match="graph_seed"):
