@@ -156,11 +156,6 @@ def fixed_memory(seed: int) -> dict:
     return {"peak_rss_mb": probe(mapping, SETUP_PROBE)[-1]}
 
 
-def src_lines() -> int:
-    return sum(len(path.read_text(encoding="utf-8").splitlines())
-               for path in (ROOT / "src").rglob("*.py"))
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path,
@@ -170,7 +165,7 @@ def main() -> int:
                         help="measured time of each perfbench run")
     args = parser.parse_args()
 
-    workloads, environment = {}, None
+    workloads, environment, src_lines = {}, None, None
     for name in WORKLOADS:
         timed = perfbench(name, args.seed, args.seconds, trace=0)
         traced = perfbench(name, args.seed, args.seconds, trace=1)
@@ -179,6 +174,7 @@ def main() -> int:
             "machine": platform.machine(), "cpu": env["cpu"],
             "nproc": env["nproc"], "python": env["python"],
             "numpy": env["numpy"]}
+        src_lines = env["src_lines"]
         workloads[name] = {
             "config": env["config"],
             "correct": timed["verdict"]["correct"],
@@ -197,7 +193,7 @@ def main() -> int:
         "environment": environment,
         "seed": args.seed,
         "seconds": args.seconds,
-        "src_lines": src_lines(),
+        "src_lines": src_lines,
         "fixed_memory": fixed_memory(args.seed),
         "stream_memory": stream_memory(args.seed),
         "context_scaling": context_scaling(args.seed),

@@ -66,7 +66,10 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser
                                       for _, key, _ in _RUN_FLAGS})
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
-    artifacts = run_benchmark(cfg)
+    try:
+        artifacts = run_benchmark(cfg)
+    except FileNotFoundError as exc:  # a dataset file the config names
+        parser.error(str(exc))
     paths = emit(artifacts, cfg.out_dir)
     summary = json.loads(paths["summary"].read_text(encoding="utf-8"))
     for name in artifacts.per_method:

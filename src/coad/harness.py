@@ -325,8 +325,8 @@ class RunData:
     batches of steps lo..hi-1 (0-based); call it once per chunk, in step
     order, since the Gaussian oracle draws them as it goes, into one buffer
     held for the run.  So a call's array is valid only until the next call,
-    and nothing may hold it past that.  It is None when the run serves no
-    real batches.
+    and nothing may hold it past that.  It is None when a table split
+    serves no real batches.
     """
 
     score_train: Table
@@ -340,18 +340,15 @@ class RunData:
     n_tilde: int
 
 
-def gaussian_synthetic_stream(cfg: RunConfig,
-                              methods: Sequence[MethodVariant],
-                              run_idx: int) -> RunData:
+def gaussian_synthetic_stream(cfg: RunConfig, run_idx: int) -> RunData:
     """Per-run data from the Gaussian oracle: labeled stream, training sets,
     and fresh real calibration batches with a known nominal law.
 
-    It holds what any of ``methods`` needs: the generator's training set if
-    one uses a twin, the validation inliers if one calibrates gamma, and
-    the real batches if one uses them.  Each set comes from its own
-    generator of the run, or, for the twin's training set, from the data
-    generator after the score-training set, so every method sees the same
-    draws whichever methods share the run.  The test points' contexts,
+    It builds every set whatever methods share the run: the generator's
+    training set, the validation inliers and the real-batch reader.  Each
+    set comes from its own generator of the run, or, for the twin's
+    training set, from the data generator after the score-training set, so
+    a set no method reads shifts no other draw.  The test points' contexts,
     anomaly flags and noise, and the real batches' noise, are read in step
     order, whether or not a method queries real data at a step.
 
@@ -379,19 +376,13 @@ def gaussian_synthetic_stream(cfg: RunConfig,
             (c, 0, draw(c, per_ctx - k_anom, data_rng)),
             (c, 1, draw(c, k_anom, data_rng, cfg.anomaly_shift))]
 
-    twin_train = []
-    if any(m.uses_twin for m in methods):
-        twin_train = [(c, 0, draw(c, cfg.twin_train_size // contexts,
-                                  data_rng, cfg.twin_mean_shift,
-                                  np.sqrt(cfg.twin_var_scale)))
-                      for c in range(contexts)]
-
-    validation = []
-    if cfg.gamma_override is None and \
-            any(m.acquisition == "active" for m in methods):
-        validation = [(c, 0, draw(c, cfg.val_size, derive_rng(
-                          cfg.seed, run_idx, _Purpose.VALIDATION, c)))
-                      for c in range(contexts)]
+    twin_train = [(c, 0, draw(c, cfg.twin_train_size // contexts, data_rng,
+                              cfg.twin_mean_shift,
+                              np.sqrt(cfg.twin_var_scale)))
+                  for c in range(contexts)]
+    validation = [(c, 0, draw(c, cfg.val_size, derive_rng(
+                      cfg.seed, run_idx, _Purpose.VALIDATION, c)))
+                  for c in range(contexts)]
 
     def stream_rng(sub: int) -> np.random.Generator:
         return derive_rng(cfg.seed, run_idx, _Purpose.TEST_POINT, sub)
@@ -401,20 +392,18 @@ def gaussian_synthetic_stream(cfg: RunConfig,
     tests = (means[ctx] + cfg.anomaly_shift * truth[:, None]
              + stream_rng(2).standard_normal((cfg.steps, cfg.dim)))
 
-    real_batches = None
-    if any(m.uses_real for m in methods):
-        real_rng = derive_rng(cfg.seed, run_idx, _Purpose.REAL_CAL, 0)
-        buffer = np.empty((0, n, cfg.dim))
+    real_rng = derive_rng(cfg.seed, run_idx, _Purpose.REAL_CAL, 0)
+    buffer = np.empty((0, n, cfg.dim))
 
-        def real_batches(lo: int, hi: int) -> np.ndarray:
-            nonlocal buffer
-            if len(buffer) < hi - lo:
-                buffer = np.empty((hi - lo, n, cfg.dim))
-            batches = real_rng.standard_normal(out=buffer[:hi - lo])
-            # every feature of a context has one mean, so each batch adds
-            # one value along its n * d contiguous values
-            batches += level[ctx[lo:hi], None, None]
-            return batches
+    def real_batches(lo: int, hi: int) -> np.ndarray:
+        nonlocal buffer
+        if len(buffer) < hi - lo:
+            buffer = np.empty((hi - lo, n, cfg.dim))
+        batches = real_rng.standard_normal(out=buffer[:hi - lo])
+        # every feature of a context has one mean, so each batch adds one
+        # value along its n * d contiguous values
+        batches += level[ctx[lo:hi], None, None]
+        return batches
 
     return RunData(score_train=_blocks_table(score_train, cfg.dim),
                    twin_train=_blocks_table(twin_train, cfg.dim),
@@ -433,16 +422,13 @@ def _blocks_table(blocks, dim: int) -> Table:
         np.repeat([t for _, t, _ in blocks], sizes))
 
 
-@dataclass(eq=False)
-class _Dataset:
-    """Dataset shared by all runs: its rows plus context metadata."""
-
-    table: Table
-    kinds: tuple[str, ...]
-    n_contexts: int
-
-
-def _load_dataset(cfg: RunConfig) -> _Dataset:
+def _load_dataset(cfg: RunConfig) -> tuple[DatasetSchema, Table]:
+    """The schema and the rows that every run of a table dataset reads; a
+    dataset file that is not there fails naming its config key."""
+    for key in ("schema_path", "csv_path"):
+        path = getattr(cfg, key)
+        if not Path(path).is_file():
+            raise FileNotFoundError(f"config key '{key}': no file {path}")
     schema = DatasetSchema.from_file(cfg.schema_path)
     table = load_csv(cfg.csv_path, schema)
     inliers = int((table.truth == 0).sum())
@@ -450,14 +436,13 @@ def _load_dataset(cfg: RunConfig) -> _Dataset:
         raise ValueError(f"{cfg.csv_path}: {inliers} inlier rows, fewer than "
                          f"the steps = {cfg.steps} test points each run "
                          "reserves")
-    return _Dataset(table, schema.kinds, schema.n_contexts)
+    return schema, table
 
 
 def table_run(cfg: RunConfig, split_kind: str, run_idx: int,
-              dataset: _Dataset) -> RunData:
+              schema: DatasetSchema, data: Table) -> RunData:
     """Per-run data from a finite dataset via the split protocol, for the
     methods whose split is ``split_kind``."""
-    data = dataset.table
     rng = derive_rng(cfg.seed, run_idx, _Purpose.SPLITS, 0)
     splits = make_splits(data, split_kind, cfg.steps, rng, n=cfg.n,
                          test_reserve=cfg.steps)
@@ -495,8 +480,8 @@ def table_run(cfg: RunConfig, split_kind: str, run_idx: int,
 
     return RunData(score_train=score_train, twin_train=twin_train,
                    validation=validation, stream=stream,
-                   real_batches=real_batches, n_contexts=dataset.n_contexts,
-                   kinds=dataset.kinds, n=splits.n, n_tilde=n_tilde)
+                   real_batches=real_batches, n_contexts=schema.n_contexts,
+                   kinds=schema.kinds, n=splits.n, n_tilde=n_tilde)
 
 
 # --- model fitting ----------------------------------------------------------
@@ -538,38 +523,26 @@ def _calibrate_gammas(cfg: RunConfig, lane: _Lane, run_idx: int,
     override.
 
     Each context with validation inliers draws its own pool from its own
-    generator; the pools are sampled and scored together (one call each
-    unless the contexts are many).  Then each context's inliers are scored
-    and ranked against its own pool alone, the Mondrian split.
+    generator, scores the pool and its inliers in one call, and ranks the
+    inliers against its own pool alone, the Mondrian split.
     """
     n_eff = lane.scorer.n_contexts
     if cfg.gamma_override is not None:
         return np.full(n_eff, cfg.gamma_override)
-    groups = validation.by_context(n_eff)
-    present = np.flatnonzero([len(group) for group in groups])
-    # the pools of as many contexts as fit in about CHUNK_VALUES values are
-    # drawn, sampled and scored at once
-    pools = np.empty((n_eff, cfg.synth_pool))
-    width = max(1, CHUNK_VALUES // (cfg.synth_pool * lane.twin.dim))
-    for lo in range(0, present.size, width):
-        ids = present[lo:lo + width]
-        uniforms = np.empty((ids.size, cfg.synth_pool))
-        noise = np.empty((*uniforms.shape, lane.twin.dim))
-        for i, c in enumerate(ids):
-            srng = derive_rng(cfg.seed, run_idx, _Purpose.VALIDITY, n_eff + c)
-            srng.random(out=uniforms[i])
-            srng.standard_normal(out=noise[i])
-        pools[ids] = _score_batches(lane.scorer, sample_synthetic(
-            lane.twin, ids, uniforms, noise).reshape(noise.shape), ids)
     gammas = np.empty(n_eff)
-    for c, group in enumerate(groups):
+    for c, group in enumerate(validation.by_context(n_eff)):
         if not len(group):
             warnings.warn(f"no validation inliers for context {c}; "
                           "falling back to gamma = 0.5", stacklevel=2)
             gammas[c] = 0.5
             continue
-        pvals = proxy_pvalues(pools[c], lane.scorer.scores(group.observed(),
-                                                           c), cfg.plus_one)
+        srng = derive_rng(cfg.seed, run_idx, _Purpose.VALIDITY, n_eff + c)
+        uniforms = srng.random((1, cfg.synth_pool))
+        noise = srng.standard_normal((1, cfg.synth_pool, lane.twin.dim))
+        scores = lane.scorer.scores(np.concatenate([sample_synthetic(
+            lane.twin, c, uniforms, noise), group.observed()]), c)
+        pvals = proxy_pvalues(scores[:cfg.synth_pool],
+                              scores[cfg.synth_pool:], cfg.plus_one)
         gammas[c] = gamma_of_context(positive_ecdf_gap(pvals), cfg.lam)
     return gammas
 
@@ -664,9 +637,8 @@ def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData,
     def stream_rng(purpose: int, sub: int = 0) -> np.random.Generator:
         return derive_rng(cfg.seed, run_idx, purpose, sub)
 
-    masked = cfg.q_miss > 0.0
-    test_mask = stream_rng(_Purpose.MASK, 0) if masked else None
-    real_mask = stream_rng(_Purpose.MASK, 1) if masked and uses_real else None
+    test_mask = stream_rng(_Purpose.MASK, 0)
+    real_mask = stream_rng(_Purpose.MASK, 1)
     comps = noise = acquire = None
     if uses_twin:
         comps = stream_rng(_Purpose.TWIN_SAMPLE, 0)
@@ -684,17 +656,14 @@ def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData,
         acquired = np.empty(rows)
     for lo in range(0, steps, chunk):
         hi = min(steps, lo + chunk)
-        x = rundata.stream.features[lo:hi]
-        if test_mask is not None:
-            x = apply_mcar_mask(x, cfg.q_miss, test_mask)
+        x = apply_mcar_mask(rundata.stream.features[lo:hi], cfg.q_miss,
+                            test_mask)
         real = None
         if uses_real:
-            # drawn at every step, scored only where a method queries
-            real = rundata.real_batches(lo, hi)
-            if real_mask is not None:
-                real = apply_mcar_mask(real, cfg.q_miss, real_mask)
-            # CSV rows may hold missing values even at q_miss 0
-            real = impute(imputer, real)
+            # drawn at every step, scored only where a method queries; CSV
+            # rows may hold missing values even at q_miss 0
+            real = impute(imputer, apply_mcar_mask(
+                rundata.real_batches(lo, hi), cfg.q_miss, real_mask))
         k = hi - lo
         yield _Chunk(
             slice(lo, hi), impute(imputer, x),
@@ -851,9 +820,11 @@ class RunArtifacts:
 
 
 def _warn_unreachable(cfg: RunConfig, n: int) -> None:
-    # a real p-value is at least 1/(n+1); once zeta_t < 1 - delta, a
-    # stream with no recent detection has threshold alpha*eta*(1-delta)
-    if 1.0 / (n + 1) > cfg.alpha * cfg.eta * (1.0 - cfg.delta):
+    # with the plus-one offset a real p-value is at least 1/(n+1) (without
+    # it, 0); once zeta_t < 1 - delta, a stream with no recent detection
+    # has threshold alpha*eta*(1-delta)
+    if cfg.plus_one and \
+            1.0 / (n + 1) > cfg.alpha * cfg.eta * (1.0 - cfg.delta):
         warnings.warn(
             f"1/(n+1) > alpha*eta*(1-delta) with n = {n}, alpha = "
             f"{cfg.alpha}, eta = {cfg.eta}, delta = {cfg.delta}: real "
@@ -880,9 +851,9 @@ def _iter_runs(cfg: RunConfig
         for kind, group in groups.items():
             with _failing_as(cfg, group[0], run_idx):
                 if dataset is None:
-                    rundata = gaussian_synthetic_stream(cfg, group, run_idx)
+                    rundata = gaussian_synthetic_stream(cfg, run_idx)
                 else:
-                    rundata = table_run(cfg, kind, run_idx, dataset)
+                    rundata = table_run(cfg, kind, run_idx, *dataset)
             # warned outside _failing_as: it concerns the split's n, not a run
             if any(m.uses_real for m in group) and rundata.n not in checked_n:
                 checked_n.add(rundata.n)

@@ -12,6 +12,7 @@ import pytest
 import coad
 from coad.cli import main
 from coad.data import parse_kv_file
+from tables import toy_csv
 
 REPO = Path(__file__).resolve().parent.parent
 PRESETS = sorted(path.stem for path in (REPO / "configs").glob("*.cfg"))
@@ -62,6 +63,21 @@ def test_bad_flag_exits_2_naming_the_key(flags, message, capsys):
         main(["run", *flags])
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", ["csv_path", "schema_path"])
+def test_missing_dataset_file_exits_2_naming_the_key(missing, tmp_path,
+                                                      capsys):
+    # the config reads no file; the run names the key of the missing one
+    absent = tmp_path / "absent"
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in toy_csv(
+        tmp_path, **{missing: str(absent)}).items()))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--config", str(config), "--out", str(tmp_path / "r")])
+    assert exit_info.value.code == 2
+    assert f"config key '{missing}': no file {absent}" in \
+        capsys.readouterr().err
 
 
 def test_plus_one_false_parses(tmp_path):

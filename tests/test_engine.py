@@ -139,15 +139,14 @@ class TestScalarOracle:
     def test_golden_config(self):
         cfg = config_from(GOLDEN_CONFIG)
         assert_engine_matches_oracle(
-            cfg, lambda method, run: gaussian_synthetic_stream(
-                cfg, (method,), run))
+            cfg, lambda method, run: gaussian_synthetic_stream(cfg, run))
 
     def test_csv_config(self, tmp_path):
         cfg = _oran_csv_config(tmp_path)
         dataset = _load_dataset(cfg)
         assert_engine_matches_oracle(
             cfg, lambda method, run: table_run(cfg, method.split_kind, run,
-                                               dataset))
+                                               *dataset))
 
 
 @pytest.mark.parametrize("config", ["golden", "csv"])
@@ -279,8 +278,8 @@ def test_shared_arrays_are_scored_once(monkeypatch):
 
 
 def oracle_gammas(cfg, run_idx, n_eff, model, twin, validation):
-    """The per-context calibration loop ``_calibrate_gammas`` replaced: per
-    context a draw, a pool, two ``scores`` calls and a broadcast compare."""
+    """Gamma calibration written plainly: per context a draw, a pool, two
+    ``scores`` calls and a broadcast compare."""
     gammas = []
     for c, group in enumerate(validation.by_context(n_eff)):
         if not len(group):
@@ -306,31 +305,29 @@ def _gammas_and_warnings(calibrate, *args):
     return gammas.tobytes(), [str(w.message) for w in caught]
 
 
-@pytest.mark.parametrize("one_pool_a_block", [False, True])
+@pytest.mark.parametrize("plus_one", [False, True])
 @pytest.mark.parametrize("method", ["C_PP_COAD", "PP_COAD"])
 @pytest.mark.parametrize("dropped", [(), (1,), (0, 2)])
 @pytest.mark.parametrize("config", ["semi_supervised", "unsupervised",
                                     "supervised", "csv"])
-def test_gammas_match_per_context_loop(config, dropped, method,
-                                       one_pool_a_block, tmp_path,
-                                       monkeypatch):
+def test_gammas_match_per_context_loop(config, dropped, method, plus_one,
+                                       tmp_path):
     # every score kind, context-aware and blind (on the one-context view,
     # every row context 0, as the lane reads it), with contexts whose
-    # validation inliers are dropped (their gamma falls back), the pools
-    # sampled all at once or one context at a time; the O-RAN rows'
-    # binary features make scores tie within and across the pools
-    if one_pool_a_block:
-        monkeypatch.setattr(harness, "CHUNK_VALUES", 1)
+    # validation inliers are dropped (their gamma falls back), with and
+    # without the plus-one offset; the O-RAN rows' binary features make
+    # scores tie within and across the pools
     method = MethodVariant(method)
     if config == "csv":
         cfg = replace(_oran_csv_config(tmp_path), methods=(method.value,),
-                      plus_one=False)
-        rundata = table_run(cfg, method.split_kind, 0, _load_dataset(cfg))
+                      plus_one=plus_one)
+        rundata = table_run(cfg, method.split_kind, 0, *_load_dataset(cfg))
     else:
         cfg = config_from({"method": method.value, "score": config,
                            "contexts": "3", "val_size": "30",
-                           "synth_pool": "40", "seed": "6"})
-        rundata = gaussian_synthetic_stream(cfg, (method,), 0)
+                           "synth_pool": "40", "seed": "6",
+                           "plus_one": str(plus_one)})
+        rundata = gaussian_synthetic_stream(cfg, 0)
     imputer, (lane,) = _fit_group(cfg, (method,), 0, rundata)
     validation = replace(rundata.validation, features=impute(
         imputer, rundata.validation.features))

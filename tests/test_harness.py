@@ -48,8 +48,7 @@ class TestConfig:
         # unset, n resolves to A4's 1100: 1/1101 <= alpha (1 - delta), so
         # the defaults can detect
         cfg.runs, cfg.steps = 1, 3
-        rundata = harness.gaussian_synthetic_stream(
-            cfg, (MethodVariant.C_PP_COAD,), 0)
+        rundata = harness.gaussian_synthetic_stream(cfg, 0)
         assert rundata.n == rundata.n_tilde == 1100
         with warnings.catch_warnings():
             warnings.filterwarnings("error", message=r"1/\(n\+1\) > ")
@@ -121,13 +120,18 @@ class TestConfig:
     @pytest.mark.parametrize("mapping", [
         {"n": "1100"},  # A4: 1/1101 <= 0.1 * (1 - 0.99)
         {"n": "60", "method": "PO_COAD,C_PO_COAD,FIXED"},  # no real batch
-        # n is set by the split, not the config
+        # n is set by the split, not the config: the config is silent
         {"dataset": "csv", "csv_path": "rows.csv", "schema_path": "s.schema"},
+        # without the plus-one offset a real p-value can be 0
+        {"n": "60", "plus_one": "false"},
     ])
     def test_reachable_or_unknown_floor_is_silent(self, mapping):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            config_from(dict({"alpha": "0.1", "delta": "0.99"}, **mapping))
+            cfg = config_from(dict({"alpha": "0.1", "delta": "0.99",
+                                    "runs": "1", "steps": "3"}, **mapping))
+            if cfg.dataset == "gaussian":  # the warning comes from the run
+                run_benchmark(cfg)
 
     def test_a4_batch_size_runs_silently(self):
         cfg = config_from(dict(FAST, method="C_PP_COAD,COAD,PP_COAD,C_COAD",
@@ -539,9 +543,9 @@ class TestRunStream:
     def test_lazy(self, monkeypatch):
         original, built = harness.gaussian_synthetic_stream, []
 
-        def counting(cfg, methods, run_idx):
+        def counting(cfg, run_idx):
             built.append(run_idx)
-            return original(cfg, methods, run_idx)
+            return original(cfg, run_idx)
 
         monkeypatch.setattr(harness, "gaussian_synthetic_stream", counting)
         method, run_idx, steps, _ = next(harness._iter_runs(
