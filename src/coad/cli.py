@@ -68,7 +68,7 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser
         parser.error(str(exc))
     try:
         artifacts = run_benchmark(cfg)
-    except FileNotFoundError as exc:  # a dataset file the config names
+    except (FileNotFoundError, ValueError) as exc:  # a dataset fault
         parser.error(str(exc))
     paths = emit(artifacts, cfg.out_dir)
     summary = json.loads(paths["summary"].read_text(encoding="utf-8"))

@@ -74,23 +74,19 @@ def conformal_pvalues(cal_scores, test_scores,
                         cal.shape[-1], plus_one)
 
 
-def _check_range(name: str, values, low: float, high: float,
-                 open_low: bool = False) -> None:
+def _check_range(name: str, values, low: float, high: float) -> None:
     """Raise unless a number, or every entry of an array, lies in
-    [low, high] ((low, high] with ``open_low``)."""
+    [low, high]."""
     smallest, largest = (values.min(), values.max()) \
         if isinstance(values, np.ndarray) else (values, values)
-    if not ((low < smallest) if open_low else (low <= smallest)) \
-            or not largest <= high:
-        bracket = "(" if open_low else "["
-        raise ValueError(f"{name} must lie in {bracket}{low}, {high}], "
-                         f"got {values}")
+    if not low <= smallest or not largest <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {values}")
 
 
 def acquisition_probability(q, gamma):
     """Probability of buying a real calibration batch: 1 - gamma * q,
     elementwise for arrays of per-step values."""
-    _check_range("gamma", gamma, 0.0, GAMMA_MAX, open_low=True)
+    _check_range("gamma", gamma, 0.0, GAMMA_MAX)
     _check_range("proxy p-value", q, 0.0, 1.0)
     return 1.0 - gamma * q
 
@@ -113,7 +109,7 @@ def active_pvalue(q: float, u: int, p: float | None, gamma: float) -> float:
     Z = q when no real data was acquired, and min(1, p / (1 - gamma))
     otherwise.
     """
-    _check_range("gamma", gamma, 0.0, GAMMA_MAX, open_low=True)
+    _check_range("gamma", gamma, 0.0, GAMMA_MAX)
     if u not in (0, 1):
         raise ValueError("acquisition indicator must be 0 or 1")
     if u == 0:
@@ -128,7 +124,7 @@ def active_pvalue(q: float, u: int, p: float | None, gamma: float) -> float:
 def active_pvalues(q, u, p, gamma) -> np.ndarray:
     """``active_pvalue`` of every step of a chunk: q where u is 0 and
     min(1, p / (1 - gamma)) where u is 1; ``p`` is read only where u is 1."""
-    _check_range("gamma", gamma, 0.0, GAMMA_MAX, open_low=True)
+    _check_range("gamma", gamma, 0.0, GAMMA_MAX)
     z = np.where(u, _inflate(p, gamma), q)
     if np.isnan(z).any():
         raise ValueError("p-value is NaN")

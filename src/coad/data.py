@@ -63,7 +63,7 @@ class DatasetSchema:
     "continuous" or "categorical".  ``anomaly_values`` are the label-column
     strings counted as anomalies.  The context is derived from a numeric
     column via right-open bins: context = #boundaries strictly below-or-at
-    the value.
+    the value; bins without a context column are rejected.
     """
 
     features: tuple[tuple[str, str], ...]
@@ -78,6 +78,8 @@ class DatasetSchema:
         for name, kind in self.features:
             if kind not in ("continuous", "categorical"):
                 raise ValueError(f"feature {name!r}: unknown kind {kind!r}")
+        if self.context_bins and self.context_column is None:
+            raise ValueError("context.bins needs a context.column to bin")
 
     @property
     def n_contexts(self) -> int:

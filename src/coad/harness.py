@@ -220,8 +220,8 @@ class RunConfig:
         if not 0.0 <= self.twin_var_scale < np.inf:
             raise ValueError("twin_var_scale must be finite and >= 0")
         if self.gamma_override is not None and \
-                not 0.0 < self.gamma_override <= GAMMA_MAX:
-            raise ValueError(f"gamma_override must lie in (0, {GAMMA_MAX}]")
+                not 0.0 <= self.gamma_override <= GAMMA_MAX:
+            raise ValueError(f"gamma_override must lie in [0, {GAMMA_MAX}]")
         if self.dataset == "gaussian":
             # each fit's rows as gaussian_synthetic_stream draws them
             per_ctx = max(2, self.score_train_size // self.contexts)
@@ -325,15 +325,14 @@ class RunData:
     batches of steps lo..hi-1 (0-based); call it once per chunk, in step
     order, since the Gaussian oracle draws them as it goes, into one buffer
     held for the run.  So a call's array is valid only until the next call,
-    and nothing may hold it past that.  It is None when a table split
-    serves no real batches.
+    and nothing may hold it past that.
     """
 
     score_train: Table
     twin_train: Table
     validation: Table
     stream: Table
-    real_batches: Callable[[int, int], np.ndarray] | None
+    real_batches: Callable[[int, int], np.ndarray]
     n_contexts: int
     kinds: tuple[str, ...]
     n: int
@@ -346,43 +345,45 @@ def gaussian_synthetic_stream(cfg: RunConfig, run_idx: int) -> RunData:
 
     It builds every set whatever methods share the run: the generator's
     training set, the validation inliers and the real-batch reader.  Each
-    set comes from its own generator of the run, or, for the twin's
-    training set, from the data generator after the score-training set, so
-    a set no method reads shifts no other draw.  The test points' contexts,
-    anomaly flags and noise, and the real batches' noise, are read in step
-    order, whether or not a method queries real data at a step.
+    training set draws its rows, context-major, from its own generator of
+    the run, or, for the twin's training set, from the data generator
+    after the score-training set, so a set no method reads shifts no other
+    draw.  The test points' contexts, anomaly flags and noise, and the real
+    batches' noise, are read in step order, whether or not a method
+    queries real data at a step.
 
     Context c's inliers are unit-variance Gaussians at c * context_spread;
     anomalies shift by anomaly_shift; the twin's training law shifts by
     twin_mean_shift and scales the variance by twin_var_scale.
     """
-    contexts = cfg.contexts
+    contexts, dim = cfg.contexts, cfg.dim
     level = np.arange(contexts) * cfg.context_spread  # every feature's mean
-    means = level[:, None] * np.ones(cfg.dim)[None, :]
-
-    def draw(c: int, size: int, rng: np.random.Generator,
-             shift: float = 0.0, scale: float = 1.0) -> np.ndarray:
-        return means[c] + shift + scale * rng.standard_normal((size, cfg.dim))
-
+    means = level[:, None] * np.ones(dim)[None, :]
     n = cfg.n if cfg.n is not None else 1100  # A4's batch: defaults detect
     n_tilde = cfg.n_tilde if cfg.n_tilde is not None else n
 
-    data_rng = derive_rng(cfg.seed, run_idx, _Purpose.DATA, 0)
-    score_train = []
-    per_ctx = max(2, cfg.score_train_size // contexts)
-    for c in range(contexts):
-        k_anom = max(1, round(per_ctx * cfg.anomaly_rate))
-        score_train += [
-            (c, 0, draw(c, per_ctx - k_anom, data_rng)),
-            (c, 1, draw(c, k_anom, data_rng, cfg.anomaly_shift))]
+    def per_context(size: int) -> np.ndarray:
+        return np.repeat(np.arange(contexts), size)  # context-major rows
 
-    twin_train = [(c, 0, draw(c, cfg.twin_train_size // contexts, data_rng,
-                              cfg.twin_mean_shift,
-                              np.sqrt(cfg.twin_var_scale)))
-                  for c in range(contexts)]
-    validation = [(c, 0, draw(c, cfg.val_size, derive_rng(
-                      cfg.seed, run_idx, _Purpose.VALIDATION, c)))
-                  for c in range(contexts)]
+    # each context's inliers, then its anomalies; then the twin's rows
+    data_rng = derive_rng(cfg.seed, run_idx, _Purpose.DATA, 0)
+    per_ctx = max(2, cfg.score_train_size // contexts)
+    k_anom = max(1, round(per_ctx * cfg.anomaly_rate))
+    c = per_context(per_ctx)
+    anomalous = np.tile(np.arange(per_ctx) >= per_ctx - k_anom, contexts)
+    score_train = Table(means[c] + cfg.anomaly_shift * anomalous[:, None]
+                        + data_rng.standard_normal((c.size, dim)),
+                        c, anomalous)
+    c = per_context(cfg.twin_train_size // contexts)
+    twin_train = Table(means[c] + cfg.twin_mean_shift
+                       + np.sqrt(cfg.twin_var_scale)
+                       * data_rng.standard_normal((c.size, dim)),
+                       c, np.zeros_like(c))
+    c = per_context(cfg.val_size)  # each context from its own generator
+    validation = Table(means[c] + np.concatenate([derive_rng(
+        cfg.seed, run_idx, _Purpose.VALIDATION, context).standard_normal(
+            (cfg.val_size, dim)) for context in range(contexts)]),
+        c, np.zeros_like(c))
 
     def stream_rng(sub: int) -> np.random.Generator:
         return derive_rng(cfg.seed, run_idx, _Purpose.TEST_POINT, sub)
@@ -390,36 +391,25 @@ def gaussian_synthetic_stream(cfg: RunConfig, run_idx: int) -> RunData:
     ctx = stream_rng(0).integers(contexts, size=cfg.steps)
     truth = (stream_rng(1).random(cfg.steps) < cfg.anomaly_rate).astype(int)
     tests = (means[ctx] + cfg.anomaly_shift * truth[:, None]
-             + stream_rng(2).standard_normal((cfg.steps, cfg.dim)))
+             + stream_rng(2).standard_normal((cfg.steps, dim)))
 
     real_rng = derive_rng(cfg.seed, run_idx, _Purpose.REAL_CAL, 0)
-    buffer = np.empty((0, n, cfg.dim))
+    buffer = np.empty((0, n, dim))
 
     def real_batches(lo: int, hi: int) -> np.ndarray:
         nonlocal buffer
         if len(buffer) < hi - lo:
-            buffer = np.empty((hi - lo, n, cfg.dim))
+            buffer = np.empty((hi - lo, n, dim))
         batches = real_rng.standard_normal(out=buffer[:hi - lo])
         # every feature of a context has one mean, so each batch adds one
         # value along its n * d contiguous values
         batches += level[ctx[lo:hi], None, None]
         return batches
 
-    return RunData(score_train=_blocks_table(score_train, cfg.dim),
-                   twin_train=_blocks_table(twin_train, cfg.dim),
-                   validation=_blocks_table(validation, cfg.dim),
-                   stream=Table(tests, ctx, truth), real_batches=real_batches,
-                   n_contexts=contexts, kinds=("continuous",) * cfg.dim,
-                   n=n, n_tilde=n_tilde)
-
-
-def _blocks_table(blocks, dim: int) -> Table:
-    """The rows of (context, truth, features) blocks, in block order."""
-    sizes = [len(x) for _, _, x in blocks]
-    return Table(
-        np.concatenate([np.empty((0, dim))] + [x for _, _, x in blocks]),
-        np.repeat([c for c, _, _ in blocks], sizes),
-        np.repeat([t for _, t, _ in blocks], sizes))
+    return RunData(score_train=score_train, twin_train=twin_train,
+                   validation=validation, stream=Table(tests, ctx, truth),
+                   real_batches=real_batches, n_contexts=contexts,
+                   kinds=("continuous",) * dim, n=n, n_tilde=n_tilde)
 
 
 def _load_dataset(cfg: RunConfig) -> tuple[DatasetSchema, Table]:
@@ -468,15 +458,14 @@ def table_run(cfg: RunConfig, split_kind: str, run_idx: int,
     n_tilde = cfg.n_tilde or splits.n or \
         max(1, len(twin_train) // 2 // cfg.steps)
 
-    real_batches = None
-    if splits.n > 0:
-        # the fresh per-step batches are consecutive n-row slices of the
-        # calibration part; only the first steps * n rows are ever read
-        n = splits.n
-        part = data.features[splits.calibration[:cfg.steps * n]]
+    # the fresh per-step batches are consecutive n-row slices of the
+    # calibration part; only the first steps * n rows are ever read (none,
+    # and (k, 0, d) batches, for a prediction-only split)
+    n = splits.n
+    part = data.features[splits.calibration[:cfg.steps * n]]
 
-        def real_batches(lo: int, hi: int) -> np.ndarray:
-            return part[lo * n:hi * n].reshape(hi - lo, n, part.shape[1])
+    def real_batches(lo: int, hi: int) -> np.ndarray:
+        return part[lo * n:hi * n].reshape(hi - lo, n, part.shape[1])
 
     return RunData(score_train=score_train, twin_train=twin_train,
                    validation=validation, stream=stream,
@@ -607,17 +596,20 @@ def _score_batches(model: ScoreModel, batches: np.ndarray,
 @dataclass(eq=False)
 class _Chunk:
     """The stream arrays of the steps ``at`` that every method of a split
-    group reads; None where no method of the group needs one.  The draws
-    land in buffers held for the run, so a chunk's arrays are valid only
-    until the next chunk is drawn, and nothing may hold them past it."""
+    group reads.  Every run draws each of them, the twin's zero-width when
+    no method of the group has a generator, except ``real``: it is None
+    when no method of the group reads real batches, since the Gaussian
+    oracle draws n * d normals a step for them.  The draws land in buffers
+    held for the run, so a chunk's arrays are valid only until the next
+    chunk is drawn, and nothing may hold them past it."""
 
     at: slice
-    tests: np.ndarray             # (k, d) test points, masked, then filled
-    uniforms: np.ndarray | None   # (k, n_tilde) twin component uniforms
-    noise: np.ndarray | None      # (k, n_tilde, d) twin noise
-    work: np.ndarray | None       # (2, k, n_tilde, d) a twin samples into
-    acquire: np.ndarray | None    # (k,) acquisition uniforms
-    real: np.ndarray | None       # (k, n, d) real batches, masked, filled
+    tests: np.ndarray          # (k, d) test points, masked, then filled
+    uniforms: np.ndarray       # (k, n_tilde) twin component uniforms
+    noise: np.ndarray          # (k, n_tilde, d) twin noise
+    work: np.ndarray           # (2, k, n_tilde, d) a twin samples into
+    acquire: np.ndarray        # (k,) acquisition uniforms
+    real: np.ndarray | None    # (k, n, d) real batches, masked, filled
 
 
 def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData,
@@ -631,7 +623,7 @@ def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData,
     buffer held for the run, so nothing outlives its chunk.
     """
     steps, dim = rundata.stream.features.shape
-    uses_twin = any(m.uses_twin for m in methods)
+    n_tilde = rundata.n_tilde if any(m.uses_twin for m in methods) else 0
     uses_real = any(m.uses_real for m in methods)
 
     def stream_rng(purpose: int, sub: int = 0) -> np.random.Generator:
@@ -639,21 +631,15 @@ def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData,
 
     test_mask = stream_rng(_Purpose.MASK, 0)
     real_mask = stream_rng(_Purpose.MASK, 1)
-    comps = noise = acquire = None
-    if uses_twin:
-        comps = stream_rng(_Purpose.TWIN_SAMPLE, 0)
-        noise = stream_rng(_Purpose.TWIN_SAMPLE, 1)
-    if any(m.acquisition == "active" for m in methods):
-        acquire = stream_rng(_Purpose.ACQUIRE)
-    widest = max(rundata.n, rundata.n_tilde if uses_twin else 0, 1)
-    chunk = max(1, CHUNK_VALUES // (widest * dim))
+    comps = stream_rng(_Purpose.TWIN_SAMPLE, 0)
+    noise = stream_rng(_Purpose.TWIN_SAMPLE, 1)
+    acquire = stream_rng(_Purpose.ACQUIRE)
+    chunk = max(1, CHUNK_VALUES // (max(rundata.n, n_tilde, 1) * dim))
     rows = min(chunk, steps)
-    if uses_twin:
-        uniforms = np.empty((rows, rundata.n_tilde))
-        twin_noise = np.empty((rows, rundata.n_tilde, dim))
-        work = np.empty((2, *twin_noise.shape))
-    if acquire is not None:
-        acquired = np.empty(rows)
+    uniforms = np.empty((rows, n_tilde))
+    twin_noise = np.empty((rows, n_tilde, dim))
+    work = np.empty((2, *twin_noise.shape))
+    acquired = np.empty(rows)
     for lo in range(0, steps, chunk):
         hi = min(steps, lo + chunk)
         x = apply_mcar_mask(rundata.stream.features[lo:hi], cfg.q_miss,
@@ -665,13 +651,10 @@ def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData,
             real = impute(imputer, apply_mcar_mask(
                 rundata.real_batches(lo, hi), cfg.q_miss, real_mask))
         k = hi - lo
-        yield _Chunk(
-            slice(lo, hi), impute(imputer, x),
-            comps.random(out=uniforms[:k]) if uses_twin else None,
-            noise.standard_normal(out=twin_noise[:k]) if uses_twin else None,
-            work[:, :k] if uses_twin else None,
-            None if acquire is None else acquire.random(out=acquired[:k]),
-            real)
+        yield _Chunk(slice(lo, hi), impute(imputer, x),
+                     comps.random(out=uniforms[:k]),
+                     noise.standard_normal(out=twin_noise[:k]), work[:, :k],
+                     acquire.random(out=acquired[:k]), real)
 
 
 def _statistics(cfg: RunConfig, lane: _Lane, run_idx: int, chunk: _Chunk,

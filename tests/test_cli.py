@@ -65,18 +65,42 @@ def test_bad_flag_exits_2_naming_the_key(flags, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def _run_config(tmp_path, mapping) -> int:
+    """``coad run`` on a config file of ``mapping``: its exit status."""
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{key} = {value}\n"
+                              for key, value in mapping.items()))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--config", str(config), "--out", str(tmp_path / "r")])
+    return exit_info.value.code
+
+
 @pytest.mark.parametrize("missing", ["csv_path", "schema_path"])
 def test_missing_dataset_file_exits_2_naming_the_key(missing, tmp_path,
                                                       capsys):
     # the config reads no file; the run names the key of the missing one
     absent = tmp_path / "absent"
-    config = tmp_path / "run.cfg"
-    config.write_text("".join(f"{key} = {value}\n" for key, value in toy_csv(
-        tmp_path, **{missing: str(absent)}).items()))
-    with pytest.raises(SystemExit) as exit_info:
-        main(["run", "--config", str(config), "--out", str(tmp_path / "r")])
-    assert exit_info.value.code == 2
+    assert _run_config(tmp_path, toy_csv(
+        tmp_path, **{missing: str(absent)})) == 2
     assert f"config key '{missing}': no file {absent}" in \
+        capsys.readouterr().err
+
+
+def test_steps_beyond_the_inlier_rows_exit_2(tmp_path, capsys):
+    # each run reserves one inlier test point a step; the toy CSV has 360
+    assert _run_config(tmp_path, toy_csv(tmp_path, steps="1000")) == 2
+    assert "360 inlier rows, fewer than the steps = 1000" in \
+        capsys.readouterr().err
+
+
+def test_malformed_csv_row_exits_2(tmp_path, capsys):
+    mapping = toy_csv(tmp_path)
+    path = Path(mapping["csv_path"])
+    lines = path.read_text().splitlines()
+    lines[5] = "abc," + lines[5].split(",", 1)[1]  # line 6 of the file
+    path.write_text("\n".join(lines) + "\n")
+    assert _run_config(tmp_path, mapping) == 2
+    assert "malformed row 6: could not convert string to float: 'abc'" in \
         capsys.readouterr().err
 
 

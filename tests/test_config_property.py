@@ -46,8 +46,8 @@ COMMON = {
     "synth_pool": _size(1, 4),
     "anomaly_rate": _around([0, 0.1, 0.5, 0.9], [1]),
     "q_miss": _around([0, 0.3, 0.9], [1]),
-    "gamma_override": _optional(_around([0.01, 1, GAMMA_MAX],
-                                        [0, 2 * GAMMA_MAX])),
+    "gamma_override": _optional(_around([0, 0.01, 1, GAMMA_MAX],
+                                        [-0.01, 2 * GAMMA_MAX])),
 }
 
 CONFIGS = st.fixed_dictionaries(dict(

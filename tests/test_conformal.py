@@ -64,10 +64,15 @@ class TestAcquisition:
     def test_half_half(self):
         assert acquisition_probability(0.5, 0.5) == pytest.approx(0.75)
 
-    @pytest.mark.parametrize("gamma", [0.0, -0.1, 0.9995, 1.0, 1.2])
+    @pytest.mark.parametrize("gamma", [-0.1, 0.9995, 1.0, 1.2])
     def test_gamma_domain(self, gamma):
         with pytest.raises(ValueError):
             acquisition_probability(0.5, gamma)
+
+    @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
+    def test_zero_gamma_always_queries_and_keeps_p(self, q):
+        assert acquisition_probability(q, 0.0) == 1.0
+        assert active_pvalue(q, 1, 0.37, 0.0) == 0.37
 
     def test_q_domain(self):
         with pytest.raises(ValueError):

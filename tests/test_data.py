@@ -77,6 +77,18 @@ class TestSchema:
                            match=r"bins\.schema: .*strictly increasing"):
             DatasetSchema.from_file(path)
 
+    def test_bins_need_a_context_column(self, tmp_path):
+        # without one every row binned into context 0 while n_contexts
+        # counted the bins, and run 0 failed on an empty context 1
+        path = tmp_path / "nocolumn.schema"
+        path.write_text(SCHEMA_TEXT.replace("context.column = age\n", ""))
+        message = r"context\.bins needs a context\.column"
+        with pytest.raises(ValueError, match=message):
+            DatasetSchema.from_file(path)
+        with pytest.raises(ValueError, match=message):
+            DatasetSchema(features=(("x", "continuous"),), label="y",
+                          context_bins=(1.0,))
+
 
 # The header's columns, the tokens a numeric (continuous or context)
 # column accepts, and every token a case draws
@@ -99,7 +111,8 @@ def csv_cases(draw):
     context = draw(st.sampled_from([None, "ctx", "a"]))
     schema = DatasetSchema(features, label="y",
                            anomaly_values=frozenset({"1", "x"}),
-                           context_column=context, context_bins=(0.5, 2.0),
+                           context_column=context,
+                           context_bins=(0.5, 2.0) if context else (),
                            categories=categories)
     malformed = draw(st.booleans())
     header = list(draw(st.permutations(COLUMNS)))

@@ -71,10 +71,8 @@ def oracle_records(cfg, method, run_idx, rundata) -> list[StepRecord]:
             synthetic = model.scores(sample_synthetic(
                 lane.twin, c, comps.random(shape),
                 noise.standard_normal((*shape, x.size))), c)
-        real = None
-        if rundata.real_batches is not None:
-            batch = rundata.real_batches(i, i + 1)[0]
-            real = partial(model.scores, observed(batch, real_mask), c)
+        batch = rundata.real_batches(i, i + 1)[0]
+        real = partial(model.scores, observed(batch, real_mask), c)
         record, state = step(
             state, score, context, rng=acquire, gamma=float(gammas[c]),
             synthetic_scores=synthetic, real_scores=real,

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coad import harness
 from coad.conformal import EPS_GAMMA
@@ -263,6 +265,64 @@ class TestConfig:
         assert again == cfg
 
 
+def oracle_training_blocks(cfg: RunConfig, run_idx: int):
+    """The Gaussian oracle's score-training, twin-training and validation
+    sets as (context, truth, features) blocks, each block drawn by a call of
+    its own: the form that the whole-array draws replaced."""
+    contexts = cfg.contexts
+    level = np.arange(contexts) * cfg.context_spread
+    means = level[:, None] * np.ones(cfg.dim)[None, :]
+
+    def draw(c, size, rng, shift=0.0, scale=1.0):
+        return means[c] + shift + scale * rng.standard_normal((size, cfg.dim))
+
+    data_rng = derive_rng(cfg.seed, run_idx, harness._Purpose.DATA, 0)
+    per_ctx = max(2, cfg.score_train_size // contexts)
+    k_anom = max(1, round(per_ctx * cfg.anomaly_rate))
+    score_train = []
+    for c in range(contexts):
+        score_train += [(c, 0, draw(c, per_ctx - k_anom, data_rng)),
+                        (c, 1, draw(c, k_anom, data_rng, cfg.anomaly_shift))]
+    twin_train = [(c, 0, draw(c, cfg.twin_train_size // contexts, data_rng,
+                              cfg.twin_mean_shift,
+                              np.sqrt(cfg.twin_var_scale)))
+                  for c in range(contexts)]
+    validation = [(c, 0, draw(c, cfg.val_size, derive_rng(
+                      cfg.seed, run_idx, harness._Purpose.VALIDATION, c)))
+                  for c in range(contexts)]
+    return score_train, twin_train, validation
+
+
+_SHIFTS = st.floats(-6.0, 6.0, allow_nan=False)
+
+
+class TestGaussianOracle:
+    @settings(deadline=None, max_examples=150)
+    @given(st.fixed_dictionaries({
+        "seed": st.integers(0, 2**16), "contexts": st.integers(1, 4),
+        "dim": st.integers(1, 3), "score_train_size": st.integers(0, 40),
+        "twin_train_size": st.integers(0, 40),
+        "val_size": st.integers(0, 40),
+        "anomaly_rate": st.floats(0.0, 0.9),
+        "context_spread": _SHIFTS, "anomaly_shift": _SHIFTS,
+        "twin_mean_shift": _SHIFTS,
+        "twin_var_scale": st.one_of(st.just(0.0), st.floats(0.0, 9.0)),
+    }), st.integers(0, 3))
+    def test_training_sets_match_the_blockwise_draws(self, knobs, run_idx):
+        cfg = RunConfig(steps=2, **knobs)
+        rundata = harness.gaussian_synthetic_stream(cfg, run_idx)
+        built = (rundata.score_train, rundata.twin_train, rundata.validation)
+        for rows, blocks in zip(built, oracle_training_blocks(cfg, run_idx)):
+            sizes = [len(x) for _, _, x in blocks]
+            features = np.concatenate([x for _, _, x in blocks])
+            assert rows.features.shape == features.shape
+            assert rows.features.tobytes() == features.tobytes()
+            assert rows.context.tolist() == \
+                np.repeat([c for c, _, _ in blocks], sizes).tolist()
+            assert rows.truth.tolist() == \
+                np.repeat([t for _, t, _ in blocks], sizes).tolist()
+
+
 class TestVariants:
     def test_table(self):
         mv = MethodVariant
@@ -380,6 +440,28 @@ class TestVariantEquivalence:
             if ra.u == 1:
                 assert ra.z == pytest.approx(
                     min(1.0, rb.p / (1.0 - EPS_GAMMA)), rel=1e-12)
+
+    def test_zero_gamma_is_always_real(self):
+        # gamma 0 queries with probability 1, and z = min(1, p / 1) = p
+        base = {"seed": "4", "runs": "3", "steps": "300"}
+        pp = run_benchmark(config_from(base, method="C_PP_COAD",
+                                       gamma_override="0"))
+        cc = run_benchmark(config_from(base, method="C_COAD"))
+        pairs = list(zip(pp.per_method["C_PP_COAD"].runs,
+                         cc.per_method["C_COAD"].runs))
+        assert sum(int(b.decision.sum()) for _, b in pairs) > 0
+        for a, b in pairs:
+            for column in ("u", "p", "z", "alpha_t", "decision"):
+                assert getattr(a, column).tobytes() == \
+                    getattr(b, column).tobytes(), column
+
+    def test_underflowing_gamma_queries_every_step(self):
+        # at lambda 2000 a narrow twin's gap sends exp(-lambda * gap) to 0
+        arts = run_benchmark(config_from(
+            {"lambda": "2000", "twin_var_scale": "0.25", "seed": "1",
+             "runs": "1", "steps": "20"}, method="C_PP_COAD"))
+        (steps,) = arts.per_method["C_PP_COAD"].runs
+        assert steps.u.tolist() == [1] * 20
 
 
 class TestReproducibility:

@@ -390,7 +390,7 @@ class TestGamma:
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_non_finite_lambda_named(self, lam):
         # min(GAMMA_MAX, nan) returned GAMMA_MAX, and an infinite lambda
-        # returned gamma 0, outside (0, GAMMA_MAX]
+        # returned gamma 0 whatever the gap
         with pytest.raises(ValueError, match="^lam must be positive and "
                                              "finite$"):
             gamma_of_context(0.1, lam)
