@@ -14,23 +14,8 @@ import sys
 from pathlib import Path
 
 from .data import parse_kv_file
-from .harness import config_from, emit, run_benchmark
+from .harness import CONFIG_KEYS, config_from, emit, run_benchmark
 from .oran import generate_oran, graph_to_json, samples_to_csv, schema_text
-
-# (flag, config key, help); each value is parsed by config_from
-_RUN_FLAGS = (
-    ("--method", "method", "method name, comma list, or 'all'"),
-    ("--alpha", "alpha", "target error level"),
-    ("--delta", "delta", "memory decay factor"),
-    ("--lambda", "lam", "trust decay for the acquisition parameter"),
-    ("--seed", "seed", "master seed"),
-    ("--runs", "runs", "Monte Carlo replicates"),
-    ("--steps", "steps", "timesteps per run"),
-    ("--dataset", "dataset", "csv or gaussian"),
-    ("--out", "out_dir", "output directory"),
-    ("--plus-one", "plus_one",
-     "use the offset p-value numerator: true|false (default true)"),
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,10 +24,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Streaming conformal anomaly detection benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run a configured benchmark")
+    run_p = sub.add_parser(
+        "run", help="run a configured benchmark",
+        description="Every config key is a flag (underscores as dashes), "
+                    "parsed like the key; flags override the config file.")
     run_p.add_argument("--config", help="key=value config file")
-    for flag, key, text in _RUN_FLAGS:
-        run_p.add_argument(flag, dest=key, help=text)
+    for key in CONFIG_KEYS:
+        run_p.add_argument("--" + key.replace("_", "-"), dest=key)
 
     gen_p = sub.add_parser("gen-oran", help="write the synthetic conflict "
                                             "dataset as CSV plus graph JSON, "
@@ -58,18 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser
-             ) -> int:
-    try:
-        mapping = parse_kv_file(args.config) if args.config else {}
-        cfg = config_from(mapping, **{key: getattr(args, key)
-                                      for _, key, _ in _RUN_FLAGS})
-    except (OSError, ValueError) as exc:
-        parser.error(str(exc))
-    try:
-        artifacts = run_benchmark(cfg)
-    except (FileNotFoundError, ValueError) as exc:  # a dataset fault
-        parser.error(str(exc))
+def _cmd_run(args: argparse.Namespace) -> int:
+    mapping = parse_kv_file(args.config) if args.config else {}
+    cfg = config_from(mapping, **{key: getattr(args, key)
+                                  for key in CONFIG_KEYS})
+    artifacts = run_benchmark(cfg)
     paths = emit(artifacts, cfg.out_dir)
     summary = json.loads(paths["summary"].read_text(encoding="utf-8"))
     for name in artifacts.per_method:
@@ -110,9 +91,10 @@ def _cmd_gen_oran(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args, parser)
-    return _cmd_gen_oran(args)
+    try:
+        return (_cmd_run if args.command == "run" else _cmd_gen_oran)(args)
+    except (OSError, ValueError) as exc:  # an input fault, not a failed run
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ __all__ = [
 def parse_kv_file(path) -> dict[str, str]:
     """Read a flat ``key = value`` file; '#' starts a comment."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a BOM is no key
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -115,7 +115,7 @@ class DatasetSchema:
                 any(b <= a for a, b in zip(bins, bins[1:])):
             raise ValueError(f"{path}: context.bins must be finite and "
                              f"strictly increasing, got {raw['context.bins']}")
-        missing = frozenset(raw["missing.tokens"].split(",")) \
+        missing = frozenset(map(str.strip, raw["missing.tokens"].split(","))) \
             if "missing.tokens" in raw else frozenset({"?", ""})
         anomaly = frozenset(v.strip() for v in
                             raw.get("label.anomaly_values", "1").split(","))
@@ -132,16 +132,22 @@ def load_csv(path, schema: DatasetSchema) -> Table:
     Missing tokens leave NaN; declared-but-unknown category values are
     treated as missing too, while undeclared categorical columns get codes
     in first-seen order.  The records are read once and parsed column by
-    column.  A malformed file fails naming its first fault in file order:
-    within a record the field count is checked first, then the features in
-    schema order, the label and the context column.  The context value is
-    -inf, which bins into context 0, when the schema names no context
-    column.
+    column.  A header that lacks a schema column fails before any record
+    is parsed; otherwise a malformed file fails naming its first fault in
+    file order: within a record the field count is checked first, then the
+    features in schema order, the label and the context column.  The
+    context value is -inf, which bins into context 0, when the schema names
+    no context column.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         records = [row for row in reader if row]  # blank records uncounted
+    index = {name: j for j, name in enumerate(header or ())}  # last wins
+    for name in [*(name for name, _ in schema.features), schema.label,
+                 schema.context_column]:
+        if header is not None and name is not None and name not in index:
+            raise ValueError(f"{path}: no column {name!r} in the header")
     if header is None:
         warnings.warn(f"{path}: empty file, no rows loaded", stacklevel=2)
     elif not records:
@@ -151,7 +157,6 @@ def load_csv(path, schema: DatasetSchema) -> Table:
     width = len(header or ())
     whole = next((r for r, row in enumerate(records) if len(row) != width),
                  len(records))
-    index = {name: j for j, name in enumerate(header or ())}  # last wins
     columns = list(zip(*records[:whole]))
     d = len(schema.features)
     matrix = np.empty((whole, d + 2))
@@ -166,9 +171,6 @@ def load_csv(path, schema: DatasetSchema) -> Table:
         stop = whole if fault is None else fault[0]
         if not stop:
             break  # nothing comes before record 0
-        if name not in index:
-            fault = 0, KeyError(name)
-            break
         parsed = _parse_column(name, kind, list(map(
             str.strip, columns[index[name]][:stop])), schema)
         if isinstance(parsed, tuple):

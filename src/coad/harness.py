@@ -276,6 +276,9 @@ def _parse_bool(text: str) -> bool:
 
 
 _KEY_ALIASES = {"method": "methods", "lambda": "lam", "out": "out_dir"}
+# every RunConfig field under the key a config file writes for it
+CONFIG_KEYS = tuple({v: k for k, v in _KEY_ALIASES.items()}.get(f.name, f.name)
+                    for f in fields(RunConfig))
 _PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str.strip}
 # annotation strings such as "int | None" (annotations are postponed)
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

@@ -95,10 +95,6 @@ class OranSample:
     conflict: str            # "none" or one of CONFLICT_TYPES
     context: int = 0
 
-    def features(self) -> np.ndarray:
-        return np.concatenate([self.xapp_active, self.param_changed,
-                               self.kpi_changed]).astype(float)
-
 
 def _hits(state: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
     """How many set entries of each state row reach each column (float32:

@@ -113,8 +113,9 @@ def generate_reference(graph_seed: int, sample_seed: int,
 def csv_reference(graph: OranGraph, samples) -> str:
     """``samples_to_csv``'s text, joined row by row."""
     header = _node_columns(graph)
-    rows = np.fromiter((s.features() for s in samples), count=len(samples),
-                       dtype=(np.uint8, len(header)))
+    rows = np.fromiter((np.concatenate([s.xapp_active, s.param_changed,
+                                        s.kpi_changed]) for s in samples),
+                       count=len(samples), dtype=(np.uint8, len(header)))
     lines = [",".join(header + ["conflict_type", "context"])] + [
         ",".join([*map(str, row.tolist()), s.conflict, str(s.context)])
         for row, s in zip(rows, samples)]

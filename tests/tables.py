@@ -94,16 +94,22 @@ def oran_csv(directory, samples: int, anomaly_frac: float = 0.1,
 
 
 def load_csv_by_rows(path, schema) -> Table:
-    """The row-by-row parser that ``coad.data.load_csv`` replaced: a dict
-    per record and one pass over its fields, failing at the first fault in
-    file order.  The oracle of the column-wise reader."""
+    """The row-by-row parser that ``coad.data.load_csv`` replaced: a header
+    check, then a dict per record and one pass over its fields, failing at
+    the first fault in file order.  The oracle of the column-wise reader."""
     codebooks = {name: {v: i for i, v in enumerate(schema.categories[name])}
                  for name, kind in schema.features
                  if kind == "categorical" and name in schema.categories}
     records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
+        needed = [name for name, _ in schema.features] + [schema.label]
+        if schema.context_column is not None:
+            needed.append(schema.context_column)
+        for name in needed if header is not None else ():
+            if name not in header:
+                raise ValueError(f"{path}: no column {name!r} in the header")
         # the header is line 1; blank records are skipped uncounted
         for rownum, row in enumerate(filter(None, reader), start=2):
             try:

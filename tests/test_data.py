@@ -44,6 +44,32 @@ class TestSchema:
         with pytest.raises(ValueError):
             parse_kv_file(p)
 
+    def test_config_bom_is_no_key(self, tmp_path):
+        # a file saved with a UTF-8 byte-order mark read '\ufeffmethod'
+        p = tmp_path / "bom.cfg"
+        p.write_text("method = COAD\n", encoding="utf-8-sig")
+        assert parse_kv_file(p) == {"method": "COAD"}
+
+    def test_schema_bom_keeps_the_first_feature(self, tmp_path):
+        # the first key read '\ufefffeature.a' and the feature was dropped
+        path = tmp_path / "bom.schema"
+        path.write_text("feature.a = continuous\nfeature.b = categorical\n"
+                        "label = y\n", encoding="utf-8-sig")
+        assert DatasetSchema.from_file(path).features == (
+            ("a", "continuous"), ("b", "categorical"))
+
+    def test_missing_tokens_stripped(self, tmp_path):
+        # ' NA' matched no cell, as cells are stripped before the lookup
+        path = tmp_path / "na.schema"
+        path.write_text(SCHEMA_TEXT.replace("missing.tokens = ?,",
+                                            "missing.tokens = ?, NA"))
+        schema = DatasetSchema.from_file(path)
+        assert schema.missing_tokens == {"?", "NA"}
+        csv_path = tmp_path / "na.csv"
+        csv_path.write_text("age,tsh,sex,class\n30,1.0,M,3\n30,NA,?,3\n")
+        rows = load_csv(csv_path, schema)
+        assert np.isnan(rows.features[1]).tolist() == [False, True, True]
+
     def test_fields(self, schema):
         assert schema.kinds == ("continuous", "continuous", "categorical")
         assert schema.n_contexts == 2
@@ -201,8 +227,26 @@ class TestLoadCsv:
     def test_missing_column_named(self, tmp_path, schema):
         path = tmp_path / "nosex.csv"
         path.write_text("age,tsh,class\n30,1.0,3\n")
-        with pytest.raises(ValueError, match="malformed row 2: 'sex'"):
+        with pytest.raises(ValueError,
+                           match=r"nosex\.csv: no column 'sex' in the header"):
             load_csv(path, schema)
+
+    def test_missing_column_fails_without_data_rows(self, tmp_path, schema):
+        # the header is checked before any record: no "no data rows" warning
+        path = tmp_path / "nosex.csv"
+        path.write_text("age,tsh,class\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no column 'sex'"):
+                load_csv(path, schema)
+
+    def test_bom_before_the_header(self, tmp_path, schema):
+        # the first column read '\ufeffage', and the file failed at row 2
+        plain = self._write(tmp_path, "30,1.5,M,3\n70,2.5,F,1\n")
+        bom = tmp_path / "bom.csv"
+        bom.write_text(plain.read_text(), encoding="utf-8-sig")
+        assert _outcome(load_csv, bom, schema) == \
+            _outcome(load_csv, plain, schema)
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
     def test_non_finite_continuous_rejected(self, tmp_path, schema, token):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coad.oran import (OranGraph, OranSample, activity, activity_context,
+from coad.oran import (OranGraph, activity, activity_context,
                        check_conflicts, feasible_conflicts, generate_oran,
                        graph_to_json, samples_to_csv)
 from coad.scoring import lower_quantile
@@ -283,9 +283,9 @@ class TestContexts:
 
     def test_activity_definition(self):
         g = _tiny_graph()  # out-degrees 2, 2, 1
-        s = OranSample(np.array([True, False, True]),
-                       np.zeros(3, bool), np.zeros(2, bool), "none")
-        assert activity(g, s.features()[None, :]).tolist() == [3.0]
+        # a row of node states: xApps, then parameters, then KPIs
+        row = np.array([[1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+        assert activity(g, row).tolist() == [3.0]
 
     def test_boundaries_count_at_or_below(self):
         acts = np.array([0.0, 1.0, 2.0, 3.0, 9.0])
