@@ -144,8 +144,9 @@ DATASETS = ("csv", "gaussian")
 
 @dataclass
 class RunConfig:
-    """Resolved benchmark configuration (config-file keys mirror field names;
-    ``method`` takes a comma list or ``all``, ``lambda`` maps to ``lam``)."""
+    """Resolved benchmark configuration.  Config-file keys are the field
+    names, except ``method`` (a comma list or ``all``), ``lambda`` and
+    ``out`` for ``methods``, ``lam`` and ``out_dir`` (``CONFIG_KEYS``)."""
 
     methods: tuple[str, ...] = ("C_PP_COAD",)
     score: str = "semi_supervised"
@@ -247,16 +248,16 @@ class RunConfig:
     def resolved(self) -> dict[str, str]:
         """Flat, fully resolved key=value view (the reproducibility contract)."""
         out: dict[str, str] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "methods":
-                out["method"] = ",".join(value)
+        for key, name in _FIELD_OF_KEY.items():
+            value = getattr(self, name)
+            if name == "methods":
+                out[key] = ",".join(value)
             elif value is None:
-                out[f.name] = "none"
+                out[key] = "none"
             elif isinstance(value, bool):
-                out[f.name] = "true" if value else "false"
+                out[key] = "true" if value else "false"
             else:
-                out[f.name] = str(value)
+                out[key] = str(value)
         return out
 
 
@@ -275,10 +276,13 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-_KEY_ALIASES = {"method": "methods", "lambda": "lam", "out": "out_dir"}
-# every RunConfig field under the key a config file writes for it
-CONFIG_KEYS = tuple({v: k for k, v in _KEY_ALIASES.items()}.get(f.name, f.name)
-                    for f in fields(RunConfig))
+# the key a config file writes for each aliased RunConfig field; such a
+# field's own name is no key
+_ALIASES = {"methods": "method", "lam": "lambda", "out_dir": "out"}
+# the field each config key sets, in field order
+_FIELD_OF_KEY = {_ALIASES.get(f.name, f.name): f.name
+                 for f in fields(RunConfig)}
+CONFIG_KEYS = tuple(_FIELD_OF_KEY)
 _PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str.strip}
 # annotation strings such as "int | None" (annotations are postponed)
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -301,8 +305,8 @@ def config_from(mapping: dict[str, str] | None = None, **overrides) -> RunConfig
     override leaves the field as it was."""
     cfg = RunConfig()
     for key, value in [*(mapping or {}).items(), *overrides.items()]:
-        name = _KEY_ALIASES.get(key, key)
-        if name not in _FIELD_TYPES:
+        name = _FIELD_OF_KEY.get(key)
+        if name is None:
             raise ValueError(f"unknown config key {key!r}")
         if value is None:
             continue

@@ -21,9 +21,9 @@ GOLDEN_CONFIG = {
 }
 
 STEPS_SHA256 = \
-    "691be3f4e435ac2b0d7f8ca3881fa5dc0d926d57e9d5ec5a6b49d6c2cf87c9a5"
+    "2d5733a6ecaf306333688e7ef6800df0ac9a4de9a32032339856cbc40a8c2427"
 AGGREGATE_SHA256 = \
-    "30dfafd3d16cd826b7035503349268e0071264a95626eb0f63c55cad74d3d509"
+    "a662b8adbb829214de210f3243c703e0a8bd605cefe4fc022f4f36600b832fee"
 
 
 def test_emitted_csvs_match_golden_digests(tmp_path):

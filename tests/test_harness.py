@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from coad import harness
 from coad.conformal import EPS_GAMMA
 from coad.data import parse_kv_file
-from coad.harness import (AGG_HEADER, STEP_HEADER, MethodResult,
+from coad.harness import (AGG_HEADER, CONFIG_KEYS, STEP_HEADER, MethodResult,
                           MethodVariant, RunArtifacts, RunConfig, config_from,
                           derive_rng, emit, run_benchmark)
 from coad.metrics import aggregate
@@ -257,6 +257,20 @@ class TestConfig:
     def test_csv_requires_paths(self):
         with pytest.raises(ValueError, match="csv"):
             config_from({"dataset": "csv"})
+
+    def test_resolved_writes_every_field_under_its_key(self):
+        assert list(RunConfig().resolved()) == list(CONFIG_KEYS)
+
+    @pytest.mark.parametrize("field, key, value", [
+        ("methods", "method", "COAD"), ("lam", "lambda", "2.5"),
+        ("out_dir", "out", "elsewhere")])
+    def test_aliased_field_name_is_no_key(self, field, key, value):
+        # one spelling per key: the field behind an alias is set only by it
+        with pytest.raises(ValueError, match=f"unknown config key '{field}'"):
+            config_from({field: value})
+        with pytest.raises(ValueError, match=f"unknown config key '{field}'"):
+            config_from(**{field: value})
+        assert config_from({key: value}).resolved()[key] == value
 
     def test_resolved_roundtrip(self):
         cfg = _cfg(method="COAD,PO_COAD")
