@@ -43,6 +43,7 @@ __all__ = [
 def parse_kv_file(path) -> dict[str, str]:
     """Read a flat ``key = value`` file; '#' starts a comment."""
     out: dict[str, str] = {}
+    lines: dict[str, int] = {}  # the line each key was given on
     with open(path, "r", encoding="utf-8-sig") as fh:  # a BOM is no key
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -50,8 +51,12 @@ def parse_kv_file(path) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = map(str.strip, line.split("=", 1))
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: key {key!r} repeats "
+                                 f"line {lines[key]}")
+            lines[key] = lineno
+            out[key] = value
     return out
 
 
@@ -97,33 +102,44 @@ class DatasetSchema:
     @classmethod
     def from_file(cls, path) -> "DatasetSchema":
         raw = parse_kv_file(path)
-        features = []
-        categories = {}
-        for key, value in raw.items():
-            if key.startswith("feature."):
-                features.append((key[len("feature."):], value))
-            elif key.startswith("categories."):
-                categories[key[len("categories."):]] = tuple(
-                    v.strip() for v in value.split("|"))
+        features = {key[len("feature."):]: value for key, value in raw.items()
+                    if key.startswith("feature.")}
+        categories = {key[len("categories."):]: tuple(
+            v.strip() for v in value.split("|"))
+            for key, value in raw.items() if key.startswith("categories.")}
+        for key in raw:
+            name = key.partition(".")[2]
+            if not (key in SCHEMA_KEYS or key.startswith("feature.") or
+                    key.startswith("categories.") and
+                    features.get(name) == "categorical"):
+                raise ValueError(f"{path}: unknown schema key {key!r}")
         if not features:
             raise ValueError(f"{path}: no feature.* entries")
         if "label" not in raw:
             raise ValueError(f"{path}: missing required key 'label'")
-        bins = tuple(float(v) for v in raw["context.bins"].split(",")) \
-            if raw.get("context.bins") else ()
-        if not all(map(math.isfinite, bins)) or \
+        text = raw.get("context.bins", "")
+        try:
+            bins = tuple(float(v) for v in text.split(",")) if text else ()
+        except ValueError:
+            bins = None
+        if bins is None or not all(map(math.isfinite, bins)) or \
                 any(b <= a for a, b in zip(bins, bins[1:])):
             raise ValueError(f"{path}: context.bins must be finite and "
-                             f"strictly increasing, got {raw['context.bins']}")
+                             f"strictly increasing, got {text}")
         missing = frozenset(map(str.strip, raw["missing.tokens"].split(","))) \
             if "missing.tokens" in raw else frozenset({"?", ""})
         anomaly = frozenset(v.strip() for v in
                             raw.get("label.anomaly_values", "1").split(","))
-        return cls(features=tuple(features), label=raw["label"],
+        return cls(features=tuple(features.items()), label=raw["label"],
                    anomaly_values=anomaly,
                    context_column=raw.get("context.column"),
                    context_bins=bins, missing_tokens=missing,
                    categories=categories)
+
+
+# the schema keys besides feature.<name> and categories.<name>
+SCHEMA_KEYS = ("label", "label.anomaly_values", "context.column",
+               "context.bins", "missing.tokens")
 
 
 def load_csv(path, schema: DatasetSchema) -> Table:
@@ -166,22 +182,18 @@ def load_csv(path, schema: DatasetSchema) -> Table:
         targets.append((schema.context_column, "context", d))
     else:
         matrix[:, d] = -math.inf
-    fault = None  # (record, exception) of the first fault so far
-    for name, kind, j in targets:
-        stop = whole if fault is None else fault[0]
-        if not stop:
-            break  # nothing comes before record 0
+    # (record, target, exception): the width fault comes first in its record
+    faults = [] if whole == len(records) else [(whole, -1, ValueError(
+        f"expected {width} fields, got {len(records[whole])}"))]
+    for t, (name, kind, j) in enumerate(targets):  # zip: no record, no column
         parsed = _parse_column(name, kind, list(map(
-            str.strip, columns[index[name]][:stop])), schema)
+            str.strip, columns[index[name]] if whole else ())), schema)
         if isinstance(parsed, tuple):
-            fault = parsed
+            faults.append((parsed[0], t, parsed[1]))
         else:
-            matrix[:stop, j] = parsed
-    if fault is None and whole < len(records):
-        fault = whole, ValueError(f"expected {width} fields, got "
-                                  f"{len(records[whole])}")
-    if fault is not None:
-        record, exc = fault
+            matrix[:, j] = parsed
+    if faults:
+        record, _, exc = min(faults, key=lambda fault: fault[:2])
         raise ValueError(f"{path}: malformed row {record + 2}: {exc}") \
             from exc
     return Table(matrix[:, :d], schema.context_of(matrix[:, d]),
@@ -206,23 +218,15 @@ def _parse_column(name: str, kind: str, tokens: list[str],
         # an unknown category behaves like a missing value
         return np.fromiter(map(book.get, tokens, repeat(math.nan)), float,
                            len(tokens))
+    # a continuous feature may be missing; nothing else may be NaN
     what = f"column {name!r}" if kind == "continuous" else \
         f"context column {name!r}"
-    try:
-        values = np.array([math.nan if t in missing else float(t)
-                           for t in tokens])
-    except ValueError:
-        pass  # the row loop below finds the token
-    else:
-        # a continuous feature may be missing; nothing else may be NaN
-        holes = np.flatnonzero(~np.isfinite(values))
-        if not holes.size or kind == "continuous" and \
-                all(tokens[r] in missing for r in holes):
-            return values
+    values = []
     for r, token in enumerate(tokens):
         if token in missing:
             if kind == "context":
                 return r, ValueError(f"context column {name!r} is missing")
+            values.append(math.nan)
             continue
         try:
             value = float(token)
@@ -230,7 +234,8 @@ def _parse_column(name: str, kind: str, tokens: list[str],
             return r, exc
         if not math.isfinite(value):
             return r, ValueError(f"{what}: non-finite value {token!r}")
-    raise AssertionError("a column fault was flagged but not located")
+        values.append(value)
+    return np.array(values)
 
 
 # --- split protocol ---------------------------------------------------------
@@ -241,18 +246,23 @@ SPLIT_KINDS = ("prediction_powered", "twinless", "prediction_only")
 @dataclass(frozen=True, eq=False)
 class Splits:
     """The parts of one run's split as row positions into its dataset,
-    plus the per-step batch size n (0 when no real batch is served)."""
+    plus the per-step batch sizes n (0 when no real batch is served) and
+    n_tilde (the generator's)."""
 
     score_train: np.ndarray
     twin_train: np.ndarray
+    validation: np.ndarray
     calibration: np.ndarray
     test_inliers: np.ndarray
     anomaly_pool: np.ndarray
     n: int
+    n_tilde: int
 
 
 def make_splits(data: Table, kind: str, steps: int, rng: np.random.Generator,
-                n: int | None = None, test_reserve: int = 0) -> Splits:
+                n: int | None = None, test_reserve: int = 0, *,
+                n_tilde: int | None = None,
+                validation: bool = False) -> Splits:
     """Shuffle and cut a labeled dataset for one run of ``steps`` timesteps.
 
     ``test_reserve`` inliers are carved out first as null-step test points;
@@ -260,8 +270,13 @@ def make_splits(data: Table, kind: str, steps: int, rng: np.random.Generator,
     calibration.  A twinless split folds the generator third into
     calibration; a prediction-only split folds calibration into generator
     training and serves no real batch (n = 0).  Anomalies give their first
-    third to the supervised scorer and the rest to the anomaly pool.  The
-    per-step batch size is ``n``, or floor(|calibration| / steps) if None.
+    third to the supervised scorer and the rest to the anomaly pool.  With
+    ``validation``, a prediction-powered split cuts the front fifth off its
+    score-training part and keeps that fifth's inliers to validate the
+    generator.  The per-step batch size is ``n``, or
+    floor(|calibration| / steps) if None; the generator's is ``n_tilde``,
+    else n, else half the generator part per step.  An empty score-training
+    part, or generator part where one is used, fails naming ``steps``.
     """
     if kind not in SPLIT_KINDS:
         raise ValueError(f"unknown split kind {kind!r}")
@@ -285,6 +300,7 @@ def make_splits(data: Table, kind: str, steps: int, rng: np.random.Generator,
     elif kind == "prediction_only":
         twin_part, cal_part = rest[cut1:], rest[:0]
     anom_cut = anomalies.size // 3
+    score_part = np.concatenate([rest[:cut1], anomalies[:anom_cut]])
 
     if kind == "prediction_only":
         n = 0
@@ -295,12 +311,21 @@ def make_splits(data: Table, kind: str, steps: int, rng: np.random.Generator,
             raise ValueError(
                 f"calibration part has {cal_part.size} rows; need at least "
                 f"{minimum} for {steps} fresh batches")
+    if not score_part.size or kind != "twinless" and not twin_part.size:
+        raise ValueError(f"the dataset leaves no score- or generator-training"
+                         f" rows beside the steps = {steps} reserved test "
+                         "points")
 
-    return Splits(score_train=np.concatenate([rest[:cut1],
-                                              anomalies[:anom_cut]]),
-                  twin_train=twin_part, calibration=cal_part,
-                  test_inliers=inliers[:test_reserve],
-                  anomaly_pool=anomalies[anom_cut:], n=n)
+    carve = round(0.2 * score_part.size) if validation and \
+        kind == "prediction_powered" else 0
+    front = score_part[:carve]
+    # n is 0 only in a prediction-only split, whose generator part holds the
+    # calibration third: n_tilde falls back to the batch that third serves
+    return Splits(score_train=score_part[carve:], twin_train=twin_part,
+                  validation=front[data.truth[front] == 0],
+                  calibration=cal_part, test_inliers=inliers[:test_reserve],
+                  anomaly_pool=anomalies[anom_cut:], n=n,
+                  n_tilde=n_tilde or n or max(1, twin_part.size // 2 // steps))
 
 
 def build_stream(data: Table, splits: Splits, steps: int,

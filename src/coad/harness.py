@@ -185,6 +185,11 @@ class RunConfig:
     def validate(self) -> None:
         if not self.methods:
             raise ValueError("at least one method is required")
+        names = [m.value for m in MethodVariant]
+        for name in self.methods:
+            if name not in names:
+                raise ValueError(f"method must be all or a comma list of "
+                                 f"{', '.join(names)}; got {name!r}")
         methods = [MethodVariant(name) for name in self.methods]
         if self.score not in SCORE_KINDS:
             raise ValueError(f"score must be one of {SCORE_KINDS}")
@@ -442,28 +447,9 @@ def table_run(cfg: RunConfig, split_kind: str, run_idx: int,
     methods whose split is ``split_kind``."""
     rng = derive_rng(cfg.seed, run_idx, _Purpose.SPLITS, 0)
     splits = make_splits(data, split_kind, cfg.steps, rng, n=cfg.n,
-                         test_reserve=cfg.steps)
-    if not splits.score_train.size or \
-            split_kind != "twinless" and not splits.twin_train.size:
-        raise ValueError(f"the dataset leaves no score- or generator-training"
-                         f" rows beside the steps = {cfg.steps} reserved test "
-                         "points")
+                         test_reserve=cfg.steps, n_tilde=cfg.n_tilde,
+                         validation=cfg.gamma_override is None)
     stream = build_stream(data, splits, cfg.steps, rng, cfg.anomaly_rate)
-    score_train = data.rows(splits.score_train)
-    twin_train = data.rows(splits.twin_train)
-
-    # the inliers of the front fifth validate the generator for gamma
-    carve = round(0.2 * len(score_train)) if split_kind == \
-        "prediction_powered" and cfg.gamma_override is None else 0
-    validation = score_train.rows(
-        np.flatnonzero(score_train.truth[:carve] == 0))
-    score_train = score_train.rows(slice(carve, None))
-
-    # n_tilde is the configured size, else n; a generator-only split
-    # matches the batch a generator-backed split would have served (its
-    # calibration share is half the twin part)
-    n_tilde = cfg.n_tilde or splits.n or \
-        max(1, len(twin_train) // 2 // cfg.steps)
 
     # the fresh per-step batches are consecutive n-row slices of the
     # calibration part; only the first steps * n rows are ever read (none,
@@ -474,10 +460,11 @@ def table_run(cfg: RunConfig, split_kind: str, run_idx: int,
     def real_batches(lo: int, hi: int) -> np.ndarray:
         return part[lo * n:hi * n].reshape(hi - lo, n, part.shape[1])
 
-    return RunData(score_train=score_train, twin_train=twin_train,
-                   validation=validation, stream=stream,
+    return RunData(score_train=data.rows(splits.score_train),
+                   twin_train=data.rows(splits.twin_train),
+                   validation=data.rows(splits.validation), stream=stream,
                    real_batches=real_batches, n_contexts=schema.n_contexts,
-                   kinds=schema.kinds, n=splits.n, n_tilde=n_tilde)
+                   kinds=schema.kinds, n=n, n_tilde=splits.n_tilde)
 
 
 # --- model fitting ----------------------------------------------------------

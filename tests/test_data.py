@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coad.core import Table
@@ -42,6 +42,14 @@ class TestSchema:
         assert parse_kv_file(p) == {"a": "1", "b": "x y"}
         p.write_text("not a pair\n")
         with pytest.raises(ValueError):
+            parse_kv_file(p)
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        # the last value won without a word
+        p = tmp_path / "c.cfg"
+        p.write_text("a = 1\nb = 2\n\na=3\n")
+        with pytest.raises(ValueError,
+                           match=r"c\.cfg:4: key 'a' repeats line 1$"):
             parse_kv_file(p)
 
     def test_config_bom_is_no_key(self, tmp_path):
@@ -93,14 +101,39 @@ class TestSchema:
         with pytest.raises(ValueError, match=r"nolabel\.schema.*'label'"):
             DatasetSchema.from_file(path)
 
-    @pytest.mark.parametrize("bins", ["5,1", "1,1", "nan"])
+    @pytest.mark.parametrize("bins", ["5,1", "1,1", "nan", "1,x"])
     def test_bins_must_increase(self, tmp_path, bins):
-        # a nan bin compares false with every value and empties context 0
+        # a nan bin compares false with every value and empties context 0;
+        # a bin that is no number failed as "could not convert string"
         path = tmp_path / "bins.schema"
         path.write_text(SCHEMA_TEXT.replace("context.bins = 50",
                                             f"context.bins = {bins}"))
-        with pytest.raises(ValueError,
-                           match=r"bins\.schema: .*strictly increasing"):
+        with pytest.raises(ValueError, match=r"bins\.schema: context\.bins "
+                           rf"must be .*strictly increasing, got {bins}$"):
+            DatasetSchema.from_file(path)
+
+    @pytest.mark.parametrize("line", [
+        "contxt.column = age",  # no context column: every row context 0
+        "label.anomaly_value = yes",  # the anomaly values stayed {'1'}
+        "categories.tsh = low|high",  # a continuous feature
+        "categories.smoker = yes|no",  # no feature
+        "features.bmi = continuous",
+    ])
+    def test_unknown_key_named(self, tmp_path, line):
+        # each such key loaded without a word
+        path = tmp_path / "typo.schema"
+        path.write_text(SCHEMA_TEXT + line + "\n")
+        key = line.split(" =")[0]
+        with pytest.raises(ValueError, match=rf"typo\.schema: unknown schema "
+                           rf"key '{key}'$"):
+            DatasetSchema.from_file(path)
+
+    def test_repeated_key_named(self, tmp_path):
+        # the second feature.sex replaced the first's kind without a word
+        path = tmp_path / "twice.schema"
+        path.write_text(SCHEMA_TEXT + "feature.sex = continuous\n")
+        with pytest.raises(ValueError, match=r"twice\.schema:11: key "
+                           r"'feature\.sex' repeats line 4$"):
             DatasetSchema.from_file(path)
 
     def test_bins_need_a_context_column(self, tmp_path):
@@ -182,6 +215,12 @@ def _outcome(loader, path, schema):
     return ([str(w.message) for w in caught], rows.features.shape,
             rows.features.tobytes(), rows.context.tobytes(),
             rows.truth.tobytes())
+
+
+# two continuous features, the first also the context column
+TWO_COLUMNS = DatasetSchema((("a", "continuous"), ("b", "continuous")),
+                            label="y", context_column="a",
+                            context_bins=(0.5,))
 
 
 class TestLoadCsv:
@@ -287,6 +326,14 @@ class TestLoadCsv:
 
     @settings(max_examples=300, deadline=None)
     @given(case=csv_cases())
+    # faults in two columns of one record; a later column faulting at an
+    # earlier record; a context fault before a feature fault; a width fault
+    # after and before column faults
+    @example(case=(TWO_COLUMNS, "a,b,y\n1,2,0\nx,nan,0\n"))
+    @example(case=(TWO_COLUMNS, "a,b,y\n1,2,0\n1,x,0\nx,2,0\n"))
+    @example(case=(TWO_COLUMNS, "a,b,y\n?,2,0\nx,2,0\n"))
+    @example(case=(TWO_COLUMNS, "a,b,y\n1,x,0\n1,2\n"))
+    @example(case=(TWO_COLUMNS, "a,b,y\n1,2,0\n1,2\nx,2,0\n"))
     def test_matches_row_parser(self, case):
         # the same table and warnings, or the same message, as the row loop
         schema, text = case
@@ -395,6 +442,81 @@ class TestMakeSplits:
         with pytest.raises(ValueError, match="test_reserve"):
             make_splits(_inliers(90), PP, steps=10,
                         rng=np.random.default_rng(0), test_reserve=-1)
+
+
+class TestSplitRules:
+    """The validation carve, the generator batch size and the empty-part
+    check, which the table run once applied to a split."""
+
+    def test_validation_carve(self):
+        # the front fifth of the score-training part (12 of 60: 10 inliers
+        # and 2 anomalies) leaves it; its inliers validate the generator
+        data = concat(_inliers(36), _anomalies(150))
+        plain = make_splits(data, PP, 2, np.random.default_rng(4),
+                            test_reserve=6)
+        splits = make_splits(data, PP, 2, np.random.default_rng(4),
+                             test_reserve=6, validation=True)
+        score_train = data.rows(plain.score_train)
+        carve = round(0.2 * len(score_train))
+        validation = score_train.rows(
+            np.flatnonzero(score_train.truth[:carve] == 0))
+        rest = score_train.rows(slice(carve, None))
+        assert (carve, len(validation)) == (12, 10)
+        for got, want in ((splits.validation, validation),
+                          (splits.score_train, rest)):
+            assert data.features[got].tobytes() == want.features.tobytes()
+            assert data.truth[got].tolist() == want.truth.tolist()
+        for part in ("twin_train", "calibration", "test_inliers",
+                     "anomaly_pool"):
+            assert np.array_equal(getattr(splits, part),
+                                  getattr(plain, part))
+
+    @pytest.mark.parametrize("kind, validation", [
+        (PP, False), ("twinless", True), ("prediction_only", True)])
+    def test_no_carve(self, kind, validation):
+        data = concat(_inliers(90), _anomalies(9))
+        plain = make_splits(data, kind, 5, np.random.default_rng(0))
+        splits = make_splits(data, kind, 5, np.random.default_rng(0),
+                             validation=validation)
+        assert splits.validation.size == 0
+        assert np.array_equal(splits.score_train, plain.score_train)
+
+    @pytest.mark.parametrize("kind, n_tilde, want", [
+        (PP, 7, 7), ("prediction_only", 7, 7),  # the configured size
+        (PP, None, 3), ("twinless", None, 6),  # else n
+        ("prediction_only", None, 3),  # else half the generator part a step
+    ])
+    def test_n_tilde(self, kind, n_tilde, want):
+        splits = make_splits(_inliers(90), kind, 10,
+                             np.random.default_rng(0), n_tilde=n_tilde)
+        assert splits.n_tilde == want
+
+    def test_n_tilde_at_least_one(self):
+        # 3 generator rows for 10 steps: half a row a step
+        splits = make_splits(_inliers(4), "prediction_only", 10,
+                             np.random.default_rng(0))
+        assert (splits.twin_train.size, splits.n_tilde) == (3, 1)
+
+    EMPTY = r"no score- or generator-training rows beside the steps = 1 "
+
+    def test_empty_generator_part_fails_where_it_is_used(self):
+        # one inlier besides the reserved one: the score third holds an
+        # anomaly and the generator third nothing
+        data = concat(_inliers(2), _anomalies(3))
+        with pytest.raises(ValueError, match=self.EMPTY):
+            make_splits(data, PP, 1, np.random.default_rng(0),
+                        test_reserve=1)
+        splits = make_splits(data, "twinless", 1, np.random.default_rng(0),
+                             test_reserve=1)
+        assert splits.twin_train.size == 0 and splits.calibration.size == 1
+        with pytest.raises(ValueError, match=self.EMPTY):
+            make_splits(concat(_inliers(1), _anomalies(3)), "prediction_only",
+                        1, np.random.default_rng(0), test_reserve=1)
+
+    def test_empty_score_part_fails(self):
+        with pytest.raises(ValueError, match=self.EMPTY):
+            make_splits(_inliers(3), "twinless", 1, np.random.default_rng(0),
+                        test_reserve=1)
 
 
 class TestBuildStream:

@@ -173,10 +173,9 @@ class TestConfig:
         {"seed": "-1"},
     ])
     def test_validation(self, bad):
-        # each error names its key; an unknown method names the enum
+        # each error names its key
         (key,) = bad
-        match = "MethodVariant" if key == "method" else rf"\b{key}\b"
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=rf"\b{key}\b"):
             config_from(bad)
 
     @pytest.mark.parametrize("key, value, bound", [
@@ -271,6 +270,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"unknown config key '{field}'"):
             config_from(**{field: value})
         assert config_from({key: value}).resolved()[key] == value
+
+    @pytest.mark.parametrize("text", ["FOO", "COAD,FOO", "COAD,all"])
+    def test_unknown_method_names_the_key_and_the_methods(self, text):
+        # it failed as "'FOO' is not a valid MethodVariant"
+        names = ", ".join(m.value for m in MethodVariant)
+        with pytest.raises(ValueError, match=rf"^method must be all or a "
+                           rf"comma list of {names}; got '(FOO|all)'$"):
+            config_from({"method": text})
 
     def test_resolved_roundtrip(self):
         cfg = _cfg(method="COAD,PO_COAD")
