@@ -65,10 +65,12 @@ class DatasetSchema:
     """Column layout of a CSV dataset.
 
     ``features`` lists (name, kind) pairs in vector order, kind being
-    "continuous" or "categorical".  ``anomaly_values`` are the label-column
-    strings counted as anomalies.  The context is derived from a numeric
-    column via right-open bins: context = #boundaries strictly below-or-at
-    the value; bins without a context column are rejected.
+    "continuous" or "categorical"; the schema alone reads kind names and
+    hands the rest ``categorical``, one flag per feature.  ``anomaly_values``
+    are the label-column strings counted as anomalies.  The context is
+    derived from a numeric column via right-open bins: context =
+    #boundaries strictly below-or-at the value; bins without a context
+    column are rejected.
     """
 
     features: tuple[tuple[str, str], ...]
@@ -82,17 +84,23 @@ class DatasetSchema:
     def __post_init__(self) -> None:
         for name, kind in self.features:
             if kind not in ("continuous", "categorical"):
-                raise ValueError(f"feature {name!r}: unknown kind {kind!r}")
+                raise ValueError(f"feature.{name}: unknown kind {kind!r}")
         if self.context_bins and self.context_column is None:
             raise ValueError("context.bins needs a context.column to bin")
+        if self.label in dict(self.features):
+            raise ValueError(f"label column {self.label!r} is also "
+                             f"feature.{self.label}")
+        if self.label == self.context_column:
+            raise ValueError(f"label column {self.label!r} is also the "
+                             "context.column")
 
     @property
     def n_contexts(self) -> int:
         return len(self.context_bins) + 1
 
     @property
-    def kinds(self) -> tuple[str, ...]:
-        return tuple(kind for _, kind in self.features)
+    def categorical(self) -> tuple[bool, ...]:
+        return tuple(kind == "categorical" for _, kind in self.features)
 
     def context_of(self, value):
         """Context of a context-column value, elementwise for an array:
@@ -130,11 +138,14 @@ class DatasetSchema:
             if "missing.tokens" in raw else frozenset({"?", ""})
         anomaly = frozenset(v.strip() for v in
                             raw.get("label.anomaly_values", "1").split(","))
-        return cls(features=tuple(features.items()), label=raw["label"],
-                   anomaly_values=anomaly,
-                   context_column=raw.get("context.column"),
-                   context_bins=bins, missing_tokens=missing,
-                   categories=categories)
+        try:
+            return cls(features=tuple(features.items()), label=raw["label"],
+                       anomaly_values=anomaly,
+                       context_column=raw.get("context.column"),
+                       context_bins=bins, missing_tokens=missing,
+                       categories=categories)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 # the schema keys besides feature.<name> and categories.<name>
@@ -148,22 +159,30 @@ def load_csv(path, schema: DatasetSchema) -> Table:
     Missing tokens leave NaN; declared-but-unknown category values are
     treated as missing too, while undeclared categorical columns get codes
     in first-seen order.  The records are read once and parsed column by
-    column.  A header that lacks a schema column fails before any record
-    is parsed; otherwise a malformed file fails naming its first fault in
-    file order: within a record the field count is checked first, then the
-    features in schema order, the label and the context column.  The
-    context value is -inf, which bins into context 0, when the schema names
-    no context column.
+    column.  A header that lacks a schema column, or names one more than
+    once, fails before any record is parsed; otherwise a malformed file
+    fails naming its first fault in file order: within a record the field
+    count is checked first, then the features in schema order, the label
+    and the context column.  A file with records fails naming the first
+    feature column that holds no observed value.  The context value is
+    -inf, which bins into context 0, when the schema names no context
+    column.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         records = [row for row in reader if row]  # blank records uncounted
-    index = {name: j for j, name in enumerate(header or ())}  # last wins
+    index = {name: j for j, name in enumerate(header or ())}
     for name in [*(name for name, _ in schema.features), schema.label,
                  schema.context_column]:
-        if header is not None and name is not None and name not in index:
+        if header is None or name is None:
+            continue
+        count = header.count(name)
+        if not count:
             raise ValueError(f"{path}: no column {name!r} in the header")
+        if count > 1:
+            raise ValueError(f"{path}: column {name!r} is named {count} "
+                             "times in the header")
     if header is None:
         warnings.warn(f"{path}: empty file, no rows loaded", stacklevel=2)
     elif not records:
@@ -196,6 +215,10 @@ def load_csv(path, schema: DatasetSchema) -> Table:
         record, _, exc = min(faults, key=lambda fault: fault[:2])
         raise ValueError(f"{path}: malformed row {record + 2}: {exc}") \
             from exc
+    empty = np.isnan(matrix[:, :d]).all(axis=0)
+    if records and empty.any():  # no run's imputer could fill it
+        name = schema.features[empty.argmax()][0]
+        raise ValueError(f"{path}: column {name!r} holds no observed value")
     return Table(matrix[:, :d], schema.context_of(matrix[:, d]),
                  matrix[:, d + 1])
 
@@ -373,42 +396,36 @@ MODE_CODES = 4096
 
 @dataclass(frozen=True, eq=False)
 class Imputer:
-    """Per-feature fill values: training median (continuous) or mode
-    (categorical), a tie going to the value seen first.
+    """Per-feature fill values: the training median, or the mode where
+    ``fit``'s one-flag-per-feature ``categorical`` mask is True, a tie going
+    to the value seen first.
 
     Fully determined at fit time; applying it fills the missing values and
     leaves observed ones untouched.
     """
 
     fill_values: np.ndarray
-    kinds: tuple[str, ...]
 
     @classmethod
-    def fit(cls, train: Table, kinds) -> "Imputer":
-        kinds = tuple(kinds)
+    def fit(cls, train: Table, categorical) -> "Imputer":
         if not len(train):
             raise ValueError("cannot fit an imputer on no data")
-        d = train.dim
-        if len(kinds) != d:
-            raise ValueError("one kind per feature is required")
-        for i, kind in enumerate(kinds):
-            if kind not in ("continuous", "categorical"):
-                raise ValueError(f"feature {i}: unknown kind {kind!r}")
+        cat = np.asarray(categorical)
+        if cat.dtype != bool or cat.shape != (train.dim,):
+            raise ValueError("one boolean categorical flag per feature")
         observed = ~np.isnan(train.features)
         empty = np.flatnonzero(~observed.any(axis=0))
         if empty.size:
             raise ValueError(f"feature {empty[0]} has no observed training "
                              "values")
-        fill = np.empty(d)
-        for i, kind in enumerate(kinds):
-            if kind == "continuous":
-                fill[i] = np.median(train.features[observed[:, i], i])
-        cat = np.array([kind == "categorical" for kind in kinds])
+        fill = np.empty(train.dim)
+        for i in np.flatnonzero(~cat):
+            fill[i] = np.median(train.features[observed[:, i], i])
         if cat.all():  # no column copies
             fill = _modes(train.features, observed)
         elif cat.any():
             fill[cat] = _modes(train.features[:, cat], observed[:, cat])
-        return cls(fill, kinds)
+        return cls(fill)
 
 
 def _modes(values: np.ndarray, observed: np.ndarray) -> np.ndarray:

@@ -346,7 +346,7 @@ class RunData:
     stream: Table
     real_batches: Callable[[int, int], np.ndarray]
     n_contexts: int
-    kinds: tuple[str, ...]
+    categorical: tuple[bool, ...]
     n: int
     n_tilde: int
 
@@ -421,7 +421,7 @@ def gaussian_synthetic_stream(cfg: RunConfig, run_idx: int) -> RunData:
     return RunData(score_train=score_train, twin_train=twin_train,
                    validation=validation, stream=Table(tests, ctx, truth),
                    real_batches=real_batches, n_contexts=contexts,
-                   kinds=("continuous",) * dim, n=n, n_tilde=n_tilde)
+                   categorical=(False,) * dim, n=n, n_tilde=n_tilde)
 
 
 def _load_dataset(cfg: RunConfig) -> tuple[DatasetSchema, Table]:
@@ -464,7 +464,7 @@ def table_run(cfg: RunConfig, split_kind: str, run_idx: int,
                    twin_train=data.rows(splits.twin_train),
                    validation=data.rows(splits.validation), stream=stream,
                    real_batches=real_batches, n_contexts=schema.n_contexts,
-                   kinds=schema.kinds, n=n, n_tilde=splits.n_tilde)
+                   categorical=schema.categorical, n=n, n_tilde=splits.n_tilde)
 
 
 # --- model fitting ----------------------------------------------------------
@@ -536,25 +536,23 @@ def _fit_group(cfg: RunConfig, group: Sequence[MethodVariant], run_idx: int,
     order of their first methods.  Each fit runs when a method, in config
     order, first needs it, and a failing fit names that method.  A
     context-blind lane fits on one-context views of the rows."""
-    imputer = Imputer.fit(rundata.score_train, rundata.kinds)
+    imputer = Imputer.fit(rundata.score_train, rundata.categorical)
     tables = [*(replace(rows, features=impute(imputer, rows.features))
                 for rows in (rundata.score_train, rundata.twin_train,
                              rundata.validation)), rundata.stream]
-    views: dict[bool, list[Table]] = {}  # the rows each lane reads
-    lanes: dict[bool, _Lane] = {}
+    # each lane with the rows it reads, which it need not hold past the fits
+    lanes: dict[bool, tuple[_Lane, list[Table]]] = {}
     for method in group:
         aware, rule = method.context_aware, method.acquisition
-        if aware not in views:
-            views[aware] = tables if aware else [
-                replace(rows, context=np.zeros(len(rows), dtype=int))
-                for rows in tables]
-        score_train, twin_train, validation, stream = views[aware]
         with _failing_as(cfg, method, run_idx):
             if aware not in lanes:
-                lanes[aware] = _Lane(stream.context, _fit_score_model(
-                    cfg, run_idx, score_train,
-                    rundata.n_contexts if aware else 1))
-            lane = lanes[aware]
+                rows = tables if aware else [
+                    replace(part, context=np.zeros(len(part), dtype=int))
+                    for part in tables]
+                scorer = _fit_score_model(cfg, run_idx, rows[0],
+                                          rundata.n_contexts if aware else 1)
+                lanes[aware] = _Lane(rows[-1].context, scorer), rows
+            lane, (score_train, twin_train, validation, _) = lanes[aware]
             lane.methods[rule] = method
             if rule is None:
                 lane.threshold = fit_fixed_threshold(lane.scorer, score_train,
@@ -567,7 +565,7 @@ def _fit_group(cfg: RunConfig, group: Sequence[MethodVariant], run_idx: int,
             if rule == "active":
                 lane.gammas = _calibrate_gammas(cfg, lane, run_idx,
                                                 validation)
-    return imputer, list(lanes.values())
+    return imputer, [lane for lane, _ in lanes.values()]
 
 
 # --- the run engine ---------------------------------------------------------

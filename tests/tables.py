@@ -96,7 +96,9 @@ def oran_csv(directory, samples: int, anomaly_frac: float = 0.1,
 def load_csv_by_rows(path, schema) -> Table:
     """The row-by-row parser that ``coad.data.load_csv`` replaced: a header
     check, then a dict per record and one pass over its fields, failing at
-    the first fault in file order.  The oracle of the column-wise reader."""
+    the first fault in file order, and last a check that each feature
+    column holds an observed value.  The oracle of the column-wise
+    reader."""
     codebooks = {name: {v: i for i, v in enumerate(schema.categories[name])}
                  for name, kind in schema.features
                  if kind == "categorical" and name in schema.categories}
@@ -110,6 +112,9 @@ def load_csv_by_rows(path, schema) -> Table:
         for name in needed if header is not None else ():
             if name not in header:
                 raise ValueError(f"{path}: no column {name!r} in the header")
+            if header.count(name) > 1:
+                raise ValueError(f"{path}: column {name!r} is named "
+                                 f"{header.count(name)} times in the header")
         # the header is line 1; blank records are skipped uncounted
         for rownum, row in enumerate(filter(None, reader), start=2):
             try:
@@ -127,6 +132,10 @@ def load_csv_by_rows(path, schema) -> Table:
         warnings.warn(f"{path}: no data rows", stacklevel=2)
     d = len(schema.features)
     matrix = np.array(records, dtype=float).reshape(len(records), d + 2)
+    for j, (name, _) in enumerate(schema.features):
+        if records and np.isnan(matrix[:, j]).all():
+            raise ValueError(f"{path}: column {name!r} holds no observed "
+                             "value")
     return Table(matrix[:, :d], schema.context_of(matrix[:, d]),
                  matrix[:, d + 1])
 

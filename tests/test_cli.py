@@ -14,7 +14,7 @@ import coad
 from coad import cli
 from coad.cli import build_parser, main
 from coad.harness import CONFIG_KEYS
-from coad.data import parse_kv_file
+from coad.data import SCHEMA_KEYS, parse_kv_file
 from tables import toy_csv
 
 REPO = Path(__file__).resolve().parent.parent
@@ -113,6 +113,30 @@ def test_malformed_csv_row_exits_2(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n")
     assert _run_config(tmp_path, mapping) == 2
     assert "malformed row 6: could not convert string to float: 'abc'" in \
+        capsys.readouterr().err
+
+
+def test_schema_kind_fault_exits_2_naming_file_and_key(tmp_path, capsys):
+    # it printed "feature 'x1': unknown kind 'ordinal'", naming no file
+    mapping = toy_csv(tmp_path)
+    schema = Path(mapping["schema_path"])
+    schema.write_text(schema.read_text().replace(
+        "feature.x1 = continuous", "feature.x1 = ordinal"))
+    assert _run_config(tmp_path, mapping) == 2
+    assert f"{schema}: feature.x1: unknown kind 'ordinal'" in \
+        capsys.readouterr().err
+
+
+def test_unobserved_feature_column_exits_2(tmp_path, capsys):
+    # run 0 died with a traceback naming 'feature 1', not the column
+    mapping = toy_csv(tmp_path)
+    path = Path(mapping["csv_path"])
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0]] + [
+        ",".join(line.split(",")[:1] + ["?"] + line.split(",")[2:])
+        for line in lines[1:]]) + "\n")
+    assert _run_config(tmp_path, mapping) == 2
+    assert f"{path}: column 'x1' holds no observed value" in \
         capsys.readouterr().err
 
 
@@ -242,3 +266,12 @@ def test_readme_flags_parse():
         # "1" parses for every flag; an abbreviation would set another dest
         args = build_parser().parse_args([sub, flag, "1"])
         assert vars(args).get(flag[2:].replace("-", "_")) in ("1", 1), flag
+
+
+def test_readme_names_every_schema_key():
+    # README's one sentence that lists the schema keys names each of them
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"The schema keys are (.*?)\.\s+[A-Z]", readme,
+                         re.DOTALL).group(1)
+    named = set(re.findall(r"`([^`]+)`", sentence))
+    assert {*SCHEMA_KEYS, "feature.<name>", "categories.<name>"} <= named

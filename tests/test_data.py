@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -79,7 +80,7 @@ class TestSchema:
         assert np.isnan(rows.features[1]).tolist() == [False, True, True]
 
     def test_fields(self, schema):
-        assert schema.kinds == ("continuous", "continuous", "categorical")
+        assert schema.categorical == (False, False, True)
         assert schema.n_contexts == 2
         assert schema.anomaly_values == {"1", "2"}
 
@@ -92,8 +93,38 @@ class TestSchema:
             [0, 1, 1]
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^feature\.x: unknown kind 'ordinal'$"):
             DatasetSchema(features=(("x", "ordinal"),), label="y")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("feature.tsh = continuous", "feature.tsh = ordinal",
+         r"feature\.tsh: unknown kind 'ordinal'"),
+        ("context.column = age\n", "",
+         r"context\.bins needs a context\.column to bin"),
+    ])
+    def test_post_init_faults_name_the_file(self, tmp_path, old, new,
+                                            message):
+        # the schema's own checks named neither the file nor, for a kind,
+        # the key
+        path = tmp_path / "fault.schema"
+        path.write_text(SCHEMA_TEXT.replace(old, new))
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(str(path))}: {message}$"):
+            DatasetSchema.from_file(path)
+
+    @pytest.mark.parametrize("line, role", [
+        ("feature.class = categorical", "feature.class"),
+        ("context.column = class", "the context.column"),
+    ])
+    def test_label_plays_no_other_role(self, tmp_path, line, role):
+        # both loaded: the feature, or every row's context, was the label
+        path = tmp_path / "roles.schema"
+        text = SCHEMA_TEXT.replace("context.column = age\n", "")
+        path.write_text(text.replace("context.bins = 50\n", "") + line + "\n")
+        with pytest.raises(ValueError, match=rf"roles\.schema: label column "
+                           rf"'class' is also {re.escape(role)}$"):
+            DatasetSchema.from_file(path)
 
     def test_missing_label_names_file_and_key(self, tmp_path):
         path = tmp_path / "nolabel.schema"
@@ -175,7 +206,7 @@ def csv_cases(draw):
                            categories=categories)
     malformed = draw(st.booleans())
     header = list(draw(st.permutations(COLUMNS)))
-    if draw(st.booleans()):  # a repeated name reads its last column
+    if draw(st.booleans()):  # a repeated name fails where the schema reads it
         header.append(draw(st.sampled_from(COLUMNS)))
     if malformed and draw(st.booleans()):
         header.pop(draw(st.integers(0, len(header) - 1)))
@@ -238,11 +269,33 @@ class TestLoadCsv:
         assert rows.features[0].tolist() == [30.0, 1.5, 0.0]  # M -> code 0
 
     def test_missing_token_masks(self, tmp_path, schema):
-        rows = load_csv(self._write(tmp_path, "30,?,M,3\n"), schema)
+        rows = load_csv(self._write(tmp_path, "30,?,M,3\n30,1.0,M,3\n"),
+                        schema)
         assert np.isnan(rows.features[0]).tolist() == [False, True, False]
 
+    @pytest.mark.parametrize("body", ["", "30,1.0,M,3,2.0\n"])
+    def test_repeated_schema_column_named(self, tmp_path, schema, body):
+        # the last 'tsh' was read without a word
+        path = tmp_path / "twice.csv"
+        path.write_text("age,tsh,sex,class,tsh\n" + body)
+        with pytest.raises(ValueError, match=r"twice\.csv: column 'tsh' is "
+                           r"named 2 times in the header$"):
+            load_csv(path, schema)
+
+    @pytest.mark.parametrize("body, column", [
+        ("30,?,M,3\n70,,F,1\n", "tsh"),
+        ("30,1.0,X,3\n70,2.0,?,1\n", "sex"),  # unknown categories too
+    ])
+    def test_unobserved_feature_column_named(self, tmp_path, schema, body,
+                                             column):
+        # run 0's imputer failed on 'feature 1', naming no column
+        with pytest.raises(ValueError, match=rf"toy\.csv: column '{column}' "
+                           "holds no observed value$"):
+            load_csv(self._write(tmp_path, body), schema)
+
     def test_unknown_declared_category_masked(self, tmp_path, schema):
-        rows = load_csv(self._write(tmp_path, "30,1.0,X,3\n"), schema)
+        rows = load_csv(self._write(tmp_path, "30,1.0,X,3\n30,1.0,F,3\n"),
+                        schema)
         assert np.isnan(rows.features[0, 2])
 
     def test_malformed_row_number(self, tmp_path, schema):
@@ -614,18 +667,18 @@ class TestMcar:
 class TestImputer:
     def _fit(self):
         cols = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 1.0], [100.0, 0.0]])
-        return Imputer.fit(table(cols), ("continuous", "categorical"))
+        return Imputer.fit(table(cols), (False, True))
 
     def test_median_mean_of_middle_two(self):
         imp = self._fit()
         assert imp.fill_values[0] == 2.5
 
     def test_mode_first_seen_tiebreak(self):
-        imp = Imputer.fit(table([0.0, 0.0, 1.0]), ("categorical",))
+        imp = Imputer.fit(table([0.0, 0.0, 1.0]), (True,))
         assert imp.fill_values[0] == 0.0
         # tie: first-seen order wins
         train = table([2.0, 1.0, 1.0, 2.0])
-        assert Imputer.fit(train, ("categorical",)).fill_values[0] == 2.0
+        assert Imputer.fit(train, (True,)).fill_values[0] == 2.0
 
     def test_fully_observed_unchanged(self):
         imp = self._fit()
@@ -657,12 +710,12 @@ class TestImputer:
         assert not np.isnan(twice).any()
 
     @staticmethod
-    def _loop_fill(train, kinds):
+    def _loop_fill(train, categorical):
         """The per-row, per-feature fit the vectorized one replaced."""
-        fill = np.empty(len(kinds))
-        for i, kind in enumerate(kinds):
+        fill = np.empty(len(categorical))
+        for i, cat in enumerate(categorical):
             column = [row[i] for row in train.features if not np.isnan(row[i])]
-            if kind == "continuous":
+            if not cat:
                 fill[i] = float(np.median(column))
             else:
                 counts: dict[float, int] = {}
@@ -680,7 +733,7 @@ class TestImputer:
     ]))
     def test_matches_loop_reference(self, data, values):
         rows = data.draw(st.integers(1, 12))
-        kinds = ("continuous", "categorical", "categorical")
+        categorical = (False, True, True)
         values = st.sampled_from(values)
         features = []
         for r in range(rows):
@@ -690,33 +743,39 @@ class TestImputer:
                 data.draw(st.lists(st.booleans(), min_size=3, max_size=3))
             features.append(np.where(mask, np.nan, feats))
         train = table(features)
-        fill = Imputer.fit(train, kinds).fill_values
-        assert fill.tobytes() == self._loop_fill(train, kinds).tobytes()
+        fill = Imputer.fit(train, categorical).fill_values
+        assert fill.tobytes() == \
+            self._loop_fill(train, categorical).tobytes()
 
     def test_mostly_masked_column_and_ties(self):
         # column 0: one observed value; column 1: 1 and 2 tie, 2 came first
         train = table([[np.nan, 2.0], [np.nan, 1.0], [7.5, 1.0],
                        [np.nan, 2.0], [np.nan, 3.0]])
-        kinds = ("continuous", "categorical")
-        fill = Imputer.fit(train, kinds).fill_values
+        categorical = (False, True)
+        fill = Imputer.fit(train, categorical).fill_values
         assert fill.tolist() == [7.5, 2.0]
-        assert fill.tobytes() == self._loop_fill(train, kinds).tobytes()
+        assert fill.tobytes() == \
+            self._loop_fill(train, categorical).tobytes()
 
     def test_no_observed_values(self):
         with pytest.raises(ValueError, match="feature 0"):
-            Imputer.fit(table([np.nan]), ("continuous",))
+            Imputer.fit(table([np.nan]), (False,))
 
     def test_no_rows(self):
         empty = Table(np.empty((0, 1)), [], [])
         with pytest.raises(ValueError, match="no data"):
-            Imputer.fit(empty, ("continuous",))
+            Imputer.fit(empty, (False,))
 
     def test_kind_count_checked(self):
-        with pytest.raises(ValueError):
-            Imputer.fit(table([[1.0, 2.0]]), ("continuous",))
+        with pytest.raises(ValueError, match="one boolean categorical flag"):
+            Imputer.fit(table([[1.0, 2.0]]), (False,))
 
-    def test_unknown_kind_named(self):
-        # any kind but "continuous" used to fit a mode without a word
-        with pytest.raises(ValueError,
-                           match="feature 1: unknown kind 'categorial'"):
-            Imputer.fit(table([[1.0, 2.0]]), ("continuous", "categorial"))
+    @pytest.mark.parametrize("categorical", [
+        ("continuous", "categorical"),  # np.asarray(..., bool): all True
+        (0, 1),
+        np.array([[False, True]]),
+    ])
+    def test_kind_names_rejected(self, categorical):
+        # the schema alone reads kind names; the imputer takes their mask
+        with pytest.raises(ValueError, match="one boolean categorical flag"):
+            Imputer.fit(table([[1.0, 2.0]]), categorical)
