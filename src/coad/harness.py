@@ -12,13 +12,14 @@ them on the Gaussian oracle, the methods of one split kind on a table).  A
 group builds its data, as columnar ``Table``s whose split is row positions
 gathered only where the run reads them, and fits its imputer once.  Its
 methods of one context awareness, at most one per acquisition rule, form a
-lane: the lane fits a score model, a generator, FIXED's threshold and the
-active method's gammas once, and computes each array of a chunk of the
-group's stream once -- test scores, flags, proxy and real p-values,
-queries -- for all its methods.  Every fit is per context; a context-blind
-lane reads every row as context 0.  Since each shared object is a function
-of (seed, run, purpose, sub-stream) alone, a method's outputs do not depend
-on which methods share its runs.
+lane: the lane fits a score model, a generator and its synthetic pool,
+FIXED's threshold and the active method's gammas once, and computes each
+array of a chunk of the group's stream once -- test scores, flags, proxy
+p-values against the pool, real p-values, queries -- for all its methods.
+Every fit is per context; a context-blind lane reads every row as context
+0.  Since each shared object is a function of (seed, run, purpose,
+sub-stream) alone, a method's outputs do not depend on which methods share
+its runs.
 
 A run has two phases.  No step's statistic -- proxy p-value, acquisition
 draw, real p-value, test statistic -- reads the detector's past, so the
@@ -81,13 +82,12 @@ class _Purpose:
     SPLITS = 1
     SCORE_FIT = 2
     TWIN_FIT = 3
-    VALIDITY = 4  # gamma calibration's synthetic pool, sub n_eff + context
     TEST_POINT = 5
-    TWIN_SAMPLE = 6
     REAL_CAL = 7
     ACQUIRE = 8
     MASK = 9
     VALIDATION = 10  # the Gaussian oracle's validation inliers, sub context
+    POOL = 11  # a lane's synthetic pool, sub its context awareness
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -101,7 +101,7 @@ class MethodVariant(Enum):
     """The seven benchmark methods, all configurations of one step pipeline.
 
     Each is (context-aware scoring, acquisition rule): "always" queries a
-    real batch, "never" trusts the synthetic batch, "active" queries with
+    real batch, "never" trusts the synthetic pool, "active" queries with
     probability 1 - gamma * q, and None (FIXED) tests raw scores.
     """
 
@@ -180,7 +180,6 @@ class RunConfig:
     score_train_size: int = 600
     twin_train_size: int = 600
     val_size: int = 500
-    synth_pool: int = 500
 
     def validate(self) -> None:
         if not self.methods:
@@ -213,8 +212,7 @@ class RunConfig:
         for size in (self.n, self.n_tilde):
             if size is not None and size < 1:
                 raise ValueError("n and n_tilde must be >= 1 when set")
-        for key in ("contexts", "dim", "gmm_components", "kmeans_k",
-                    "synth_pool"):
+        for key in ("contexts", "dim", "gmm_components", "kmeans_k"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
         for key in ("score_train_size", "twin_train_size", "val_size"):
@@ -488,26 +486,27 @@ class _Lane:
     """The methods of a split group that share a context awareness, by
     acquisition rule in config order (at most one per rule), and what they
     share: the stream's context column as they read it (all zeros when
-    context-blind), the score model, the generator, and FIXED's thresholds
-    and the active method's gammas, one per context they read."""
+    context-blind), the score model, the generator, and FIXED's thresholds,
+    the scores of the generator's synthetic pool and the active method's
+    gammas, one per context they read."""
 
     context: np.ndarray
     scorer: ScoreModel
     methods: dict[str | None, MethodVariant] = field(default_factory=dict)
     threshold: np.ndarray | None = None
     twin: TwinModel | None = None
+    pool: np.ndarray | None = None  # (C, n_tilde) synthetic scores
     gammas: np.ndarray | None = None
 
 
-def _calibrate_gammas(cfg: RunConfig, lane: _Lane, run_idx: int,
+def _calibrate_gammas(cfg: RunConfig, lane: _Lane,
                       validation: Table) -> np.ndarray:
     """The active method's trust gamma(c) per context, from the lane's view
-    of its validation inliers' p-values against a synthetic pool, or the
-    override.
+    of its validation inliers' proxy p-values, or the override.
 
-    Each context with validation inliers draws its own pool from its own
-    generator, scores the pool and its inliers in one call, and ranks the
-    inliers against its own pool alone, the Mondrian split.
+    Each context with validation inliers ranks them against its own part of
+    the lane's synthetic pool alone, the Mondrian split, so gamma measures
+    the gap of the very q that the stream reads.
     """
     n_eff = lane.scorer.n_contexts
     if cfg.gamma_override is not None:
@@ -519,13 +518,8 @@ def _calibrate_gammas(cfg: RunConfig, lane: _Lane, run_idx: int,
                           "falling back to gamma = 0.5", stacklevel=2)
             gammas[c] = 0.5
             continue
-        srng = derive_rng(cfg.seed, run_idx, _Purpose.VALIDITY, n_eff + c)
-        uniforms = srng.random((1, cfg.synth_pool))
-        noise = srng.standard_normal((1, cfg.synth_pool, lane.twin.dim))
-        scores = lane.scorer.scores(np.concatenate([sample_synthetic(
-            lane.twin, c, uniforms, noise), group.observed()]), c)
-        pvals = proxy_pvalues(scores[:cfg.synth_pool],
-                              scores[cfg.synth_pool:], cfg.plus_one)
+        pvals = proxy_pvalues(lane.pool[c], lane.scorer.scores(
+            group.observed(), c), cfg.plus_one)
         gammas[c] = gamma_of_context(positive_ecdf_gap(pvals), cfg.lam)
     return gammas
 
@@ -535,7 +529,12 @@ def _fit_group(cfg: RunConfig, group: Sequence[MethodVariant], run_idx: int,
     """The imputer of one run's split group, fit once, and its lanes in the
     order of their first methods.  Each fit runs when a method, in config
     order, first needs it, and a failing fit names that method.  A
-    context-blind lane fits on one-context views of the rows."""
+    context-blind lane fits on one-context views of the rows.
+
+    A lane's generator draws its synthetic pool once: n_tilde rows per
+    context from the run's stream of the lane's context awareness, all the
+    component uniforms, then all the noise, each context's rows scored
+    under that context.  The pool is fixed before step 1, like the fits."""
     imputer = Imputer.fit(rundata.score_train, rundata.categorical)
     tables = [*(replace(rows, features=impute(imputer, rows.features))
                 for rows in (rundata.score_train, rundata.twin_train,
@@ -562,9 +561,14 @@ def _fit_group(cfg: RunConfig, group: Sequence[MethodVariant], run_idx: int,
                     twin_train, k=cfg.gmm_components, rng=derive_rng(
                         cfg.seed, run_idx, _Purpose.TWIN_FIT, 0),
                     n_contexts=lane.scorer.n_contexts)
+                rng = derive_rng(cfg.seed, run_idx, _Purpose.POOL, aware)
+                ids = np.arange(lane.scorer.n_contexts)
+                shape = (ids.size, rundata.n_tilde)
+                lane.pool = _score_batches(lane.scorer, sample_synthetic(
+                    lane.twin, ids, rng.random(shape), rng.standard_normal(
+                        (*shape, lane.twin.dim))).reshape(*shape, -1), ids)
             if rule == "active":
-                lane.gammas = _calibrate_gammas(cfg, lane, run_idx,
-                                                validation)
+                lane.gammas = _calibrate_gammas(cfg, lane, validation)
     return imputer, [lane for lane, _ in lanes.values()]
 
 
@@ -588,18 +592,16 @@ def _score_batches(model: ScoreModel, batches: np.ndarray,
 @dataclass(eq=False)
 class _Chunk:
     """The stream arrays of the steps ``at`` that every method of a split
-    group reads.  Every run draws each of them, the twin's zero-width when
-    no method of the group has a generator, except ``real``: it is None
+    group reads.  Every run draws each of them except ``real``: it is None
     when no method of the group reads real batches, since the Gaussian
-    oracle draws n * d normals a step for them.  The draws land in buffers
-    held for the run, so a chunk's arrays are valid only until the next
-    chunk is drawn, and nothing may hold them past it."""
+    oracle draws n * d normals a step for them.  No step draws twin rows:
+    the proxy p-values rank against the lane's pool, drawn at fit time.
+    The draws land in buffers held for the run, so a chunk's arrays are
+    valid only until the next chunk is drawn, and nothing may hold them
+    past it."""
 
     at: slice
     tests: np.ndarray          # (k, d) test points, masked, then filled
-    uniforms: np.ndarray       # (k, n_tilde) twin component uniforms
-    noise: np.ndarray          # (k, n_tilde, d) twin noise
-    work: np.ndarray           # (2, k, n_tilde, d) a twin samples into
     acquire: np.ndarray        # (k,) acquisition uniforms
     real: np.ndarray | None    # (k, n, d) real batches, masked, filled
 
@@ -612,26 +614,18 @@ def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData,
     Each stream-time generator is created once per run and yields one kind
     of draw in step order, so a step's values depend neither on the chunk
     size nor on which methods share the run.  Each kind of draw fills one
-    buffer held for the run, so nothing outlives its chunk.
+    buffer held for the run, so nothing outlives its chunk.  A chunk holds
+    at most CHUNK_VALUES / d steps' worth of the widest per-step array: a
+    real batch, or a lane's (k, n_tilde) gather of its pool.
     """
     steps, dim = rundata.stream.features.shape
     n_tilde = rundata.n_tilde if any(m.uses_twin for m in methods) else 0
     uses_real = any(m.uses_real for m in methods)
-
-    def stream_rng(purpose: int, sub: int = 0) -> np.random.Generator:
-        return derive_rng(cfg.seed, run_idx, purpose, sub)
-
-    test_mask = stream_rng(_Purpose.MASK, 0)
-    real_mask = stream_rng(_Purpose.MASK, 1)
-    comps = stream_rng(_Purpose.TWIN_SAMPLE, 0)
-    noise = stream_rng(_Purpose.TWIN_SAMPLE, 1)
-    acquire = stream_rng(_Purpose.ACQUIRE)
+    test_mask, real_mask, acquire = (
+        derive_rng(cfg.seed, run_idx, *key) for key in
+        ((_Purpose.MASK, 0), (_Purpose.MASK, 1), (_Purpose.ACQUIRE, 0)))
     chunk = max(1, CHUNK_VALUES // (max(rundata.n, n_tilde, 1) * dim))
-    rows = min(chunk, steps)
-    uniforms = np.empty((rows, n_tilde))
-    twin_noise = np.empty((rows, n_tilde, dim))
-    work = np.empty((2, *twin_noise.shape))
-    acquired = np.empty(rows)
+    acquired = np.empty(min(chunk, steps))
     for lo in range(0, steps, chunk):
         hi = min(steps, lo + chunk)
         x = apply_mcar_mask(rundata.stream.features[lo:hi], cfg.q_miss,
@@ -642,11 +636,8 @@ def _chunks(cfg: RunConfig, run_idx: int, rundata: RunData,
             # rows may hold missing values even at q_miss 0
             real = impute(imputer, apply_mcar_mask(
                 rundata.real_batches(lo, hi), cfg.q_miss, real_mask))
-        k = hi - lo
         yield _Chunk(slice(lo, hi), impute(imputer, x),
-                     comps.random(out=uniforms[:k]),
-                     noise.standard_normal(out=twin_noise[:k]), work[:, :k],
-                     acquire.random(out=acquired[:k]), real)
+                     acquire.random(out=acquired[:hi - lo]), real)
 
 
 def _statistics(cfg: RunConfig, lane: _Lane, run_idx: int, chunk: _Chunk,
@@ -672,9 +663,7 @@ def _statistics(cfg: RunConfig, lane: _Lane, run_idx: int, chunk: _Chunk,
             runs[methods[None]].decision[at] = s > lane.threshold[c]
     if lane.twin is not None:
         with reading("never", "active"):
-            q = conformal_pvalues(_score_batches(model, sample_synthetic(
-                lane.twin, c, chunk.uniforms, chunk.noise,
-                chunk.work).reshape(chunk.noise.shape), c), s, cfg.plus_one)
+            q = conformal_pvalues(lane.pool[c], s, cfg.plus_one)
     if "active" in methods:
         with reading("active"):
             u = chunk.acquire < acquisition_probability(q, lane.gammas[c])

@@ -2,8 +2,8 @@
 
 A diagonal-covariance Gaussian mixture is fit per context by EM, one
 whole-array step over all components per iteration until the mean per-row
-log-likelihood settles (see ``_em_diag``), and used to mint synthetic
-calibration batches; a context-blind generator is the same fit on rows that
+log-likelihood settles (see ``_em_diag``), and used to draw a synthetic
+calibration pool; a context-blind generator is the same fit on rows that
 all read as context 0.  Trust in the generator is quantified by the largest
 positive gap between the empirical CDF of generator-based p-values on
 held-out inliers and the uniform CDF; the gap maps to the acquisition
@@ -138,18 +138,16 @@ def fit_twin(train: Table, k: int = 2,
 
 
 def sample_synthetic(model: TwinModel, context, uniforms: np.ndarray,
-                     noise: np.ndarray, work: np.ndarray | None = None
-                     ) -> np.ndarray:
+                     noise: np.ndarray) -> np.ndarray:
     """Turn drawn randomness into synthetic feature vectors, i.i.d. per
     context; the caller draws.
 
-    ``context`` is one context id or a vector of k ids.  Batch i has
-    n_tilde rows: row j takes its mixture component from ``uniforms[i, j]``
-    (uniforms is (k, n_tilde)) and its standard normal noise from
-    ``noise[i, j]`` (noise is (k, n_tilde, d)).  The k batches come back
-    stacked into (k * n_tilde, d) rows.  Given ``work``, a (2, k, n_tilde,
-    d) float array, nothing is allocated for them: the rows are a view of
-    work[0], and work[1] holds each row's mean on the way.
+    ``context`` is one context id or a vector of k ids, such as every
+    context of a synthetic pool.  Batch i has n_tilde rows: row j takes its
+    mixture component from ``uniforms[i, j]`` (uniforms is (k, n_tilde))
+    and its standard normal noise from ``noise[i, j]`` (noise is (k,
+    n_tilde, d)).  The k batches come back stacked into (k * n_tilde, d)
+    rows.
     """
     contexts = np.atleast_1d(np.asarray(context))
     k = contexts.size
@@ -176,12 +174,10 @@ def sample_synthetic(model: TwinModel, context, uniforms: np.ndarray,
     # ids are checked above, so every slot is in range and the takes skip
     # the bounds check ("raise" would also copy through a temporary)
     slot = np.broadcast_to(slot, uniforms.shape)
-    scale, mean = (None, None) if work is None else work
     rows = np.take(np.sqrt(model.variances).reshape(-1, dim), slot, axis=0,
-                   out=scale, mode="clip")
+                   mode="clip")
     rows *= noise
-    rows += np.take(model.means.reshape(-1, dim), slot, axis=0, out=mean,
-                    mode="clip")
+    rows += np.take(model.means.reshape(-1, dim), slot, axis=0, mode="clip")
     return rows.reshape(-1, dim)
 
 

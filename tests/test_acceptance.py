@@ -15,6 +15,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 
@@ -98,6 +99,47 @@ def test_a3_active_pvalue_validity():
     ok = worst >= 0.0 and elapsed < 30.0
     _report("A3 active p-value validity under a biased twin", ok,
             f"min margin {worst:+.5f} over gamma grid, {elapsed:.1f}s")
+
+
+def test_a3_fixed_pool_validity_on_null_streams():
+    # the engine's active statistic, with q ranked against one synthetic
+    # pool per run, lane and context, under a narrow, a matched and a wide
+    # twin.  Given the pool, a context's z are independent across steps and
+    # each P(z <= a | past) <= a, so a cell's count of z <= a is dominated
+    # by a binomial(N, a); k bounds the false alarm rate of all the cells
+    # together by ``family`` (Bonferroni over the normal tail)
+    family, levels = 0.001, (0.01, 0.05, 0.1, 0.5)
+    methods, scales, contexts = ("PP_COAD", "C_PP_COAD"), (0.25, 1, 4), 2
+    k = NormalDist().inv_cdf(
+        1 - family / (len(methods) * len(scales) * contexts * len(levels)))
+    start = time.perf_counter()
+    worst, worst_cell = math.inf, None
+    for scale in scales:
+        # 1/(n+1) <= alpha * (1 - delta): reachable, so the run must not warn
+        cfg = config_from({
+            "dataset": "gaussian", "method": ",".join(methods), "seed": "5",
+            "alpha": "0.2", "delta": "0.9", "n": "60", "runs": "40",
+            "steps": "500", "anomaly_rate": "0", "contexts": str(contexts),
+            "twin_var_scale": str(scale), "score_train_size": "200",
+            "twin_train_size": "200", "val_size": "100"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            arts = run_benchmark(cfg)
+        for name in methods:
+            runs = arts.per_method[name].runs
+            z = np.concatenate([s.z for s in runs])
+            context = np.concatenate([s.context for s in runs])
+            for c, a in itertools.product(range(contexts), levels):
+                zc = z[context == c]
+                margin = a + k * math.sqrt(a * (1 - a) / zc.size) \
+                    - float(np.mean(zc <= a))
+                if margin < worst:
+                    worst, worst_cell = margin, (name, scale, c, a)
+    elapsed = time.perf_counter() - start
+    ok = worst >= 0.0 and elapsed < 30.0
+    _report("A3 active statistic valid with a fixed synthetic pool", ok,
+            f"min margin {worst:+.5f} at (method, twin_var_scale, context, "
+            f"a) = {worst_cell}, k = {k:.2f}, {elapsed:.1f}s")
 
 
 def test_a4_sfdr_control():
@@ -310,7 +352,7 @@ def test_a12_cli_end_to_end_determinism(tmp_path):
     cfg_path.write_text(
         "method = C_PP_COAD,FIXED\ndataset = gaussian\nruns = 2\n"
         "steps = 12\nseed = 31\nn = 60\nscore_train_size = 200\n"
-        "twin_train_size = 200\nval_size = 100\nsynth_pool = 100\n")
+        "twin_train_size = 200\nval_size = 100\n")
     # the CLI process imports the coad that this test imported
     src = str(Path(coad.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -87,6 +87,15 @@ def _run_config(tmp_path, mapping) -> int:
                          "--out", str(tmp_path / "r")])
 
 
+def test_retired_synth_pool_exits_2(tmp_path, capsys):
+    # the gamma calibration ranks against the pool the stream's q reads,
+    # whose size per context is n_tilde; its own pool size key is gone
+    assert _run_config(tmp_path, {"synth_pool": "100"}) == 2
+    assert "unknown config key 'synth_pool'" in capsys.readouterr().err
+    assert _exit_status(["run", "--synth-pool", "100"]) == 2
+    assert "--synth-pool" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("missing", ["csv_path", "schema_path"])
 def test_missing_dataset_file_exits_2_naming_the_key(missing, tmp_path,
                                                       capsys):
@@ -214,7 +223,6 @@ KEY_VALUES = {
     "dim": "4", "context_spread": "1.5", "anomaly_shift": "3",
     "twin_var_scale": "2", "twin_mean_shift": "0.5", "anomaly_rate": "0.2",
     "score_train_size": "900", "twin_train_size": "800", "val_size": "400",
-    "synth_pool": "300",
 }
 BASE = {"csv_path": "a.csv", "schema_path": "a.schema"}
 

@@ -43,7 +43,6 @@ COMMON = {
     "n_tilde": _optional(_size(1, 4)),
     "gmm_components": _size(1, 3),
     "kmeans_k": _size(1, 4),
-    "synth_pool": _size(1, 4),
     "anomaly_rate": _around([0, 0.1, 0.5, 0.9], [1]),
     "q_miss": _around([0, 0.3, 0.9], [1]),
     "gamma_override": _optional(_around([0, 0.01, 1, GAMMA_MAX],

@@ -2,11 +2,12 @@
 
 The oracle rebuilds every step record one step at a time through the public
 single-step API, ``fdr.step``, reading the run's stream-time generators one
-step per read, and folds ``MetricsTracker.update`` over the records for the
-run's metric trace.  The engine computes whole chunks of steps at once and
-walks the thresholds a detection at a time, so agreement bit for bit shows
-that neither changes a draw, a statistic, a threshold, a decision or a
-metric.
+step per read and ranking each proxy p-value against the lane's synthetic
+pool of the step's context, and folds ``MetricsTracker.update`` over the
+records for the run's metric trace.  The engine computes whole chunks of
+steps at once and walks the thresholds a detection at a time, so agreement
+bit for bit shows that neither changes a draw, a statistic, a threshold, a
+decision or a metric.
 """
 
 import hashlib
@@ -42,7 +43,6 @@ def oracle_records(cfg, method, run_idx, rundata) -> list[StepRecord]:
     model, fill = lane.scorer, imputer.fill_values
     draw = partial(derive_rng, cfg.seed, run_idx)
     test_mask, real_mask = draw(_Purpose.MASK, 0), draw(_Purpose.MASK, 1)
-    comps, noise = draw(_Purpose.TWIN_SAMPLE, 0), draw(_Purpose.TWIN_SAMPLE, 1)
     acquire = draw(_Purpose.ACQUIRE, 0)
 
     def observed(x, mask_rng):
@@ -65,12 +65,7 @@ def oracle_records(cfg, method, run_idx, rundata) -> list[StepRecord]:
             records.append(StepRecord(t, context, None, 0, None, None, None,
                                       rejected, truth))
             continue
-        synthetic = None
-        if method.uses_twin:
-            shape = (1, rundata.n_tilde)
-            synthetic = model.scores(sample_synthetic(
-                lane.twin, c, comps.random(shape),
-                noise.standard_normal((*shape, x.size))), c)
+        synthetic = lane.pool[c] if method.uses_twin else None
         batch = rundata.real_batches(i, i + 1)[0]
         real = partial(model.scores, observed(batch, real_mask), c)
         record, state = step(
@@ -246,11 +241,12 @@ def test_memory_per_step_is_bounded(tmp_path):
 def test_shared_arrays_are_scored_once(monkeypatch):
     # C_COAD and C_PP_COAD share a score model: the test points are scored
     # once, every real batch once (C_COAD queries them all), and C_PP_COAD
-    # adds only its synthetic batches and its gamma calibration's pools
+    # adds only its synthetic pool, once per context, and its validation
+    # inliers
     cfg = config_from({"method": "C_COAD,C_PP_COAD", "runs": "2",
                        "steps": "30", "n": "20", "n_tilde": "15",
-                       "val_size": "40", "synth_pool": "50", "alpha": "0.2",
-                       "delta": "0.5", "seed": "2"})
+                       "val_size": "40", "alpha": "0.2", "delta": "0.5",
+                       "seed": "2"})
     rows = []
     scores = DensityScore.scores
 
@@ -260,8 +256,8 @@ def test_shared_arrays_are_scored_once(monkeypatch):
 
     monkeypatch.setattr(DensityScore, "scores", counted)
     run_benchmark(cfg)
-    per_run = cfg.steps * (1 + cfg.n + cfg.n_tilde) \
-        + cfg.contexts * (cfg.synth_pool + cfg.val_size)
+    per_run = cfg.steps * (1 + cfg.n) \
+        + cfg.contexts * (cfg.n_tilde + cfg.val_size)
     assert sum(rows) == cfg.runs * per_run
 
     # C_PP_COAD alone scores only the real batches it buys
@@ -270,14 +266,18 @@ def test_shared_arrays_are_scored_once(monkeypatch):
     bought = sum(int(s.u.sum()) for s in
                  run_benchmark(cfg).per_method["C_PP_COAD"].runs)
     assert 0 < bought < cfg.runs * cfg.steps
-    per_run = cfg.steps * (1 + cfg.n_tilde) \
-        + cfg.contexts * (cfg.synth_pool + cfg.val_size)
+    per_run = cfg.steps + cfg.contexts * (cfg.n_tilde + cfg.val_size)
     assert sum(rows) == cfg.runs * per_run + cfg.n * bought
 
 
-def oracle_gammas(cfg, run_idx, n_eff, model, twin, validation):
-    """Gamma calibration written plainly: per context a draw, a pool, two
+def oracle_gammas(cfg, run_idx, aware, n_eff, n_tilde, model, twin,
+                  validation):
+    """Gamma calibration written plainly: the pool's draws from the
+    stream of the lane's context awareness, then per context a pool, two
     ``scores`` calls and a broadcast compare."""
+    srng = derive_rng(cfg.seed, run_idx, _Purpose.POOL, int(aware))
+    uniforms = srng.random((n_eff, n_tilde))
+    noise = srng.standard_normal((n_eff, n_tilde, twin.dim))
     gammas = []
     for c, group in enumerate(validation.by_context(n_eff)):
         if not len(group):
@@ -285,10 +285,8 @@ def oracle_gammas(cfg, run_idx, n_eff, model, twin, validation):
                           "falling back to gamma = 0.5")
             gammas.append(0.5)
             continue
-        srng = derive_rng(cfg.seed, run_idx, _Purpose.VALIDITY, n_eff + c)
-        uniforms = srng.random((1, cfg.synth_pool))
-        noise = srng.standard_normal((1, cfg.synth_pool, twin.dim))
-        synth = model.scores(sample_synthetic(twin, c, uniforms, noise), c)
+        synth = model.scores(sample_synthetic(
+            twin, c, uniforms[c:c + 1], noise[c:c + 1]), c)
         val = model.scores(group.observed(), c)
         counts = np.count_nonzero(synth[None, :] >= val[:, None], axis=1)
         pvals = (counts + 1 if cfg.plus_one else counts) / (synth.size + 1)
@@ -323,7 +321,7 @@ def test_gammas_match_per_context_loop(config, dropped, method, plus_one,
     else:
         cfg = config_from({"method": method.value, "score": config,
                            "contexts": "3", "val_size": "30",
-                           "synth_pool": "40", "seed": "6",
+                           "n_tilde": "40", "seed": "6",
                            "plus_one": str(plus_one)})
         rundata = gaussian_synthetic_stream(cfg, 0)
     imputer, (lane,) = _fit_group(cfg, (method,), 0, rundata)
@@ -335,7 +333,8 @@ def test_gammas_match_per_context_loop(config, dropped, method, plus_one,
         validation = replace(validation,
                              context=np.zeros(len(validation), dtype=int))
         n_eff = 1
-    assert _gammas_and_warnings(harness._calibrate_gammas, cfg, lane, 0,
+    assert _gammas_and_warnings(harness._calibrate_gammas, cfg, lane,
                                 validation) == \
-        _gammas_and_warnings(oracle_gammas, cfg, 0, n_eff, lane.scorer,
-                             lane.twin, validation)
+        _gammas_and_warnings(oracle_gammas, cfg, 0, method.context_aware,
+                             n_eff, rundata.n_tilde, lane.scorer, lane.twin,
+                             validation)

@@ -17,13 +17,13 @@ GOLDEN_CONFIG = {
     "method": "all", "dataset": "gaussian", "runs": "3", "steps": "40",
     "seed": "7", "alpha": "0.2", "delta": "0.5", "n": "60", "q_miss": "0.2",
     "twin_var_scale": "0.5", "score_train_size": "200",
-    "twin_train_size": "200", "val_size": "100", "synth_pool": "100",
+    "twin_train_size": "200", "val_size": "100",
 }
 
 STEPS_SHA256 = \
-    "2d5733a6ecaf306333688e7ef6800df0ac9a4de9a32032339856cbc40a8c2427"
+    "b0e2ba06da92cc3761cf596bf7efae55221cf4de745a1c8f3f058ee40ea56bd5"
 AGGREGATE_SHA256 = \
-    "a662b8adbb829214de210f3243c703e0a8bd605cefe4fc022f4f36600b832fee"
+    "21fe7eddc2bc5b71ec1364c4af3f5c900577bf216e87d4ec9d6ec5c208e1a32c"
 
 
 def test_emitted_csvs_match_golden_digests(tmp_path):

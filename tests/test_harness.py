@@ -24,7 +24,7 @@ from test_golden import AGGREGATE_SHA256, GOLDEN_CONFIG, STEPS_SHA256
 
 FAST = {"runs": "3", "steps": "25", "dataset": "gaussian", "seed": "11",
         "n": "60", "score_train_size": "200", "twin_train_size": "200",
-        "val_size": "100", "synth_pool": "100"}
+        "val_size": "100"}
 
 
 # FAST where a real p-value can reach the threshold floor, for the tests
@@ -163,7 +163,7 @@ class TestConfig:
         {"anomaly_rate": "-0.5"}, {"anomaly_rate": "1.0"},
         {"anomaly_rate": "1.5"}, {"eta": "0"}, {"n": "0"}, {"n_tilde": "0"},
         {"contexts": "0"}, {"dim": "0"}, {"gmm_components": "0"},
-        {"synth_pool": "0"}, {"kmeans_k": "0"}, {"dataset": "oran"},
+        {"kmeans_k": "0"}, {"dataset": "oran"},
         {"steps": "0"}, {"score_train_size": "-1"},
         {"twin_train_size": "-1"}, {"val_size": "-1"},
         # left to run 0, a NaN eta ended with NaN power and sFDR, an
@@ -180,7 +180,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value, bound", [
         *(pytest.param(key, "0", 1, id=key) for key in (
-            "contexts", "dim", "gmm_components", "synth_pool", "kmeans_k")),
+            "contexts", "dim", "gmm_components", "kmeans_k")),
         *(pytest.param(key, "-1", 0, id=f"{key}-1") for key in (
             "score_train_size", "twin_train_size", "val_size")),
     ])
@@ -718,7 +718,7 @@ class TestOranPath:
         # the split serves 44-row batches: 1/45 <= alpha * (1 - delta)
         mapping = oran_csv(tmp_path, 1500, method="C_PP_COAD", runs="2",
                            steps="10", seed="3", delta="0.5",
-                           synth_pool="100", val_size="100")
+                           val_size="100")
         a = run_benchmark(config_from(mapping))
         b = run_benchmark(config_from(mapping))
         assert a.per_method["C_PP_COAD"].records == \

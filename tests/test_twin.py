@@ -209,8 +209,8 @@ class TestEmIterations:
 
 
 def _sample(model, context, n_tilde, rng):
-    """One batch of n_tilde synthetic rows, drawn from ``rng`` as the gamma
-    pool draws them: all the component uniforms, then all the noise."""
+    """One batch of n_tilde synthetic rows, drawn from ``rng`` as a lane
+    draws its pool: all the component uniforms, then all the noise."""
     uniforms = rng.random((1, n_tilde))
     return sample_synthetic(model, context, uniforms,
                             rng.standard_normal((1, n_tilde, model.dim)))
@@ -251,7 +251,7 @@ class TestSampleSynthetic:
         # normalized cumulative weights at or below its uniform, and is
         # means[c, j] + sqrt(variances[c, j]) * noise; with K = 1 every row
         # takes component 0, and its (k, 1) components must still give
-        # every row, with or without a work array
+        # every row
         for width in (1, 3):
             self._check_per_row_reference(width)
 
@@ -278,10 +278,6 @@ class TestSampleSynthetic:
                     model.variances[c, j]) * noise[i, r])
         assert np.array_equal(rows, np.array(expected)), width
         assert len(picked) == 3 * width  # every component of every context
-        work = np.full((2, *noise.shape), np.nan)
-        into = sample_synthetic(model, contexts, uniforms, noise, work)
-        assert np.array_equal(into, rows), width
-        assert np.shares_memory(into, work[0])
 
 
 def _model(weights=((0.5, 0.5), (0.25, 0.75)), variances=1.0, contexts=2,
